@@ -86,7 +86,7 @@ void WriteQuantJson(const std::string& path,
                  "\"ns_per_iter\": %.1f, \"gops\": %.3f, "
                  "\"rows_per_sec\": %.1f}%s\n",
                  r.op.c_str(), r.shape.c_str(), r.threads, r.ns_per_iter,
-                 r.gops, i + 1 < rows.size() ? "," : "");
+                 r.gops, r.rows_per_sec, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);

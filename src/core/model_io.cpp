@@ -1,6 +1,7 @@
 #include "core/model_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
@@ -32,6 +33,19 @@ T ReadPod(std::istream& in) {
   in.read(reinterpret_cast<char*>(&value), sizeof(T));
   PELICAN_CHECK(in.good(), "truncated weight file");
   return value;
+}
+
+// Training never yields a non-finite weight worth keeping, so one in a
+// file is corruption. Rejecting it is also what lets inference treat
+// 0 · w as +0: Gru::Score skips the h₀ = 0 recurrent GEMMs, which a NaN
+// or Inf in U would have poisoned.
+void CheckFinite(const std::string& name, std::size_t index,
+                 const Tensor& value, const std::string& path) {
+  const auto data = value.data();
+  PELICAN_CHECK(std::all_of(data.begin(), data.end(),
+                            [](float v) { return std::isfinite(v); }),
+                "non-finite value in " + name + " (tensor " +
+                    std::to_string(index) + "): " + path);
 }
 
 }  // namespace
@@ -130,8 +144,15 @@ void LoadWeights(nn::Sequential& network, const std::string& path) {
                     std::to_string(buffer_count) + ", network has " +
                     std::to_string(buffers.size()));
 
-  for (auto& p : params) io::ReadTensorEntry(in, p.name, *p.value);
-  for (auto& b : buffers) io::ReadTensorEntry(in, b.name, *b.value);
+  std::size_t index = 0;
+  for (auto& p : params) {
+    io::ReadTensorEntry(in, p.name, *p.value);
+    CheckFinite(p.name, index++, *p.value, path);
+  }
+  for (auto& b : buffers) {
+    io::ReadTensorEntry(in, b.name, *b.value);
+    CheckFinite(b.name, index++, *b.value, path);
+  }
 }
 
 }  // namespace pelican::core

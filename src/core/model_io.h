@@ -24,7 +24,8 @@ namespace pelican::core {
 void SaveWeights(nn::Sequential& network, const std::string& path);
 
 // Throws CheckError on any mismatch (missing file, wrong architecture,
-// truncation, checksum failure).
+// truncation, checksum failure) and on any non-finite value in a
+// parameter or buffer, in v2 and v3 files alike.
 void LoadWeights(nn::Sequential& network, const std::string& path);
 
 // Low-level tensor-entry codec shared with the checkpointer.

@@ -1,6 +1,8 @@
 #include "nn/gru.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/thread_pool.h"
 #include "common/workspace.h"
@@ -180,50 +182,53 @@ Tensor Gru::Forward(const Tensor& x, bool training) {
   return y;
 }
 
-// Score is Forward's inference path with every mutable member replaced
-// by context scratch. The fused [Wz|Wr|Wh] / [Uz|Ur] / [bz|br|bh]
-// panels are rebuilt into the caller's arena from the per-gate masters
-// on every call — the same interleaving RefreshFusedPanels produces, so
-// the GEMMs see bit-identical operands — which keeps Score const (the
-// member panels may be stale relative to optimizer updates; the masters
-// never are). Same GEMM shapes, same elementwise formulas, same
-// parallel grain: verdicts match Forward(x, false) byte for byte.
+// Score computes the bytes Forward(x, false) computes, minus work that
+// cannot change them, with every mutable member replaced by context
+// scratch (so it stays const and reentrant).
+//
+// No fused panel is built: the fp32 projections run one GEMM per gate
+// straight from the per-gate masters into that gate's columns of the
+// strided `proj` buffer. The kernel's per-element order depends on k
+// alone, so each column gets the bits the fused [Wz|Wr|Wh] GEMM gives
+// it. The int8 projection reads the quantized fused panel, as Forward
+// does.
+//
+// At t = 0, h₀ = 0, so both recurrent GEMMs are skipped. With finite U
+// (LoadWeights rejects non-finite weights) the skipped products are +0
+// in every element, and adding +0 changes no output byte: it can only
+// turn a -0 pre-activation into +0, which hard_sigmoid maps to the
+// same 0.5 and which h₁ = z·0 + (1 - z)·tanh(·) sums to the same +0.
+// The exception is a row whose r holds a NaN: there Forward's
+// (r ⊙ h₀)·Uh is NaN across the row, so Score writes NaN into that row
+// of pre_h itself. Same elementwise formulas and parallel grain
+// otherwise.
 Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
   PELICAN_CHECK(x.rank() == 3 && x.dim(2) == input_size_,
                 "GRU expects (N, L, C_in)");
   const std::int64_t n = x.dim(0), len = x.dim(1);
-  const std::int64_t c = input_size_;
   const std::int64_t h = units_, h3 = 3 * units_;
+  const Tensor* gate_w[3] = {&wz_, &wr_, &wh_};
+  const Tensor* gate_b[3] = {&bz_, &br_, &bh_};
 
   Workspace::Scope scope(ctx.workspace());
-  // Fused panels, rebuilt from the masters (layout == RefreshFusedPanels).
-  float* w_zrh = ctx.Alloc(static_cast<std::size_t>(c * h3));
-  float* u_zr = ctx.Alloc(static_cast<std::size_t>(h * 2 * h));
-  float* b_zrh = ctx.Alloc(static_cast<std::size_t>(h3));
-  for (std::int64_t i = 0; i < c; ++i) {
-    float* dst = w_zrh + i * h3;
-    std::copy_n(wz_.data().data() + i * h, h, dst);
-    std::copy_n(wr_.data().data() + i * h, h, dst + h);
-    std::copy_n(wh_.data().data() + i * h, h, dst + 2 * h);
-  }
-  for (std::int64_t i = 0; i < h; ++i) {
-    float* dst = u_zr + i * 2 * h;
-    std::copy_n(uz_.data().data() + i * h, h, dst);
-    std::copy_n(ur_.data().data() + i * h, h, dst + h);
-  }
-  std::copy_n(bz_.data().data(), h, b_zrh);
-  std::copy_n(br_.data().data(), h, b_zrh + h);
-  std::copy_n(bh_.data().data(), h, b_zrh + 2 * h);
-
   float* proj = ctx.Alloc(static_cast<std::size_t>(n * len * h3));
   if (quant_mode_ == quant::Mode::kInt8) {
     quant::QuantizedMatMul(x.data().data(), n * len, input_size_, qop_, 0,
                            proj, h3);
   } else {
-    kernels::Gemm(false, false, n * len, h3, input_size_, x.data().data(),
-                  input_size_, w_zrh, h3, proj, h3, /*accumulate=*/false);
+    for (int g = 0; g < 3; ++g) {
+      kernels::Gemm(false, false, n * len, h, input_size_, x.data().data(),
+                    input_size_, gate_w[g]->data().data(), h, proj + g * h,
+                    h3, /*accumulate=*/false);
+    }
   }
-  AddRowBias(proj, n * len, h3, b_zrh);
+  for (std::int64_t i = 0; i < n * len; ++i) {
+    float* row = proj + i * h3;
+    for (int g = 0; g < 3; ++g) {
+      const float* bias = gate_b[g]->data().data();
+      for (std::int64_t j = 0; j < h; ++j) row[g * h + j] += bias[j];
+    }
+  }
 
   Tensor y = return_sequences_ ? Tensor({n, len, h}) : Tensor({n, h});
   Tensor hprev({n, h});  // h_0 = 0
@@ -232,9 +237,13 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
     const float* hpv = hprev.data().data();
     float* pt = proj + t * h3;
 
-    // pre_z/pre_r += h_{t-1} · [Uz|Ur] in one GEMM.
-    kernels::Gemm(false, false, n, 2 * h, h, hpv, h, u_zr, 2 * h, pt, ld,
-                  /*accumulate=*/true);
+    // pre_z += h_{t-1} · Uz, pre_r += h_{t-1} · Ur.
+    if (t > 0) {
+      kernels::Gemm(false, false, n, h, h, hpv, h, uz_.data().data(), h, pt,
+                    ld, /*accumulate=*/true);
+      kernels::Gemm(false, false, n, h, h, hpv, h, ur_.data().data(), h,
+                    pt + h, ld, /*accumulate=*/true);
+    }
 
     Tensor z({n, h}), rh({n, h});
     {
@@ -251,8 +260,21 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
     }
 
     // pre_h += (r ⊙ h_{t-1}) · Uh, then tanh.
-    kernels::Gemm(false, false, n, h, h, rh.data().data(), h,
-                  uh_.data().data(), h, pt + 2 * h, ld, /*accumulate=*/true);
+    if (t > 0) {
+      kernels::Gemm(false, false, n, h, h, rh.data().data(), h,
+                    uh_.data().data(), h, pt + 2 * h, ld,
+                    /*accumulate=*/true);
+    } else {
+      const float* rhp = rh.data().data();
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float* rh_row = rhp + i * h;
+        if (std::any_of(rh_row, rh_row + h,
+                        [](float v) { return std::isnan(v); })) {
+          std::fill_n(pt + i * ld + 2 * h, h,
+                      std::numeric_limits<float>::quiet_NaN());
+        }
+      }
+    }
 
     Tensor hnew({n, h});
     {

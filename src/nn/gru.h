@@ -49,10 +49,11 @@ class Gru final : public Layer {
   Tensor duz_, dur_, duh_;
   Tensor dbz_, dbr_, dbh_;
 
-  // Fused copies for the GEMM-backed fast path: all three input
-  // projections (and the z/r recurrent ones) run as one wide GEMM per
-  // step instead of three skinny ones. The per-gate tensors above stay
-  // the masters so Params(), model I/O and checkpoints are unchanged.
+  // Fused copies for Forward/Backward: all three input projections
+  // (and the z/r recurrent ones) run as one wide GEMM per step instead
+  // of three skinny ones. The per-gate tensors above stay the masters
+  // so Params(), model I/O and checkpoints are unchanged; Score reads
+  // the masters directly and never touches these.
   Tensor w_zrh_;  // (C_in, 3H) = [Wz | Wr | Wh]
   Tensor u_zr_;   // (H, 2H)   = [Uz | Ur]
   Tensor b_zrh_;  // (3H)      = [bz | br | bh]

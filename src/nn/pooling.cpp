@@ -165,10 +165,13 @@ Tensor GlobalAvgPool1D::Forward(const Tensor& x, bool /*training*/) {
   const std::int64_t n = x.dim(0), len = x.dim(1), c = x.dim(2);
   Tensor y({n, c});
   const float inv = 1.0F / static_cast<float>(len);
+  const float* xp = x.data().data();
+  float* yp = y.data().data();
   for (std::int64_t in = 0; in < n; ++in) {
     for (std::int64_t t = 0; t < len; ++t) {
+      const float* xrow = xp + (in * len + t) * c;
       for (std::int64_t ch = 0; ch < c; ++ch) {
-        y.At(in, ch) += x.At(in, t, ch) * inv;
+        yp[in * c + ch] += xrow[ch] * inv;
       }
     }
   }
@@ -181,10 +184,13 @@ Tensor GlobalAvgPool1D::Score(const Tensor& x,
   const std::int64_t n = x.dim(0), len = x.dim(1), c = x.dim(2);
   Tensor y({n, c});
   const float inv = 1.0F / static_cast<float>(len);
+  const float* xp = x.data().data();
+  float* yp = y.data().data();
   for (std::int64_t in = 0; in < n; ++in) {
     for (std::int64_t t = 0; t < len; ++t) {
+      const float* xrow = xp + (in * len + t) * c;
       for (std::int64_t ch = 0; ch < c; ++ch) {
-        y.At(in, ch) += x.At(in, t, ch) * inv;
+        yp[in * c + ch] += xrow[ch] * inv;
       }
     }
   }

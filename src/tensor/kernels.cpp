@@ -91,6 +91,46 @@ void MicroKernel(std::int64_t kc, const float* __restrict__ ap,
   }
 }
 
+// op(A) with fewer rows than one register tile, B not transposed. The
+// packed path would copy every element of B to use it at most m times
+// and run kMr - m zero rows through the tile, so B's rows are read in
+// place instead. Each C element keeps the packed path's arithmetic:
+// k ascending from 0.0F inside each kKc panel, the first panel of a
+// non-accumulating call stored into C and every later panel added, so
+// both paths produce the same bits. m < kMr means a single row block,
+// which the packed path would run serially too. Kept out of line so its
+// accumulator row does not grow Gemm's stack frame, which every packed
+// call would pay for.
+[[gnu::noinline]] void GemmSmallM(bool trans_a, std::int64_t m,
+                                  std::int64_t n, std::int64_t k,
+                                  const float* a, std::int64_t lda,
+                                  const float* b, std::int64_t ldb, float* c,
+                                  std::int64_t ldc, bool accumulate) {
+  const std::int64_t a_step = trans_a ? lda : 1;  // along k within a row
+  alignas(64) float acc[kNc];
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = trans_a ? a + i : a + i * lda;
+    for (std::int64_t jc = 0; jc < n; jc += kNc) {
+      const std::int64_t nc = std::min(kNc, n - jc);
+      float* crow = c + i * ldc + jc;
+      for (std::int64_t pc = 0; pc < k; pc += kKc) {
+        const std::int64_t kc = std::min(kKc, k - pc);
+        std::fill(acc, acc + nc, 0.0F);
+        for (std::int64_t p = pc; p < pc + kc; ++p) {
+          const float ap = arow[p * a_step];
+          const float* brow = b + p * ldb + jc;
+          for (std::int64_t j = 0; j < nc; ++j) acc[j] += ap * brow[j];
+        }
+        if (pc == 0 && !accumulate) {
+          std::copy_n(acc, nc, crow);
+        } else {
+          for (std::int64_t j = 0; j < nc; ++j) crow[j] += acc[j];
+        }
+      }
+    }
+  }
+}
+
 // ---- int8 path -------------------------------------------------------
 //
 // Same BLIS blocking as the fp32 kernel (kMc×kKc A panels, kKc×kNc B
@@ -220,6 +260,36 @@ void MicroKernelI8(std::int64_t kc2, const std::int32_t* __restrict__ ap,
 #endif
 }
 
+// The int8 counterpart of GemmSmallM for m < kMrI8: B's rows are read
+// in place. Integer sums are exact, so summing all of k at once gives
+// the packed path's bits without mirroring its panels. Out of line for
+// the same reason as GemmSmallM.
+[[gnu::noinline]] void GemmInt8SmallM(std::int64_t m, std::int64_t n,
+                                      std::int64_t k, const std::int8_t* a,
+                                      std::int64_t lda, const std::int8_t* b,
+                                      std::int64_t ldb, std::int32_t* c,
+                                      std::int64_t ldc, bool accumulate) {
+  alignas(64) std::int32_t acc[kNc];
+  for (std::int64_t i = 0; i < m; ++i) {
+    const std::int8_t* arow = a + i * lda;
+    for (std::int64_t jc = 0; jc < n; jc += kNc) {
+      const std::int64_t nc = std::min(kNc, n - jc);
+      std::fill(acc, acc + nc, 0);
+      for (std::int64_t p = 0; p < k; ++p) {
+        const std::int32_t ap = arow[p];
+        const std::int8_t* brow = b + p * ldb + jc;
+        for (std::int64_t j = 0; j < nc; ++j) acc[j] += ap * brow[j];
+      }
+      std::int32_t* crow = c + i * ldc + jc;
+      if (accumulate) {
+        for (std::int64_t j = 0; j < nc; ++j) crow[j] += acc[j];
+      } else {
+        std::copy_n(acc, nc, crow);
+      }
+    }
+  }
+}
+
 // Packed-panel scratch carved out of the float workspace arena
 // (64-byte aligned; counts round up to whole floats).
 std::int16_t* AllocI16(Workspace& ws, std::size_t count) {
@@ -248,6 +318,10 @@ void GemmInt8(std::int64_t m, std::int64_t n, std::int64_t k,
         std::fill(c + i * ldc, c + i * ldc + n, 0);
       }
     }
+    return;
+  }
+  if (m < kMrI8) {
+    GemmInt8SmallM(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
     return;
   }
   Workspace& caller_ws = Workspace::Tls();
@@ -327,6 +401,10 @@ void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
         std::fill(c + i * ldc, c + i * ldc + n, 0.0F);
       }
     }
+    return;
+  }
+  if (m < kMr && !trans_b) {
+    GemmSmallM(trans_a, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
     return;
   }
   Workspace& caller_ws = Workspace::Tls();

@@ -47,6 +47,10 @@ inline constexpr std::int64_t kNc = 512;
 //   C element (i,j) is c[i*ldc + j]
 // Leading dimensions let callers address sub-blocks of larger buffers
 // (e.g. one gate's columns inside a fused GRU panel).
+//
+// Calls with m < kMr and B not transposed (batch-1 inference) read B's
+// rows in place instead of packing them, with the same per-element
+// order, so which path ran never changes a bit of C.
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float* c, std::int64_t ldc, bool accumulate);
@@ -68,7 +72,8 @@ inline constexpr std::int64_t kNrI8 = 8;
 //
 // Accumulation is exact integer arithmetic, so the result is
 // bit-identical for any thread count and any blocking by construction
-// (the fp32 determinism contract holds trivially). Safe against int32
+// (the fp32 determinism contract holds trivially); calls with
+// m < kMrI8 read B in place instead of packing it. Safe against int32
 // overflow for k ≤ ~1.3e5 (k · 127² < 2³¹).
 void GemmInt8(std::int64_t m, std::int64_t n, std::int64_t k,
               const std::int8_t* a, std::int64_t lda, const std::int8_t* b,

@@ -1,5 +1,6 @@
 // Crash-safety tests: CRC32 integrity, atomic writes, the
-// fault-injection harness, checksummed weight files, checkpoint/resume
+// fault-injection harness, checksummed weight files (and their
+// rejection of non-finite weights), checkpoint/resume
 // (bit-for-bit equivalence with an uninterrupted run) and the
 // divergence guard's NaN-loss recovery.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +21,8 @@
 #include "core/core.h"
 #include "data/nslkdd.h"
 #include "models/zoo.h"
+#include "nn/batchnorm.h"
+#include "nn/gru.h"
 
 namespace pelican {
 namespace {
@@ -241,6 +245,58 @@ TEST(WeightFiles, TensorEntryPayloadTruncationRejected) {
   std::istringstream in(full.substr(0, full.size() - 8), std::ios::binary);
   Tensor dst({4, 4});
   EXPECT_THROW(core::io::ReadTensorEntry(in, "w", dst), CheckError);
+}
+
+// Overwrites the first float of tensor entry `name` in a v3 weight file
+// and recomputes the CRC footer, so only the finiteness check can
+// reject the result.
+void PoisonFirstFloat(const std::string& path, const std::string& name,
+                      float value) {
+  std::string bytes = ReadFileBytes(path);
+  // Entry layout: u32 name_len | name | u32 rank | i64 dims… | f32 data…
+  const std::size_t at = bytes.find(name);
+  ASSERT_NE(at, std::string::npos) << name;
+  std::uint32_t rank = 0;
+  std::memcpy(&rank, bytes.data() + at + name.size(), sizeof(rank));
+  const std::size_t data =
+      at + name.size() + sizeof(rank) + rank * sizeof(std::int64_t);
+  std::memcpy(bytes.data() + data, &value, sizeof(value));
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  const std::uint32_t crc = Crc32Of(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
+  AtomicWriteFile(path, bytes);
+}
+
+TEST(WeightFiles, NonFiniteWeightsRejectedDespiteValidChecksum) {
+  const auto dir = MakeTempDir("weights_nonfinite");
+  Rng rng(7);
+  nn::Sequential net;
+  net.Add(std::make_unique<nn::BatchNorm>(4));
+  net.Add(std::make_unique<nn::Gru>(4, 4, rng));
+  const auto clean = dir + "/w.bin";
+  core::SaveWeights(net, clean);
+
+  struct Poison {
+    const char* tensor;
+    float value;
+  };
+  const Poison poisons[] = {
+      {"gru.uz", std::numeric_limits<float>::quiet_NaN()},
+      {"bn.running_var", std::numeric_limits<float>::infinity()},
+  };
+  for (const auto& p : poisons) {
+    const auto corrupt = dir + "/w_poison.bin";
+    fs::copy_file(clean, corrupt, fs::copy_options::overwrite_existing);
+    PoisonFirstFloat(corrupt, p.tensor, p.value);
+    try {
+      core::LoadWeights(net, corrupt);
+      ADD_FAILURE() << p.value << " in " << p.tensor << " was not rejected";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(p.tensor), std::string::npos)
+          << "error does not name the tensor: " << e.what();
+    }
+  }
+  EXPECT_NO_THROW(core::LoadWeights(net, clean));
 }
 
 // ---- checkpoint / resume ---------------------------------------------------

@@ -1,9 +1,10 @@
 // Tests for the pelican::kernels compute layer: randomized equivalence
 // of the blocked GEMM against a naive reference (odd tails, transposed
-// variants, accumulate vs overwrite), the NaN-poisoning regression for
-// the removed zero-skip branches, bit-identical results across thread
-// counts through the GEMM-backed Conv1D/GRU layers, and the
-// thread-local Workspace arena.
+// variants, accumulate vs overwrite), bit-equality of the unpacked
+// small-m path with the packed one (fp32 and int8), the NaN-poisoning
+// regression for the removed zero-skip branches, bit-identical results
+// across thread counts through the GEMM-backed Conv1D/GRU layers, and
+// the thread-local Workspace arena.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -138,6 +139,104 @@ TEST(Kernels, GemmZeroKZeroFillsOrPreserves) {
   kernels::Gemm(false, false, 2, 2, 0, nullptr, 1, nullptr, 2, c.data(), 2,
                 /*accumulate=*/false);
   for (float v : c) EXPECT_EQ(v, 0.0F);
+}
+
+// Calls with m < kMr (B not transposed) read B in place instead of
+// packing it; they must give the packed path's bits. Each row of an
+// m-row call is compared with the same row of a 9-row call (packed
+// path) over k crossing kKc, n crossing kNc, both A layouts, accumulate
+// on and off, and padded leading dimensions whose gutters must stay
+// untouched.
+TEST(Kernels, SmallMGemmMatchesPackedRowsBitForBit) {
+  Rng rng(77);
+  constexpr std::int64_t kRows = 9;
+  int cases = 0;
+  for (std::int64_t k : {1, 7, 121, 300, 600}) {
+    for (std::int64_t n : {1, 121, 363, 600}) {
+      for (bool trans_a : {false, true}) {
+        for (bool accumulate : {false, true}) {
+          for (std::int64_t pad : {0, 3}) {
+            const std::int64_t lda = (trans_a ? kRows : k) + pad;
+            const std::int64_t ldb = n + pad, ldc = n + pad;
+            const auto a = RandomVec(
+                static_cast<std::size_t>((trans_a ? k : kRows) * lda), rng);
+            const auto b = RandomVec(static_cast<std::size_t>(k * ldb), rng);
+            const auto c0 =
+                RandomVec(static_cast<std::size_t>(kRows * ldc), rng);
+            auto packed = c0;
+            kernels::Gemm(trans_a, false, kRows, n, k, a.data(), lda,
+                          b.data(), ldb, packed.data(), ldc, accumulate);
+            for (std::int64_t m : {1, 2, 3}) {
+              for (std::int64_t r0 : {std::int64_t{0}, kRows - m}) {
+                const float* a_rows =
+                    trans_a ? a.data() + r0 : a.data() + r0 * lda;
+                const auto span = static_cast<std::size_t>(m * ldc);
+                std::vector<float> small(
+                    c0.begin() + r0 * ldc,
+                    c0.begin() + r0 * ldc + static_cast<std::ptrdiff_t>(span));
+                kernels::Gemm(trans_a, false, m, n, k, a_rows, lda, b.data(),
+                              ldb, small.data(), ldc, accumulate);
+                ASSERT_EQ(std::memcmp(small.data(), packed.data() + r0 * ldc,
+                                      span * sizeof(float)),
+                          0)
+                    << "m=" << m << " rows from " << r0 << " k=" << k
+                    << " n=" << n << " ta=" << trans_a
+                    << " acc=" << accumulate << " pad=" << pad;
+                ++cases;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 960);
+}
+
+TEST(Kernels, SmallMGemmInt8MatchesPackedRowsBitForBit) {
+  Rng rng(78);
+  constexpr std::int64_t kRows = 9;
+  const auto random_i8 = [&rng](std::size_t count) {
+    std::vector<std::int8_t> out(count);
+    for (auto& v : out) v = static_cast<std::int8_t>(rng.Int(-127, 127));
+    return out;
+  };
+  int cases = 0;
+  for (std::int64_t k : {1, 7, 121, 300, 600}) {
+    for (std::int64_t n : {1, 121, 363, 600}) {
+      for (bool accumulate : {false, true}) {
+        for (std::int64_t pad : {0, 3}) {
+          const std::int64_t lda = k + pad, ldb = n + pad, ldc = n + pad;
+          const auto a = random_i8(static_cast<std::size_t>(kRows * lda));
+          const auto b = random_i8(static_cast<std::size_t>(k * ldb));
+          std::vector<std::int32_t> c0(static_cast<std::size_t>(kRows * ldc));
+          for (auto& v : c0) {
+            v = static_cast<std::int32_t>(rng.Int(-100000, 100000));
+          }
+          auto packed = c0;
+          kernels::GemmInt8(kRows, n, k, a.data(), lda, b.data(), ldb,
+                            packed.data(), ldc, accumulate);
+          for (std::int64_t m : {1, 2, 3}) {
+            for (std::int64_t r0 : {std::int64_t{0}, kRows - m}) {
+              const auto span = static_cast<std::size_t>(m * ldc);
+              std::vector<std::int32_t> small(
+                  c0.begin() + r0 * ldc,
+                  c0.begin() + r0 * ldc + static_cast<std::ptrdiff_t>(span));
+              kernels::GemmInt8(m, n, k, a.data() + r0 * lda, lda, b.data(),
+                                ldb, small.data(), ldc, accumulate);
+              ASSERT_EQ(std::memcmp(small.data(), packed.data() + r0 * ldc,
+                                    span * sizeof(std::int32_t)),
+                        0)
+                  << "m=" << m << " rows from " << r0 << " k=" << k
+                  << " n=" << n << " acc=" << accumulate << " pad=" << pad;
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 480);
 }
 
 // Regression for the removed `if (av == 0.0F) continue;` fast paths: a

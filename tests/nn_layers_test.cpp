@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <thread>
 
 #include "nn/nn.h"
@@ -553,6 +555,95 @@ TEST(InferenceContext, ConcurrentScorersProduceIdenticalBytes) {
   for (auto& w : workers) w.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
+// Gru::Score builds no fused panel and, at t = 0, skips both recurrent
+// GEMMs (h₀ = 0); it must still reproduce Forward(x, false) byte for
+// byte. Random biases keep the bias add and the skipped terms honest.
+std::unique_ptr<nn::Gru> MakeScoreGru(bool return_sequences, bool int8,
+                                      Rng& rng) {
+  constexpr std::int64_t kIn = 12, kUnits = 20;
+  auto gru = std::make_unique<nn::Gru>(kIn, kUnits, rng, return_sequences);
+  for (auto& p : gru->Params()) {
+    if (p.name == "gru.bz" || p.name == "gru.br" || p.name == "gru.bh") {
+      *p.value = Tensor::RandomNormal({kUnits}, rng, 0, 0.5F);
+    }
+  }
+  if (int8) {
+    gru->SetQuantMode(quant::Mode::kCalibrate);
+    (void)gru->Forward(Tensor::RandomNormal({16, 2, kIn}, rng, 0, 1), false);
+    gru->SetQuantMode(quant::Mode::kInt8);
+  }
+  return gru;
+}
+
+TEST(Gru, ScoreMatchesInferenceForwardByteForByte) {
+  for (bool int8 : {false, true}) {
+    for (bool return_sequences : {false, true}) {
+      Rng rng(41);
+      auto gru = MakeScoreGru(return_sequences, int8, rng);
+      nn::InferenceContext ctx;
+      for (std::int64_t len : {1, 3}) {
+        for (std::int64_t batch : {1, 3, 64}) {
+          const auto x = Tensor::RandomNormal({batch, len, 12}, rng, 0, 1);
+          EXPECT_TRUE(SameBytes(gru->Forward(x, false), gru->Score(x, ctx)))
+              << "int8=" << int8 << " return_sequences=" << return_sequences
+              << " L=" << len << " batch=" << batch;
+        }
+      }
+    }
+  }
+}
+
+// A NaN must propagate through Score exactly as through Forward: in
+// fp32 the row that carries it reads NaN, and every other row keeps
+// Forward's bytes. (The int8 engine quantizes a NaN input to -127, so
+// there every row keeps Forward's bytes.)
+TEST(Gru, ScoreNaNRowStaysNaNOthersMatchForward) {
+  for (bool int8 : {false, true}) {
+    for (std::int64_t len : {1, 3}) {
+      Rng rng(42);
+      auto gru = MakeScoreGru(/*return_sequences=*/false, int8, rng);
+      auto x = Tensor::RandomNormal({3, len, 12}, rng, 0, 1);
+      x.At(1, 0, 5) = std::numeric_limits<float>::quiet_NaN();
+      const Tensor want = gru->Forward(x, false);
+      nn::InferenceContext ctx;
+      const Tensor got = gru->Score(x, ctx);
+      ASSERT_EQ(got.shape(), want.shape());
+      for (std::int64_t i = 0; i < 3; ++i) {
+        for (std::int64_t j = 0; j < got.dim(1); ++j) {
+          const float g = got.At(i, j), w = want.At(i, j);
+          if (i == 1 && !int8) {
+            EXPECT_TRUE(std::isnan(w));
+            EXPECT_TRUE(std::isnan(g)) << "L=" << len << " unit " << j;
+          } else {
+            EXPECT_EQ(std::memcmp(&g, &w, sizeof(float)), 0)
+                << "int8=" << int8 << " L=" << len << " row " << i
+                << " unit " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The t = 0 skip must keep the NaN that Forward's (r ⊙ h₀)·Uh spreads
+// when r holds a NaN but pre_h does not: a NaN in one element of br
+// reaches every row's r, so every unit of every row must read NaN.
+TEST(Gru, ScoreKeepsNaNFromResetGateAtFirstStep) {
+  Rng rng(43);
+  auto gru = MakeScoreGru(/*return_sequences=*/false, /*int8=*/false, rng);
+  for (auto& p : gru->Params()) {
+    if (p.name == "gru.br") p.value->At(4) = std::nanf("");
+  }
+  const auto x = Tensor::RandomNormal({3, 1, 12}, rng, 0, 1);
+  const Tensor want = gru->Forward(x, false);
+  nn::InferenceContext ctx;
+  const Tensor got = gru->Score(x, ctx);
+  for (std::int64_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(std::isnan(want[i]));
+    EXPECT_TRUE(std::isnan(got[i])) << "flat index " << i;
   }
 }
 

@@ -5,7 +5,21 @@ set -e
 
 PELICAN_BIN="$1"
 WORK_DIR="$(mktemp -d)"
-trap 'rm -rf "$WORK_DIR"' EXIT
+# On failure, print what the serve child processes logged to stderr
+# before the work dir (and their logs with it) is removed, so a failed
+# run can be diagnosed from the ctest output alone.
+cleanup() {
+    status=$1
+    if [ "$status" -ne 0 ]; then
+        for log in "$WORK_DIR"/*.log; do
+            [ -f "$log" ] || continue
+            echo "---- $log (smoke test exit $status) ----" >&2
+            cat "$log" >&2
+        done
+    fi
+    rm -rf "$WORK_DIR"
+}
+trap 'cleanup $?' EXIT
 
 "$PELICAN_BIN" generate --dataset nsl --records 300 --seed 5 \
     --out "$WORK_DIR/flows.csv"
