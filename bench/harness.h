@@ -171,8 +171,8 @@ inline TrackedRun RunTracked(const data::RawDataset& dataset,
 
 // ---- machine-readable kernel benchmarks ----------------------------------
 // Rows of BENCH_kernels.json, the perf-trajectory artifact emitted by
-// bench/kernels_bench from this PR onward: one entry per (op, shape,
-// threads) with ns/iter and achieved GFLOP/s.
+// bench/kernels_bench: one entry per (op, shape, threads, GEMM tier)
+// with ns/iter and achieved GFLOP/s (GOP/s for int8).
 
 struct BenchRow {
   std::string op;     // "gemm_kernel", "gemm_naive", "conv1d_forward", …
@@ -180,6 +180,7 @@ struct BenchRow {
   std::size_t threads = 1;
   double ns_per_iter = 0.0;
   double gflops = 0.0;
+  std::string isa;    // GEMM tier that ran ("avx512 8x32", …) or "scalar"
 };
 
 inline void WriteBenchJson(const std::string& path,
@@ -193,10 +194,10 @@ inline void WriteBenchJson(const std::string& path,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
     std::fprintf(f,
-                 "  {\"op\": \"%s\", \"shape\": \"%s\", \"threads\": %zu, "
-                 "\"ns_per_iter\": %.1f, \"gflops\": %.3f}%s\n",
-                 r.op.c_str(), r.shape.c_str(), r.threads, r.ns_per_iter,
-                 r.gflops, i + 1 < rows.size() ? "," : "");
+                 "  {\"op\": \"%s\", \"shape\": \"%s\", \"isa\": \"%s\", "
+                 "\"threads\": %zu, \"ns_per_iter\": %.1f, \"gflops\": %.3f}%s\n",
+                 r.op.c_str(), r.shape.c_str(), r.isa.c_str(), r.threads,
+                 r.ns_per_iter, r.gflops, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);

@@ -1,8 +1,10 @@
 // Kernel throughput tracker: times the blocked SGEMM and the GEMM-backed
 // Conv1D/GRU layers against the pre-PR scalar reference loops (preserved
 // here verbatim), at 1/2/4 threads, and writes the results to
-// BENCH_kernels.json so the repo's perf trajectory is machine-readable
-// from this PR onward.
+// BENCH_kernels.json so the repo's perf trajectory is machine-readable.
+// Every row names the GEMM tier that ran; the GEMM shapes are timed on
+// each tier this host runs (fp32 and int8) at 1 thread, and on the
+// dispatched tier at every thread count.
 //
 //   kernels_bench [--smoke] [--json=PATH]
 //
@@ -124,6 +126,19 @@ std::string ShapeName(const GemmShape& s) {
          std::to_string(s.n);
 }
 
+// The tier Gemm dispatches to on this host.
+std::string DispatchedTier() {
+  return kernels::TierName(kernels::SupportedIsas(false).back(), false);
+}
+
+// Each tier this host runs at 1 thread; the dispatched (last) one at
+// every thread count.
+std::vector<std::size_t> ThreadsFor(kernels::Isa isa, bool int8,
+                                    const std::vector<std::size_t>& threads) {
+  if (isa == kernels::SupportedIsas(int8).back()) return threads;
+  return {1};
+}
+
 void BenchGemm(const GemmShape& s, const std::vector<std::size_t>& threads,
                std::vector<bench::BenchRow>& rows) {
   Rng rng(42);
@@ -136,15 +151,36 @@ void BenchGemm(const GemmShape& s, const std::vector<std::size_t>& threads,
   {
     ThreadGuard guard(1);
     const double ns = TimeNs([&] { NaiveMatMulAccum(a, b, c); });
-    rows.push_back({"gemm_naive", ShapeName(s), 1, ns, flops / ns});
+    rows.push_back({"gemm_naive", ShapeName(s), 1, ns, flops / ns, "scalar"});
   }
-  for (std::size_t t : threads) {
-    ThreadGuard guard(t);
-    const double ns = TimeNs([&] {
-      kernels::Gemm(false, false, s.m, s.n, s.k, a.data().data(), s.k,
-                    b.data().data(), s.n, c.data().data(), s.n, true);
-    });
-    rows.push_back({"gemm_kernel", ShapeName(s), t, ns, flops / ns});
+  for (const kernels::Isa isa : kernels::SupportedIsas(false)) {
+    for (std::size_t t : ThreadsFor(isa, false, threads)) {
+      ThreadGuard guard(t);
+      const double ns = TimeNs([&] {
+        kernels::GemmWith(isa, false, false, s.m, s.n, s.k, a.data().data(),
+                          s.k, b.data().data(), s.n, c.data().data(), s.n,
+                          true);
+      });
+      rows.push_back({"gemm_kernel", ShapeName(s), t, ns, flops / ns,
+                      kernels::TierName(isa, false)});
+    }
+  }
+
+  std::vector<std::int8_t> a8(static_cast<std::size_t>(s.m * s.k));
+  std::vector<std::int8_t> b8(static_cast<std::size_t>(s.k * s.n));
+  for (auto& v : a8) v = static_cast<std::int8_t>(rng.Int(-127, 127));
+  for (auto& v : b8) v = static_cast<std::int8_t>(rng.Int(-127, 127));
+  std::vector<std::int32_t> c32(static_cast<std::size_t>(s.m * s.n));
+  for (const kernels::Isa isa : kernels::SupportedIsas(true)) {
+    for (std::size_t t : ThreadsFor(isa, true, threads)) {
+      ThreadGuard guard(t);
+      const double ns = TimeNs([&] {
+        kernels::GemmInt8With(isa, s.m, s.n, s.k, a8.data(), s.k, b8.data(),
+                              s.n, c32.data(), s.n, false);
+      });
+      rows.push_back({"gemm_int8_kernel", ShapeName(s), t, ns, flops / ns,
+                      kernels::TierName(isa, true)});
+    }
   }
 }
 
@@ -180,19 +216,22 @@ void BenchConv1D(std::int64_t n, std::int64_t len, std::int64_t channels,
     ThreadGuard guard(1);
     const double ns = TimeNs(
         [&] { NaiveConv1DForward(x, w, b, (kernel - 1) / 2); });
-    rows.push_back({"conv1d_forward_naive", shape, 1, ns, flops / ns});
+    rows.push_back(
+        {"conv1d_forward_naive", shape, 1, ns, flops / ns, "scalar"});
   }
   for (std::size_t t : threads) {
     ThreadGuard guard(t);
     const double ns = TimeNs([&] { conv.Forward(x, true); });
-    rows.push_back({"conv1d_forward", shape, t, ns, flops / ns});
+    rows.push_back(
+        {"conv1d_forward", shape, t, ns, flops / ns, DispatchedTier()});
   }
   Tensor dy = Tensor::RandomNormal({n, len, channels}, rng, 0, 1);
   conv.Forward(x, true);
   for (std::size_t t : threads) {
     ThreadGuard guard(t);
     const double ns = TimeNs([&] { conv.Backward(dy); });
-    rows.push_back({"conv1d_backward", shape, t, ns, 3.0 * flops / ns});
+    rows.push_back({"conv1d_backward", shape, t, ns, 3.0 * flops / ns,
+                    DispatchedTier()});
   }
 }
 
@@ -212,7 +251,7 @@ void BenchGru(std::int64_t n, std::int64_t len, std::int64_t units,
   for (std::size_t t : threads) {
     ThreadGuard guard(t);
     const double ns = TimeNs([&] { gru.Forward(x, true); });
-    rows.push_back({"gru_forward", shape, t, ns, flops / ns});
+    rows.push_back({"gru_forward", shape, t, ns, flops / ns, DispatchedTier()});
   }
 }
 
@@ -256,21 +295,24 @@ int main(int argc, char** argv) {
 
   bench::WriteBenchJson(json_path, rows);
 
-  std::printf("%-22s %-22s %8s %14s %10s\n", "op", "shape", "threads",
-              "ns/iter", "GFLOP/s");
+  std::printf("gemm: %s\n", kernels::IsaName().c_str());
+  std::printf("%-22s %-18s %-18s %8s %14s %10s\n", "op", "shape", "isa",
+              "threads", "ns/iter", "GFLOP/s");
   for (const auto& r : rows) {
-    std::printf("%-22s %-22s %8zu %14.0f %10.3f\n", r.op.c_str(),
-                r.shape.c_str(), r.threads, r.ns_per_iter, r.gflops);
+    std::printf("%-22s %-18s %-18s %8zu %14.0f %10.3f\n", r.op.c_str(),
+                r.shape.c_str(), r.isa.c_str(), r.threads, r.ns_per_iter,
+                r.gflops);
   }
 
-  // Single-thread speedup summary per shape (kernel vs naive).
+  // Single-thread speedup summary per shape (dispatched kernel vs naive).
+  const std::string dispatched = DispatchedTier();
   for (const auto& naive : rows) {
     if (naive.op.find("_naive") == std::string::npos) continue;
     const std::string fast_op =
         naive.op.substr(0, naive.op.size() - std::strlen("_naive"));
     for (const auto& fast : rows) {
       if (fast.op == fast_op && fast.shape == naive.shape &&
-          fast.threads == 1) {
+          fast.threads == 1 && fast.isa == dispatched) {
         std::printf("speedup %-20s %-22s %.2fx\n", fast_op.c_str(),
                     naive.shape.c_str(), naive.ns_per_iter / fast.ns_per_iter);
       }

@@ -15,6 +15,7 @@
 #include "core/checkpoint.h"
 #include "data/batcher.h"
 #include "obs/obs.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace pelican::core {
@@ -220,6 +221,7 @@ TrainHistory Trainer::Fit(const Tensor& x, std::span<const int> y,
     ev.Set("git", obs::GitDescribe());
     ev.Set("compiler", obs::BuildCompiler());
     ev.Set("build_flags", obs::BuildFlags());
+    ev.Set("gemm", kernels::IsaName());
     ev.Set("config", cfg);
     run_log->Write(ev);
   }

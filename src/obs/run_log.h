@@ -41,7 +41,7 @@ std::string Iso8601Now();
 
 // Build provenance baked in at compile time (obs/CMakeLists.txt).
 std::string BuildCompiler();   // e.g. "g++ 12.2.0"
-std::string BuildFlags();      // build type + sanitize/native knobs
+std::string BuildFlags();      // build type + sanitize knob
 std::string GitDescribe();     // `git describe --always --dirty` or "unknown"
 
 }  // namespace pelican::obs

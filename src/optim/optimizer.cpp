@@ -39,6 +39,10 @@ void Optimizer::Step() {
   }
 }
 
+// The update loops read hyperparameters from locals and index raw
+// pointers: a store through a float* may alias a float member such as
+// lr_, which would keep GCC from vectorizing them.
+
 // ---- SGD --------------------------------------------------------------
 
 Sgd::Sgd(float lr, float momentum) : Optimizer(lr), momentum_(momentum) {
@@ -57,10 +61,13 @@ void Sgd::UpdateParam(std::size_t i, Tensor& value, const Tensor& grad) {
     value.Axpy(-lr_, grad);
     return;
   }
-  Tensor& v = velocity_[i];
-  for (std::int64_t j = 0; j < v.size(); ++j) {
-    v[j] = momentum_ * v[j] - lr_ * grad[j];
-    value[j] += v[j];
+  const float lr = lr_, momentum = momentum_;
+  float* w = value.data().data();
+  const float* g = grad.data().data();
+  float* v = velocity_[i].data().data();
+  for (std::int64_t j = 0; j < value.size(); ++j) {
+    v[j] = momentum * v[j] - lr * g[j];
+    w[j] += v[j];
   }
 }
 
@@ -86,11 +93,14 @@ void RmsProp::InitState() {
 }
 
 void RmsProp::UpdateParam(std::size_t i, Tensor& value, const Tensor& grad) {
-  Tensor& c = cache_[i];
-  for (std::int64_t j = 0; j < c.size(); ++j) {
-    const float g = grad[j];
-    c[j] = rho_ * c[j] + (1.0F - rho_) * g * g;
-    value[j] -= lr_ * g / (std::sqrt(c[j]) + eps_);
+  const float lr = lr_, rho = rho_, eps = eps_;
+  float* w = value.data().data();
+  const float* gp = grad.data().data();
+  float* c = cache_[i].data().data();
+  for (std::int64_t j = 0; j < value.size(); ++j) {
+    const float g = gp[j];
+    c[j] = rho * c[j] + (1.0F - rho) * g * g;
+    w[j] -= lr * g / (std::sqrt(c[j]) + eps);
   }
 }
 
@@ -116,15 +126,17 @@ void AdaDelta::InitState() {
 }
 
 void AdaDelta::UpdateParam(std::size_t i, Tensor& value, const Tensor& grad) {
-  Tensor& eg = accum_grad_[i];
-  Tensor& eu = accum_update_[i];
-  for (std::int64_t j = 0; j < eg.size(); ++j) {
-    const float g = grad[j];
-    eg[j] = rho_ * eg[j] + (1.0F - rho_) * g * g;
-    const float update =
-        -std::sqrt(eu[j] + eps_) / std::sqrt(eg[j] + eps_) * g;
-    eu[j] = rho_ * eu[j] + (1.0F - rho_) * update * update;
-    value[j] += lr_ * update;
+  const float lr = lr_, rho = rho_, eps = eps_;
+  float* w = value.data().data();
+  const float* gp = grad.data().data();
+  float* eg = accum_grad_[i].data().data();
+  float* eu = accum_update_[i].data().data();
+  for (std::int64_t j = 0; j < value.size(); ++j) {
+    const float g = gp[j];
+    eg[j] = rho * eg[j] + (1.0F - rho) * g * g;
+    const float update = -std::sqrt(eu[j] + eps) / std::sqrt(eg[j] + eps) * g;
+    eu[j] = rho * eu[j] + (1.0F - rho) * update * update;
+    w[j] += lr * update;
   }
 }
 
@@ -153,17 +165,20 @@ void Adam::InitState() {
 
 void Adam::UpdateParam(std::size_t i, Tensor& value, const Tensor& grad) {
   if (i == 0) ++t_;  // one time step per Step() call
-  Tensor& m = m_[i];
-  Tensor& v = v_[i];
-  const float bc1 = 1.0F - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0F - std::pow(beta2_, static_cast<float>(t_));
-  for (std::int64_t j = 0; j < m.size(); ++j) {
-    const float g = grad[j];
-    m[j] = beta1_ * m[j] + (1.0F - beta1_) * g;
-    v[j] = beta2_ * v[j] + (1.0F - beta2_) * g * g;
+  const float lr = lr_, beta1 = beta1_, beta2 = beta2_, eps = eps_;
+  const float bc1 = 1.0F - std::pow(beta1, static_cast<float>(t_));
+  const float bc2 = 1.0F - std::pow(beta2, static_cast<float>(t_));
+  float* w = value.data().data();
+  const float* gp = grad.data().data();
+  float* m = m_[i].data().data();
+  float* v = v_[i].data().data();
+  for (std::int64_t j = 0; j < value.size(); ++j) {
+    const float g = gp[j];
+    m[j] = beta1 * m[j] + (1.0F - beta1) * g;
+    v[j] = beta2 * v[j] + (1.0F - beta2) * g * g;
     const float mhat = m[j] / bc1;
     const float vhat = v[j] / bc2;
-    value[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+    w[j] -= lr * mhat / (std::sqrt(vhat) + eps);
   }
 }
 

@@ -1,42 +1,64 @@
 // pelican::kernels — the compute layer every hot matmul routes through.
 //
-// A register-blocked, cache-tiled SGEMM in the BLIS/GotoBLAS style,
-// written as portable C++ so GCC/Clang auto-vectorize the micro-kernel
-// (build with PELICAN_NATIVE=ON for -march=native codegen). Transposed
-// operands are handled in the packing routines, so callers can express
-// A·B, Aᵀ·B and A·Bᵀ — including strided sub-views via leading
-// dimensions — against one entry point.
+// A register-blocked, cache-tiled GEMM in the BLIS/GotoBLAS style, fp32
+// and int8 (int32 sums). The micro-kernel tier is picked once, at first
+// use, from CPUID and the registers the OS saves (__builtin_cpu_supports):
+//   fp32: SSE2 4×8 (portable loop), AVX2 6×16, AVX-512F 8×32;
+//   int8: SSE2 4×8 (pmaddwd), AVX2 6×16 (vpmaddwd),
+//         AVX-512BW+VNNI 8×32 (vpdpwssd).
+// Transposed operands are handled in the packing routines, so callers
+// can express A·B, Aᵀ·B and A·Bᵀ — including strided sub-views via
+// leading dimensions — against one entry point.
 //
-// Determinism contract (inherited from the PR-2 training guarantee):
-// each output element is produced by exactly one ParallelFor shard, and
-// its k-accumulation order is a pure function of the shapes and the
-// compile-time block sizes — ascending within each kKc panel, panels
-// combined in ascending order. Nothing depends on the thread count, so
-// results are bit-identical for any PELICAN_THREADS. They may differ
-// from a naive ascending-k loop in last-bit rounding (panel sums are
-// formed in registers before being added to C), which the gradient
-// tests tolerate.
+// Determinism contract: every tier writes the SSE2 tier's bytes, and
+// nothing depends on the thread count, so results are bit-identical for
+// any PELICAN_THREADS on any x86-64 host. Each output element is produced
+// by exactly one ParallelFor shard; its fp32 sum runs k ascending from
+// 0.0F inside each kKc panel, every product rounded before it is added
+// (kernels.cpp is compiled with -ffp-contract=off, so no tier fuses a
+// multiply-add), and panels combine in ascending order. Int8 sums are
+// exact. Results may differ from a naive ascending-k loop in last-bit
+// rounding (panel sums are formed in registers before being added to C),
+// which the gradient tests tolerate.
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 namespace pelican::kernels {
 
-// Register tile: kMr rows × kNr columns of C held in accumulators. The
-// tile must fit the target's vector register file or the accumulators
-// spill to the stack every iteration: 4×16 needs 8 of AVX's 16 ymm,
-// but would eat all 16 xmm on baseline SSE2 — so portable builds use
-// 4×8 and PELICAN_NATIVE (or any -mavx toolchain) widens to 4×16.
-inline constexpr std::int64_t kMr = 4;
-#if defined(__AVX__)
-inline constexpr std::int64_t kNr = 16;
-#else
-inline constexpr std::int64_t kNr = 8;
-#endif
-// Cache tiles: A panels are kMc×kKc (L1/L2-resident), B panels kKc×kNc.
+// Micro-kernel instruction-set tiers, narrowest first.
+enum class Isa : std::uint8_t { kSse2, kAvx2, kAvx512 };
+
+// A tier's register tile (mr rows × nr columns of C held in
+// accumulators) and its row block mc (A panels are mc×kKc), the first
+// multiple of mr at or above kMc. fp32 and int8 share a tier's tile.
+struct Tile {
+  std::int64_t mr, nr, mc;
+};
+
+// Cache tiles. kKc is fixed for every tier: it sets where each C
+// element's sum is split into panels, so it is part of the output bytes.
 inline constexpr std::int64_t kMc = 32;
 inline constexpr std::int64_t kKc = 256;
 inline constexpr std::int64_t kNc = 512;
+
+// Calls with fewer rows than this (and, for fp32, B not transposed) take
+// the small-m path on every tier.
+inline constexpr std::int64_t kSmallM = 4;
+
+inline constexpr Tile TileOf(Isa isa) {
+  std::int64_t mr = 4, nr = 8;
+  if (isa == Isa::kAvx2) {
+    mr = 6;
+    nr = 16;
+  } else if (isa == Isa::kAvx512) {
+    mr = 8;
+    nr = 32;
+  }
+  return {mr, nr, (kMc + mr - 1) / mr * mr};
+}
 
 // C(m,n) = op(A)(m,k) · op(B)(k,n), added into C when `accumulate`,
 // overwriting it otherwise.
@@ -48,21 +70,12 @@ inline constexpr std::int64_t kNc = 512;
 // Leading dimensions let callers address sub-blocks of larger buffers
 // (e.g. one gate's columns inside a fused GRU panel).
 //
-// Calls with m < kMr and B not transposed (batch-1 inference) read B's
-// rows in place instead of packing them, with the same per-element
+// Calls with m < kSmallM and B not transposed (batch-1 inference) read
+// B's rows in place instead of packing them, with the same per-element
 // order, so which path ran never changes a bit of C.
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float* c, std::int64_t ldc, bool accumulate);
-
-// Int8 register tile. k advances in PAIRS inside the packed slivers so
-// the SSE2 path can feed pmaddwd (exact int32 dot of two k-steps per
-// instruction). Operands are widened at pack time — B slivers hold
-// int16 lanes, A slivers hold broadcastable int32 pair-words — so the
-// micro-kernel's steady state is just loads, pmaddwd and paddd; 4×8
-// int32 accumulators fit the xmm file with room for the two B vectors.
-inline constexpr std::int64_t kMrI8 = 4;
-inline constexpr std::int64_t kNrI8 = 8;
 
 // C(m,n) = A(m,k)·B(k,n) over int8 operands with int32 accumulation,
 // added into C when `accumulate`, overwriting it otherwise. No
@@ -70,14 +83,37 @@ inline constexpr std::int64_t kNrI8 = 8;
 // row-major activations by pre-packed row-major weights, so the extra
 // packing variants would be dead code.
 //
-// Accumulation is exact integer arithmetic, so the result is
-// bit-identical for any thread count and any blocking by construction
-// (the fp32 determinism contract holds trivially); calls with
-// m < kMrI8 read B in place instead of packing it. Safe against int32
-// overflow for k ≤ ~1.3e5 (k · 127² < 2³¹).
+// Packed slivers advance k in pairs, widened at pack time (B to int16
+// lanes, A to broadcastable int32 pair-words), so every tier's steady
+// state is loads, a pairwise 16-bit multiply-add and an int32 add. Sums
+// are exact, so the result is the same for any thread count, blocking
+// or tier; calls with m < kSmallM read B in place instead of packing it.
+// Safe against int32 overflow for k ≤ ~1.3e5 (k · 127² < 2³¹).
 void GemmInt8(std::int64_t m, std::int64_t n, std::int64_t k,
               const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
               std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
               bool accumulate);
+
+// The tiers Gemm and GemmInt8 run on this host, e.g.
+// "fp32 avx512 8x32, int8 avx512-vnni 8x32".
+std::string IsaName();
+
+// One tier's name and tile, e.g. "avx2 6x16"; the int8 AVX-512 tier is
+// "avx512-vnni".
+std::string TierName(Isa isa, bool int8);
+
+// Test and bench seam, not a user option. The tiers this host can run,
+// narrowest first; the last one is what Gemm (int8: GemmInt8) runs.
+std::vector<Isa> SupportedIsas(bool int8);
+
+// Gemm / GemmInt8 on a given tier, which must be in SupportedIsas.
+void GemmWith(Isa isa, bool trans_a, bool trans_b, std::int64_t m,
+              std::int64_t n, std::int64_t k, const float* a,
+              std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+              std::int64_t ldc, bool accumulate);
+void GemmInt8With(Isa isa, std::int64_t m, std::int64_t n, std::int64_t k,
+                  const std::int8_t* a, std::int64_t lda,
+                  const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
+                  std::int64_t ldc, bool accumulate);
 
 }  // namespace pelican::kernels

@@ -1,22 +1,26 @@
 // Tests for the pelican::kernels compute layer: randomized equivalence
 // of the blocked GEMM against a naive reference (odd tails, transposed
-// variants, accumulate vs overwrite), bit-equality of the unpacked
-// small-m path with the packed one (fp32 and int8), the NaN-poisoning
+// variants, accumulate vs overwrite), bit-equality of every ISA tier the
+// host runs with the SSE2 tier, bit-equality of the unpacked small-m
+// path with the packed one (fp32 and int8), the NaN-poisoning
 // regression for the removed zero-skip branches, bit-identical results
 // across thread counts through the GEMM-backed Conv1D/GRU layers, and
 // the thread-local Workspace arena.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/workspace.h"
+#include "kernel_tiers.h"
 #include "nn/conv1d.h"
 #include "nn/gru.h"
 #include "tensor/kernels.h"
@@ -27,6 +31,10 @@ namespace pelican {
 namespace {
 
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+using testing::TileEdgeDims;
+using testing::WideTiersOnThisHost;
 
 // Serial ascending-k reference with the plain semantics of
 // kernels::Gemm. The blocked kernel forms per-panel partial sums in
@@ -69,8 +77,7 @@ TEST(Kernels, GemmMatchesNaiveAcrossShapesAndVariants) {
   // Exercise every tail case of the blocking scheme: sub-sliver,
   // sliver±1, block boundaries ±1, and shapes spanning several cache
   // panels.
-  const std::int64_t dims[] = {1, 3,  kernels::kMr + 1, kernels::kNr - 1,
-                               kernels::kNr + 1, kernels::kMc + 1, 70};
+  const std::vector<std::int64_t> dims = TileEdgeDims();
   const std::int64_t ks[] = {1, 3, kernels::kKc - 1, kernels::kKc + 1, 70};
   for (std::int64_t m : dims) {
     for (std::int64_t n : dims) {
@@ -141,7 +148,134 @@ TEST(Kernels, GemmZeroKZeroFillsOrPreserves) {
   for (float v : c) EXPECT_EQ(v, 0.0F);
 }
 
-// Calls with m < kMr (B not transposed) read B in place instead of
+// One GEMM call's operands: op(A) is m×k, op(B) k×n, every leading
+// dimension padded by `pad`, C pre-filled (gutters included) with
+// random values.
+struct GemmCase {
+  bool ta = false, tb = false, accumulate = false;
+  std::int64_t m = 0, n = 0, k = 0, lda = 0, ldb = 0, ldc = 0;
+  std::vector<float> a, b, c;
+
+  GemmCase(bool ta_, bool tb_, bool acc, std::int64_t m_, std::int64_t n_,
+           std::int64_t k_, std::int64_t pad, Rng& rng)
+      : ta(ta_), tb(tb_), accumulate(acc), m(m_), n(n_), k(k_),
+        lda((ta_ ? m_ : k_) + pad), ldb((tb_ ? k_ : n_) + pad),
+        ldc(n_ + pad) {
+    a = RandomVec(static_cast<std::size_t>((ta ? k : m) * lda), rng);
+    b = RandomVec(static_cast<std::size_t>((tb ? n : k) * ldb), rng);
+    c = RandomVec(static_cast<std::size_t>(m * ldc), rng);
+  }
+  float& A(std::int64_t i, std::int64_t p) {
+    return ta ? a[static_cast<std::size_t>(p * lda + i)]
+              : a[static_cast<std::size_t>(i * lda + p)];
+  }
+  float& B(std::int64_t p, std::int64_t j) {
+    return tb ? b[static_cast<std::size_t>(j * ldb + p)]
+              : b[static_cast<std::size_t>(p * ldb + j)];
+  }
+  std::vector<float> Run(kernels::Isa isa) const {
+    std::vector<float> out = c;
+    kernels::GemmWith(isa, ta, tb, m, n, k, a.data(), lda, b.data(), ldb,
+                      out.data(), ldc, accumulate);
+    return out;
+  }
+  std::string Name() const {
+    return "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+           " k=" + std::to_string(k) + " ta=" + std::to_string(ta) +
+           " tb=" + std::to_string(tb) + " acc=" + std::to_string(accumulate) +
+           " ldc=" + std::to_string(ldc);
+  }
+};
+
+// Every wider tier must write the SSE2 tier's bytes: the same operands
+// and starting C, memcmp'd over the whole C buffer, so the gutters of a
+// padded ldc must stay untouched too. Shapes straddle each tier's mr,
+// nr and mc, and kKc and kNc, in all four transpose forms, accumulating
+// and overwriting.
+TEST(Kernels, EveryTierWritesSse2BytesAcrossShapesAndForms) {
+  const auto tiers = WideTiersOnThisHost(/*int8=*/false);
+  const auto edges = testing::TileStraddleDims();
+  const std::int64_t kc = kernels::kKc, nc = kernels::kNc;
+  std::vector<std::array<std::int64_t, 3>> shapes;  // m, n, k
+  for (std::int64_t m : edges) {
+    for (std::int64_t n : edges) shapes.push_back({m, n, kc + 1});
+  }
+  for (std::int64_t k : {std::int64_t{1}, std::int64_t{2}, kc - 1, kc,
+                         2 * kc + 5}) {
+    shapes.push_back({37, 33, k});
+    shapes.push_back({70, 17, k});
+  }
+  for (std::int64_t n : {nc - 1, nc + 1, 2 * nc + 3}) {
+    shapes.push_back({9, n, 70});
+    shapes.push_back({33, n, 3});
+  }
+  Rng rng(2024);
+  for (const auto& [m, n, k] : shapes) {
+    for (int form = 0; form < 4; ++form) {
+      for (bool accumulate : {false, true}) {
+        for (std::int64_t pad : {0, 5}) {
+          const GemmCase g((form & 1) != 0, (form & 2) != 0, accumulate, m, n,
+                           k, pad, rng);
+          const auto want = g.Run(kernels::Isa::kSse2);
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = n; j < g.ldc; ++j) {
+              const auto idx = static_cast<std::size_t>(i * g.ldc + j);
+              ASSERT_EQ(std::memcmp(&want[idx], &g.c[idx], sizeof(float)), 0)
+                  << "gutter written: " << g.Name();
+            }
+          }
+          for (const auto isa : tiers) {
+            const auto got = g.Run(isa);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << kernels::TierName(isa, false) << " " << g.Name();
+          }
+        }
+      }
+    }
+  }
+}
+
+// NaN and ±Inf reach C through every tier as they do through SSE2: a
+// NaN in A, an Inf in two columns of B (one per column, so no Inf − Inf
+// meets the NaN), and NaN/Inf already in C when accumulating.
+TEST(Kernels, EveryTierPropagatesNaNAndInfLikeSse2) {
+  const auto tiers = WideTiersOnThisHost(/*int8=*/false);
+  Rng rng(2025);
+  const std::array<std::int64_t, 3> shapes[] = {
+      {9, 33, 70}, {37, 70, kernels::kKc + 9}, {70, 17, 5}};
+  for (const auto& [m, n, k] : shapes) {
+    for (int form = 0; form < 4; ++form) {
+      for (bool accumulate : {false, true}) {
+        GemmCase g((form & 1) != 0, (form & 2) != 0, accumulate, m, n, k, 3,
+                   rng);
+        g.A(m - 2, k / 2) = kNaN;
+        g.B(k - 1, 1) = kInf;
+        g.B(0, n - 1) = -kInf;
+        g.c[static_cast<std::size_t>(1 * g.ldc + 2)] = kNaN;
+        g.c[static_cast<std::size_t>(3 * g.ldc + 4)] = kInf;
+        const auto want = g.Run(kernels::Isa::kSse2);
+        const auto at = [&](std::int64_t i, std::int64_t j) {
+          return want[static_cast<std::size_t>(i * g.ldc + j)];
+        };
+        ASSERT_TRUE(std::isnan(at(m - 2, 0))) << g.Name();
+        ASSERT_TRUE(std::isinf(at(0, 1))) << g.Name();
+        ASSERT_TRUE(std::isinf(at(0, n - 1))) << g.Name();
+        ASSERT_EQ(std::isnan(at(1, 2)), accumulate) << g.Name();
+        for (const auto isa : tiers) {
+          const auto got = g.Run(isa);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << kernels::TierName(isa, false) << " " << g.Name();
+        }
+      }
+    }
+  }
+}
+
+// Calls with m < kSmallM (B not transposed) read B in place instead of
 // packing it; they must give the packed path's bits. Each row of an
 // m-row call is compared with the same row of a 9-row call (packed
 // path) over k crossing kKc, n crossing kNc, both A layouts, accumulate

@@ -603,7 +603,10 @@ TEST(RunLog, TrainerEmitsManifestsAndEpochEvents) {
   ASSERT_NE(start.Find("config"), nullptr);
   EXPECT_EQ(start.Find("config")->Find("epochs")->number, 3.0);
   EXPECT_NE(start.Find("git"), nullptr);
-  EXPECT_NE(start.Find("build_flags"), nullptr);
+  ASSERT_NE(start.Find("build_flags"), nullptr);
+  EXPECT_EQ(start.Find("build_flags")->str.find("native="), std::string::npos);
+  ASSERT_NE(start.Find("gemm"), nullptr);
+  EXPECT_EQ(start.Find("gemm")->str, kernels::IsaName());
 
   for (int e = 1; e <= 3; ++e) {
     const auto& ev = events[static_cast<std::size_t>(e)];

@@ -1,8 +1,14 @@
-// Optimizer unit tests: update rules against hand-computed steps,
-// convergence on a quadratic bowl, clipping, factory.
+// Optimizer unit tests: update rules against hand-computed steps, the
+// vectorized update loops against scalar loops of the same formulas
+// (byte for byte), convergence on a quadratic bowl, clipping, factory.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "nn/dense.h"
 #include "optim/optimizer.h"
@@ -141,6 +147,147 @@ TEST(Optimizer, RejectsMismatchedParamRef) {
   Tensor g({4});
   optim::Sgd opt(0.1F);
   EXPECT_THROW(opt.Attach({{"bad", &w, &g}}), CheckError);
+}
+
+// Two odd-sized parameter tensors (~10k values, so the vectorized update
+// loops run their scalar tails too) whose values and gradients mix
+// magnitudes from 1e-20 to 1e15 with ±0 and denormals.
+class MixedParams final : public nn::Layer {
+ public:
+  MixedParams() {
+    for (auto& w : w_) Fill(w);
+  }
+  // Draws the gradients for the next Step.
+  void Regrad() {
+    for (auto& g : g_) Fill(g);
+  }
+  Tensor Forward(const Tensor& x, bool) override { return x; }
+  Tensor Backward(const Tensor& dy) override { return dy; }
+  Tensor Score(const Tensor& x, nn::InferenceContext&) const override {
+    return x;
+  }
+  std::vector<nn::ParamRef> Params() override {
+    return {{"w0", &w_[0], &g_[0]}, {"w1", &w_[1], &g_[1]}};
+  }
+  [[nodiscard]] std::string Name() const override { return "Mixed"; }
+
+  std::array<Tensor, 2> w_{Tensor({7919}), Tensor({2083})};
+  std::array<Tensor, 2> g_{Tensor({7919}), Tensor({2083})};
+
+ private:
+  void Fill(Tensor& t) {
+    constexpr float kDenormMin = std::numeric_limits<float>::denorm_min();
+    for (std::int64_t j = 0; j < t.size(); ++j) {
+      switch (rng_.Int(0, 9)) {
+        case 0:
+          t[j] = 0.0F;
+          break;
+        case 1:
+          t[j] = -0.0F;
+          break;
+        case 2:  // an exact subnormal
+          t[j] = kDenormMin * static_cast<float>(rng_.Int(-5000000, 5000000));
+          break;
+        default:
+          t[j] = static_cast<float>(rng_.Normal() *
+                                    std::pow(10.0, rng_.Uniform(-20, 15)));
+      }
+    }
+  }
+  Rng rng_{404};
+};
+
+// Three Steps of `opt` on MixedParams against `formula(t, w, g, s0, s1)`,
+// the optimizer's update for one element at time step t written as plain
+// scalar code, run over copies of the parameters and of up to two state
+// tensors per parameter. Parameters and state must match byte for byte.
+// One gradient of the last Step is NaN. Not earlier: a NaN carried into
+// a later Step can meet a NaN of the other sign (AdaDelta negates one),
+// and which of two NaNs an add returns follows the operand order, which
+// C++ leaves to the compiler.
+template <typename Formula>
+void ExpectStepsMatchScalarFormula(optim::Optimizer& opt,
+                                   std::size_t states_per_param,
+                                   Formula formula) {
+  MixedParams p;
+  opt.Attach(p.Params());
+  std::vector<std::vector<float>> w, s0, s1;
+  for (const auto& t : p.w_) {
+    w.emplace_back(t.data().begin(), t.data().end());
+    s0.emplace_back(t.data().size(), 0.0F);
+    s1.emplace_back(t.data().size(), 0.0F);
+  }
+  for (std::int64_t t = 1; t <= 3; ++t) {
+    p.Regrad();
+    if (t == 3) p.g_[1][1234] = std::numeric_limits<float>::quiet_NaN();
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      for (std::size_t j = 0; j < w[i].size(); ++j) {
+        formula(t, w[i][j], p.g_[i].data()[j], s0[i][j], s1[i][j]);
+      }
+    }
+    opt.Step();
+  }
+  const auto same = [](std::span<const float> got,
+                       const std::vector<float>& want) {
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) ==
+               0;
+  };
+  const std::vector<Tensor*> state = opt.StateTensors();
+  ASSERT_EQ(state.size(), states_per_param * w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_TRUE(same(p.w_[i].data(), w[i])) << opt.Name() << " param " << i;
+    EXPECT_TRUE(same(state[i]->data(), s0[i])) << opt.Name() << " state 0";
+    if (states_per_param == 2) {
+      EXPECT_TRUE(same(state[w.size() + i]->data(), s1[i]))
+          << opt.Name() << " state 1";
+    }
+  }
+  EXPECT_TRUE(std::isnan(p.w_[1][1234])) << "NaN gradient was not applied";
+}
+
+TEST(Sgd, MomentumStepMatchesScalarFormulaBytes) {
+  optim::Sgd opt(0.05F, 0.9F);
+  ExpectStepsMatchScalarFormula(
+      opt, 1, [](std::int64_t, float& w, float g, float& v, float&) {
+        v = 0.9F * v - 0.05F * g;
+        w += v;
+      });
+}
+
+TEST(RmsProp, StepMatchesScalarFormulaBytes) {
+  optim::RmsProp opt(0.01F, 0.9F, 1e-7F);
+  ExpectStepsMatchScalarFormula(
+      opt, 1, [](std::int64_t, float& w, float g, float& c, float&) {
+        c = 0.9F * c + (1.0F - 0.9F) * g * g;
+        w -= 0.01F * g / (std::sqrt(c) + 1e-7F);
+      });
+}
+
+TEST(AdaDelta, StepMatchesScalarFormulaBytes) {
+  optim::AdaDelta opt(1.0F, 0.95F, 1e-6F);
+  ExpectStepsMatchScalarFormula(
+      opt, 2, [](std::int64_t, float& w, float g, float& eg, float& eu) {
+        eg = 0.95F * eg + (1.0F - 0.95F) * g * g;
+        const float update = -std::sqrt(eu + 1e-6F) / std::sqrt(eg + 1e-6F) * g;
+        eu = 0.95F * eu + (1.0F - 0.95F) * update * update;
+        w += 1.0F * update;
+      });
+}
+
+TEST(Adam, StepMatchesScalarFormulaBytes) {
+  optim::Adam opt(0.001F, 0.9F, 0.999F, 1e-8F);
+  // Read at run time, as the optimizer does: compile-time folding of
+  // std::pow rounds correctly, which libm's powf need not.
+  volatile float beta1 = 0.9F, beta2 = 0.999F;
+  ExpectStepsMatchScalarFormula(
+      opt, 2, [&](std::int64_t t, float& w, float g, float& m, float& v) {
+        const float bc1 = 1.0F - std::pow(beta1, static_cast<float>(t));
+        const float bc2 = 1.0F - std::pow(beta2, static_cast<float>(t));
+        m = 0.9F * m + (1.0F - 0.9F) * g;
+        v = 0.999F * v + (1.0F - 0.999F) * g * g;
+        w -= 0.001F * (m / bc1) / (std::sqrt(v / bc2) + 1e-8F);
+      });
 }
 
 // Quadratic convergence through a real layer: y = x·W, minimize MSE to

@@ -1,13 +1,15 @@
 // Tests for the post-training int8 quantization stack: randomized
 // equivalence of the blocked int8 GEMM against an exact int32
 // reference (odd tails, odd k for the pmaddwd pairing, accumulate),
-// thread-count bit-identity (integer accumulation is exact, so this is
-// memcmp not tolerance), quantize→dequantize round-trip bounds, the
+// thread-count and ISA-tier bit-identity (integer accumulation is
+// exact, so this is memcmp not tolerance), quantize→dequantize
+// round-trip bounds, the
 // `.quant` sidecar's CRC armor, and the end-to-end accuracy contract:
 // int8 ACC within 0.5% of fp32 on both synthetic datasets, with
 // quantized predictions bit-identical for any thread count.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -23,6 +25,7 @@
 #include "core/pelican_ids.h"
 #include "data/nslkdd.h"
 #include "data/unsw_nb15.h"
+#include "kernel_tiers.h"
 #include "quant/quant_io.h"
 #include "quant/quantize.h"
 #include "tensor/kernels.h"
@@ -78,8 +81,7 @@ TEST(QuantKernels, Int8GemmMatchesReferenceAcrossShapeTails) {
   Rng rng(4321);
   // Sub-sliver, sliver±1, block-boundary±1 shapes; odd k values stress
   // the pmaddwd k-pairing (k=1 and every k%2==1 tail path).
-  const std::int64_t dims[] = {1, 3, kernels::kMrI8 + 1, kernels::kNrI8 - 1,
-                               kernels::kNrI8 + 1, kernels::kMc + 1, 70};
+  const std::vector<std::int64_t> dims = testing::TileEdgeDims();
   const std::int64_t ks[] = {1, 2, 3, kernels::kKc - 1, kernels::kKc + 1, 70};
   for (std::int64_t m : dims) {
     for (std::int64_t n : dims) {
@@ -117,6 +119,66 @@ TEST(QuantKernels, Int8GemmRespectsLeadingDimensionGutters) {
         ASSERT_EQ(c[idx], want[idx]);
       } else {
         ASSERT_EQ(c[idx], -5) << "gutter column " << j << " was written";
+      }
+    }
+  }
+}
+
+// Every wider int8 tier must write the SSE2 tier's bytes over the whole
+// C buffer (padded gutters stay untouched), for shapes straddling each
+// tier's mr, nr and mc, and kKc and kNc, odd and even k, accumulating
+// and overwriting, with operands spanning the full int8 range.
+TEST(QuantKernels, EveryInt8TierWritesSse2Bytes) {
+  const auto tiers = testing::WideTiersOnThisHost(/*int8=*/true);
+  const auto edges = testing::TileStraddleDims();
+  const std::int64_t kc = kernels::kKc, nc = kernels::kNc;
+  std::vector<std::array<std::int64_t, 3>> shapes;  // m, n, k
+  for (std::int64_t m : edges) {
+    for (std::int64_t n : edges) shapes.push_back({m, n, kc + 3});
+  }
+  for (std::int64_t k : {std::int64_t{1}, std::int64_t{2}, std::int64_t{3},
+                         kc - 1, kc, 2 * kc + 5}) {
+    shapes.push_back({37, 33, k});
+    shapes.push_back({70, 17, k});
+  }
+  for (std::int64_t n : {nc - 1, nc + 1, 2 * nc + 3}) {
+    shapes.push_back({9, n, 70});
+    shapes.push_back({33, n, 3});
+  }
+  Rng rng(2026);
+  const auto full_range = [&rng](std::size_t count) {
+    std::vector<std::int8_t> out(count);
+    for (auto& v : out) v = static_cast<std::int8_t>(rng.Int(-128, 127));
+    return out;
+  };
+  for (const auto& [m, n, k] : shapes) {
+    for (bool accumulate : {false, true}) {
+      for (std::int64_t pad : {0, 5}) {
+        const std::int64_t lda = k + pad, ldb = n + pad, ldc = n + pad;
+        const auto a = full_range(static_cast<std::size_t>(m * lda));
+        const auto b = full_range(static_cast<std::size_t>(k * ldb));
+        std::vector<std::int32_t> c0(static_cast<std::size_t>(m * ldc));
+        for (auto& v : c0) {
+          v = static_cast<std::int32_t>(rng.Int(-100000, 100000));
+        }
+        const auto run = [&](kernels::Isa isa) {
+          std::vector<std::int32_t> c = c0;
+          kernels::GemmInt8With(isa, m, n, k, a.data(), lda, b.data(), ldb,
+                                c.data(), ldc, accumulate);
+          return c;
+        };
+        const auto want = run(kernels::Isa::kSse2);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = n; j < ldc; ++j) {
+            const auto idx = static_cast<std::size_t>(i * ldc + j);
+            ASSERT_EQ(want[idx], c0[idx]) << "gutter written";
+          }
+        }
+        for (const auto isa : tiers) {
+          ASSERT_EQ(run(isa), want)
+              << kernels::TierName(isa, true) << " m=" << m << " n=" << n
+              << " k=" << k << " acc=" << accumulate << " pad=" << pad;
+        }
       }
     }
   }

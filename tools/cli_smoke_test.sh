@@ -21,6 +21,24 @@ cleanup() {
 }
 trap 'cleanup $?' EXIT
 
+# Prints the port a server started in the background reports in its log
+# ("<what>listening on 127.0.0.1:PORT"), polling for up to 5 s; prints
+# nothing if it never does. The log may not exist yet on the first
+# polls: the background job's own redirection creates it.
+port_from_log() {
+    pfl_port=""
+    pfl_i=0
+    while [ $pfl_i -lt 100 ]; do
+        pfl_port="$(sed -n \
+            "s/.*$2listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p" \
+            "$1" 2>/dev/null || true)"
+        [ -n "$pfl_port" ] && break
+        sleep 0.05
+        pfl_i=$((pfl_i + 1))
+    done
+    echo "$pfl_port"
+}
+
 "$PELICAN_BIN" generate --dataset nsl --records 300 --seed 5 \
     --out "$WORK_DIR/flows.csv"
 test -s "$WORK_DIR/flows.csv"
@@ -31,7 +49,10 @@ test -s "$WORK_DIR/model.bin"
 test -s "$WORK_DIR/model.bin.meta"
 test -s "$WORK_DIR/model.bin.pre"
 
-"$PELICAN_BIN" info --model "$WORK_DIR/model.bin" | grep -q "residual"
+"$PELICAN_BIN" info --model "$WORK_DIR/model.bin" > "$WORK_DIR/info.txt"
+grep -q "residual" "$WORK_DIR/info.txt"
+grep -Eq '^gemm: fp32 [a-z0-9]+ [0-9]+x[0-9]+, int8 [a-z0-9-]+ [0-9]+x[0-9]+$' \
+    "$WORK_DIR/info.txt"
 
 # Checkpointed training + resume: the first run snapshots each epoch;
 # the second picks up from the newest checkpoint and trains onward.
@@ -113,15 +134,7 @@ if command -v curl >/dev/null 2>&1; then
         --out "$WORK_DIR/model_serve_long.bin" \
         > "$WORK_DIR/serve.log" 2>&1 &
     SERVE_PID=$!
-    PORT=""
-    i=0
-    while [ $i -lt 100 ]; do
-        PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
-            "$WORK_DIR/serve.log")"
-        [ -n "$PORT" ] && break
-        sleep 0.05
-        i=$((i + 1))
-    done
+    PORT="$(port_from_log "$WORK_DIR/serve.log" "")"
     test -n "$PORT"
     BASE="http://127.0.0.1:$PORT"
     curl -fsS "$BASE/healthz" | grep -q "ok"
@@ -171,16 +184,7 @@ cmp "$WORK_DIR/model.bin" "$WORK_DIR/model_serve.bin"
     --trace-out "$WORK_DIR/serve_trace.json" \
     > "$WORK_DIR/score_serve.log" 2>&1 &
 SCORE_PID=$!
-PORT=""
-i=0
-while [ $i -lt 100 ]; do
-    PORT="$(sed -n \
-        's/.*scoring server listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
-        "$WORK_DIR/score_serve.log")"
-    [ -n "$PORT" ] && break
-    sleep 0.05
-    i=$((i + 1))
-done
+PORT="$(port_from_log "$WORK_DIR/score_serve.log" "scoring server ")"
 test -n "$PORT"
 "$PELICAN_BIN" score --port "$PORT" --csv "$WORK_DIR/score_flows.csv" \
     --out "$WORK_DIR/serve_verdicts.txt"
@@ -264,16 +268,7 @@ for N in 2 4; do
     "$PELICAN_BIN" serve --model "$WORK_DIR/model.bin" --port 0 \
         --scorers "$N" > "$WORK_DIR/score_serve_$N.log" 2>&1 &
     SCORE_PID=$!
-    PORT=""
-    i=0
-    while [ $i -lt 100 ]; do
-        PORT="$(sed -n \
-            's/.*scoring server listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
-            "$WORK_DIR/score_serve_$N.log")"
-        [ -n "$PORT" ] && break
-        sleep 0.05
-        i=$((i + 1))
-    done
+    PORT="$(port_from_log "$WORK_DIR/score_serve_$N.log" "scoring server ")"
     test -n "$PORT"
     grep -q "scorers $N" "$WORK_DIR/score_serve_$N.log"
     "$PELICAN_BIN" score --port "$PORT" --csv "$WORK_DIR/score_flows.csv" \
@@ -309,16 +304,7 @@ test $((AGREE * 1000)) -ge $((TOTAL * 995))
 "$PELICAN_BIN" serve --model "$WORK_DIR/model_q.bin" --quantized --port 0 \
     > "$WORK_DIR/quant_serve.log" 2>&1 &
 QUANT_PID=$!
-PORT=""
-i=0
-while [ $i -lt 100 ]; do
-    PORT="$(sed -n \
-        's/.*scoring server listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
-        "$WORK_DIR/quant_serve.log")"
-    [ -n "$PORT" ] && break
-    sleep 0.05
-    i=$((i + 1))
-done
+PORT="$(port_from_log "$WORK_DIR/quant_serve.log" "scoring server ")"
 test -n "$PORT"
 grep -q "engine int8" "$WORK_DIR/quant_serve.log"
 "$PELICAN_BIN" score --port "$PORT" --csv "$WORK_DIR/quant_flows.csv" \
@@ -331,16 +317,7 @@ wait "$QUANT_PID"
 "$PELICAN_BIN" serve --model "$WORK_DIR/model_q.bin" --quantized --port 0 \
     --scorers 4 > "$WORK_DIR/quant_serve_4.log" 2>&1 &
 QUANT_PID=$!
-PORT=""
-i=0
-while [ $i -lt 100 ]; do
-    PORT="$(sed -n \
-        's/.*scoring server listening on 127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' \
-        "$WORK_DIR/quant_serve_4.log")"
-    [ -n "$PORT" ] && break
-    sleep 0.05
-    i=$((i + 1))
-done
+PORT="$(port_from_log "$WORK_DIR/quant_serve_4.log" "scoring server ")"
 test -n "$PORT"
 grep -q "scorers 4" "$WORK_DIR/quant_serve_4.log"
 "$PELICAN_BIN" score --port "$PORT" --csv "$WORK_DIR/quant_flows.csv" \

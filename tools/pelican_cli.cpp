@@ -43,6 +43,7 @@
 #include "obs/net_util.h"
 #include "obs/obs.h"
 #include "serve/serve.h"
+#include "tensor/kernels.h"
 
 namespace {
 
@@ -374,6 +375,7 @@ int CmdInfo(const Flags& flags) {
               static_cast<long long>(meta.channels));
   std::printf("  trainable parameters: %lld\n",
               static_cast<long long>(ids.network().ParameterCount()));
+  std::printf("gemm: %s\n", kernels::IsaName().c_str());
   return 0;
 }
 
