@@ -36,9 +36,9 @@ GemmMetrics& GemmCounters() {
 // ---- tier selection ---------------------------------------------------
 //
 // CPUID alone, with no timing probe: __builtin_cpu_supports reports a
-// feature only when the OS also saves its registers (XCR0 YMM/ZMM
-// state), and every tier writes the same bytes, so the choice can only
-// change speed.
+// feature only when the OS also saves its registers (XCR0 ZMM state),
+// and every tier writes the same bytes, so the choice cannot change a
+// result (DESIGN.md §8 on what it may cost in speed).
 
 bool HostRuns(Isa isa, bool int8) {
 #if defined(PELICAN_WIDE_TIERS)
@@ -46,8 +46,6 @@ bool HostRuns(Isa isa, bool int8) {
   switch (isa) {
     case Isa::kSse2:
       return true;
-    case Isa::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
     case Isa::kAvx512:
       return __builtin_cpu_supports("avx512f") != 0 &&
              (!int8 || (__builtin_cpu_supports("avx512bw") != 0 &&
@@ -161,37 +159,6 @@ void MicroKernelSse2(std::int64_t kc, const float* __restrict__ ap,
 }
 
 #if defined(PELICAN_WIDE_TIERS)
-// 6×16: 12 ymm accumulators, two B vectors and one broadcast fill 15 of
-// the 16 ymm registers.
-[[gnu::target("avx2")]] void MicroKernelAvx2(std::int64_t kc,
-                                             const float* __restrict__ ap,
-                                             const float* __restrict__ bp,
-                                             float* __restrict__ acc) {
-  constexpr Tile t = TileOf(Isa::kAvx2);
-  __m256 lo[t.mr];
-  __m256 hi[t.mr];
-#pragma GCC unroll 8
-  for (std::int64_t r = 0; r < t.mr; ++r) {
-    lo[r] = _mm256_setzero_ps();
-    hi[r] = _mm256_setzero_ps();
-  }
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * t.nr);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * t.nr + 8);
-#pragma GCC unroll 8
-    for (std::int64_t r = 0; r < t.mr; ++r) {
-      const __m256 ar = _mm256_broadcast_ss(ap + p * t.mr + r);
-      lo[r] = _mm256_add_ps(lo[r], _mm256_mul_ps(ar, b0));
-      hi[r] = _mm256_add_ps(hi[r], _mm256_mul_ps(ar, b1));
-    }
-  }
-#pragma GCC unroll 8
-  for (std::int64_t r = 0; r < t.mr; ++r) {
-    _mm256_storeu_ps(acc + r * t.nr, lo[r]);
-    _mm256_storeu_ps(acc + r * t.nr + 8, hi[r]);
-  }
-}
-
 // 8×32: 16 zmm accumulators of the 32.
 [[gnu::target("avx512f")]] void MicroKernelAvx512(
     std::int64_t kc, const float* __restrict__ ap,
@@ -228,7 +195,7 @@ void MicroKernelSse2(std::int64_t kc, const float* __restrict__ ap,
 // element keeps the packed path's arithmetic: k ascending from 0.0F
 // inside each kKc panel, the first panel of a non-accumulating call
 // stored into C and every later panel added, so both paths produce the
-// same bits. m < kSmallM ≤ mc means a single row block, which the packed
+// same bits. m < kSmallM ≤ kMc means a single row block, which the packed
 // path would run serially too. Kept out of line so its accumulator row
 // does not grow the packed path's stack frame.
 [[gnu::noinline]] void GemmSmallM(bool trans_a, std::int64_t m,
@@ -265,7 +232,7 @@ using MicroKernelFn = void (*)(std::int64_t, const float*, const float*,
                                float*);
 
 // The blocked path on one tier: jc (kNc columns) → pc (kKc of k) → ic
-// (mc rows, sharded) → mr×nr register tiles.
+// (kMc rows, sharded) → mr×nr register tiles.
 template <Isa kIsa, MicroKernelFn kKernel>
 void GemmPacked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                 std::int64_t k, const float* a, std::int64_t lda,
@@ -290,15 +257,15 @@ void GemmPacked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
       // Row blocks of C are disjoint, so they shard freely; each block
       // packs its A panel into its own thread-local workspace.
-      const auto row_blocks = static_cast<std::size_t>((m + t.mc - 1) / t.mc);
-      const std::int64_t per_block_work = t.mc * kc * nc;
+      const auto row_blocks = static_cast<std::size_t>((m + kMc - 1) / kMc);
+      const std::int64_t per_block_work = kMc * kc * nc;
       const auto grain = static_cast<std::size_t>(std::max<std::int64_t>(
           1, (1 << 15) / std::max<std::int64_t>(1, per_block_work)));
       ParallelFor(
           0, row_blocks,
           [&](std::size_t blk) {
-            const std::int64_t ic = static_cast<std::int64_t>(blk) * t.mc;
-            const std::int64_t mc = std::min(t.mc, m - ic);
+            const std::int64_t ic = static_cast<std::int64_t>(blk) * kMc;
+            const std::int64_t mc = std::min(kMc, m - ic);
             const std::int64_t m_slivers = (mc + t.mr - 1) / t.mr;
             Workspace::Scope block_scope;
             float* apanel = Workspace::Tls().Alloc(
@@ -330,8 +297,6 @@ PackedGemmFn PackedGemmFor(Isa isa) {
 #if defined(PELICAN_WIDE_TIERS)
     case Isa::kAvx512:
       return GemmPacked<Isa::kAvx512, MicroKernelAvx512>;
-    case Isa::kAvx2:
-      return GemmPacked<Isa::kAvx2, MicroKernelAvx2>;
 #endif
     default:
       return GemmPacked<Isa::kSse2, MicroKernelSse2>;
@@ -369,13 +334,13 @@ void GemmOn(Isa isa, bool trans_a, bool trans_b, std::int64_t m,
 
 // ---- int8 path -------------------------------------------------------
 //
-// Same BLIS blocking as the fp32 kernel (mc×kKc A panels, kKc×kNc B
+// Same BLIS blocking as the fp32 kernel (kMc×kKc A panels, kKc×kNc B
 // panels), but the packed slivers advance k in pairs and are widened at
 // PACK time: B slivers hold int16 lanes ready for a pairwise multiply-
 // add, A slivers hold one broadcastable int32 pair-word per row. All
 // sign-extension and word assembly is paid once per panel (amortized
-// over mc rows / kNc columns), so the micro-kernel's steady state is
-// loads, (v)pmaddwd and (v)paddd, or vpdpwssd, only. Odd k tails and
+// over kMc rows / kNc columns), so the micro-kernel's steady state is
+// loads, pmaddwd and paddd, or vpdpwssd, only. Odd k tails and
 // edge slivers are zero-padded, which contributes exactly 0 to the
 // integer accumulators.
 
@@ -501,36 +466,6 @@ void MicroKernelI8Sse2(std::int64_t kc2, const std::int32_t* __restrict__ ap,
 }
 
 #if defined(PELICAN_WIDE_TIERS)
-[[gnu::target("avx2")]] void MicroKernelI8Avx2(
-    std::int64_t kc2, const std::int32_t* __restrict__ ap,
-    const std::int16_t* __restrict__ bp, std::int32_t* __restrict__ acc) {
-  constexpr Tile t = TileOf(Isa::kAvx2);
-  __m256i lo[t.mr];
-  __m256i hi[t.mr];
-#pragma GCC unroll 8
-  for (std::int64_t r = 0; r < t.mr; ++r) {
-    lo[r] = _mm256_setzero_si256();
-    hi[r] = _mm256_setzero_si256();
-  }
-  for (std::int64_t p = 0; p < kc2; ++p) {
-    const auto* bv = reinterpret_cast<const __m256i*>(bp + p * 2 * t.nr);
-    const __m256i b0 = _mm256_loadu_si256(bv);
-    const __m256i b1 = _mm256_loadu_si256(bv + 1);
-#pragma GCC unroll 8
-    for (std::int64_t r = 0; r < t.mr; ++r) {
-      const __m256i ar = _mm256_set1_epi32(ap[p * t.mr + r]);
-      lo[r] = _mm256_add_epi32(lo[r], _mm256_madd_epi16(b0, ar));
-      hi[r] = _mm256_add_epi32(hi[r], _mm256_madd_epi16(b1, ar));
-    }
-  }
-  auto* out = reinterpret_cast<__m256i*>(acc);
-#pragma GCC unroll 8
-  for (std::int64_t r = 0; r < t.mr; ++r) {
-    _mm256_storeu_si256(out + 2 * r, lo[r]);
-    _mm256_storeu_si256(out + 2 * r + 1, hi[r]);
-  }
-}
-
 // vpdpwssd is the pairwise multiply-add and the int32 add in one
 // instruction (the non-saturating form, so the sum stays exact).
 [[gnu::target("avx512f,avx512bw,avx512vnni")]] void MicroKernelI8Avx512(
@@ -624,15 +559,15 @@ void GemmInt8Packed(std::int64_t m, std::int64_t n, std::int64_t k,
           caller_ws, static_cast<std::size_t>(n_slivers * t.nr * 2 * kc2));
       PackBI8<t.nr>(b, ldb, pc, jc, kc, nc, bpanel);
 
-      const auto row_blocks = static_cast<std::size_t>((m + t.mc - 1) / t.mc);
-      const std::int64_t per_block_work = t.mc * kc * nc;
+      const auto row_blocks = static_cast<std::size_t>((m + kMc - 1) / kMc);
+      const std::int64_t per_block_work = kMc * kc * nc;
       const auto grain = static_cast<std::size_t>(std::max<std::int64_t>(
           1, (1 << 15) / std::max<std::int64_t>(1, per_block_work)));
       ParallelFor(
           0, row_blocks,
           [&](std::size_t blk) {
-            const std::int64_t ic = static_cast<std::int64_t>(blk) * t.mc;
-            const std::int64_t mc = std::min(t.mc, m - ic);
+            const std::int64_t ic = static_cast<std::int64_t>(blk) * kMc;
+            const std::int64_t mc = std::min(kMc, m - ic);
             const std::int64_t m_slivers = (mc + t.mr - 1) / t.mr;
             Workspace::Scope block_scope;
             std::int32_t* apanel =
@@ -665,8 +600,6 @@ PackedGemmInt8Fn PackedGemmInt8For(Isa isa) {
 #if defined(PELICAN_WIDE_TIERS)
     case Isa::kAvx512:
       return GemmInt8Packed<Isa::kAvx512, MicroKernelI8Avx512>;
-    case Isa::kAvx2:
-      return GemmInt8Packed<Isa::kAvx2, MicroKernelI8Avx2>;
 #endif
     default:
       return GemmInt8Packed<Isa::kSse2, MicroKernelI8Sse2>;
@@ -716,8 +649,11 @@ void GemmInt8(std::int64_t m, std::int64_t n, std::int64_t k,
 }
 
 std::string TierName(Isa isa, bool int8) {
+#if defined(__SSE2__)
   std::string name = "sse2";
-  if (isa == Isa::kAvx2) name = "avx2";
+#else
+  std::string name = int8 ? "scalar" : "portable";
+#endif
   if (isa == Isa::kAvx512) name = int8 ? "avx512-vnni" : "avx512";
   const Tile t = TileOf(isa);
   return name + " " + std::to_string(t.mr) + "x" + std::to_string(t.nr);
@@ -730,7 +666,7 @@ std::string IsaName() {
 
 std::vector<Isa> SupportedIsas(bool int8) {
   std::vector<Isa> out;
-  for (const Isa isa : {Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
+  for (const Isa isa : {Isa::kSse2, Isa::kAvx512}) {
     if (HostRuns(isa, int8)) out.push_back(isa);
   }
   return out;

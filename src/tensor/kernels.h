@@ -3,9 +3,9 @@
 // A register-blocked, cache-tiled GEMM in the BLIS/GotoBLAS style, fp32
 // and int8 (int32 sums). The micro-kernel tier is picked once, at first
 // use, from CPUID and the registers the OS saves (__builtin_cpu_supports):
-//   fp32: SSE2 4×8 (portable loop), AVX2 6×16, AVX-512F 8×32;
-//   int8: SSE2 4×8 (pmaddwd), AVX2 6×16 (vpmaddwd),
-//         AVX-512BW+VNNI 8×32 (vpdpwssd).
+//   fp32: SSE2 4×8 (portable loop), AVX-512F 8×32;
+//   int8: SSE2 4×8 (pmaddwd), AVX-512BW+VNNI 8×32 (vpdpwssd).
+// Hosts without AVX-512 (int8: without AVX-512BW+VNNI) run SSE2.
 // Transposed operands are handled in the packing routines, so callers
 // can express A·B, Aᵀ·B and A·Bᵀ — including strided sub-views via
 // leading dimensions — against one entry point.
@@ -28,37 +28,34 @@
 
 namespace pelican::kernels {
 
-// Micro-kernel instruction-set tiers, narrowest first.
-enum class Isa : std::uint8_t { kSse2, kAvx2, kAvx512 };
+// Micro-kernel instruction-set tiers, narrowest first. kSse2 is the
+// base tier every host runs; a build without SSE2 runs it as the
+// portable fp32 loop and a scalar int8 loop, and names it so.
+enum class Isa : std::uint8_t { kSse2, kAvx512 };
 
-// A tier's register tile (mr rows × nr columns of C held in
-// accumulators) and its row block mc (A panels are mc×kKc), the first
-// multiple of mr at or above kMc. fp32 and int8 share a tier's tile.
+// A tier's register tile: mr rows × nr columns of C held in
+// accumulators. fp32 and int8 share a tier's tile.
 struct Tile {
-  std::int64_t mr, nr, mc;
+  std::int64_t mr, nr;
 };
 
-// Cache tiles. kKc is fixed for every tier: it sets where each C
+inline constexpr Tile TileOf(Isa isa) {
+  return isa == Isa::kAvx512 ? Tile{8, 32} : Tile{4, 8};
+}
+
+// Cache tiles: A panels are kMc×kKc, B panels kKc×kNc. kMc is a
+// multiple of every tier's mr, so only the last row block can end in a
+// partial tile. kKc is fixed for every tier: it sets where each C
 // element's sum is split into panels, so it is part of the output bytes.
 inline constexpr std::int64_t kMc = 32;
 inline constexpr std::int64_t kKc = 256;
 inline constexpr std::int64_t kNc = 512;
+static_assert(kMc % TileOf(Isa::kSse2).mr == 0 &&
+              kMc % TileOf(Isa::kAvx512).mr == 0);
 
 // Calls with fewer rows than this (and, for fp32, B not transposed) take
 // the small-m path on every tier.
 inline constexpr std::int64_t kSmallM = 4;
-
-inline constexpr Tile TileOf(Isa isa) {
-  std::int64_t mr = 4, nr = 8;
-  if (isa == Isa::kAvx2) {
-    mr = 6;
-    nr = 16;
-  } else if (isa == Isa::kAvx512) {
-    mr = 8;
-    nr = 32;
-  }
-  return {mr, nr, (kMc + mr - 1) / mr * mr};
-}
 
 // C(m,n) = op(A)(m,k) · op(B)(k,n), added into C when `accumulate`,
 // overwriting it otherwise.
@@ -98,8 +95,8 @@ void GemmInt8(std::int64_t m, std::int64_t n, std::int64_t k,
 // "fp32 avx512 8x32, int8 avx512-vnni 8x32".
 std::string IsaName();
 
-// One tier's name and tile, e.g. "avx2 6x16"; the int8 AVX-512 tier is
-// "avx512-vnni".
+// One tier's name and tile, e.g. "avx512 8x32"; the int8 AVX-512 tier
+// is "avx512-vnni".
 std::string TierName(Isa isa, bool int8);
 
 // Test and bench seam, not a user option. The tiers this host can run,

@@ -12,29 +12,29 @@
 
 namespace pelican::testing {
 
-inline constexpr kernels::Isa kAllTiers[] = {
-    kernels::Isa::kSse2, kernels::Isa::kAvx2, kernels::Isa::kAvx512};
+inline constexpr kernels::Isa kAllTiers[] = {kernels::Isa::kSse2,
+                                             kernels::Isa::kAvx512};
 
-// Sizes one past each tier's register tile and row block, and one short
-// of / past its tile width, so every tier sees partial tiles and a
-// second row block whichever tier the host dispatches to.
+// Sizes one past each tier's register tile and the row block, and one
+// short of / past each tile width, so every tier sees partial tiles and
+// a second row block whichever tier the host dispatches to.
 inline std::vector<std::int64_t> TileEdgeDims() {
-  std::set<std::int64_t> dims = {1, 3, 70};
+  std::set<std::int64_t> dims = {1, 3, kernels::kMc + 1, 70};
   for (const auto isa : kAllTiers) {
     const kernels::Tile t = kernels::TileOf(isa);
-    dims.insert({t.mr + 1, t.nr - 1, t.nr + 1, t.mc + 1});
+    dims.insert({t.mr + 1, t.nr - 1, t.nr + 1});
   }
   return {dims.begin(), dims.end()};
 }
 
 // As TileEdgeDims, plus each tier's exact tile, the cells either side
-// of it and of its row block, and the small-m threshold.
+// of it and of the row block, and the small-m threshold.
 inline std::set<std::int64_t> TileStraddleDims() {
-  std::set<std::int64_t> dims = {1, 3, kernels::kSmallM, 70};
+  std::set<std::int64_t> dims = {1,  3, kernels::kSmallM, kernels::kMc - 1,
+                                 kernels::kMc, kernels::kMc + 1, 70};
   for (const auto isa : kAllTiers) {
     const kernels::Tile t = kernels::TileOf(isa);
-    dims.insert({t.mr - 1, t.mr, t.mr + 1, t.nr - 1, t.nr, t.nr + 1,
-                 t.mc - 1, t.mc, t.mc + 1});
+    dims.insert({t.mr - 1, t.mr, t.mr + 1, t.nr - 1, t.nr, t.nr + 1});
   }
   return dims;
 }

@@ -189,9 +189,9 @@ struct GemmCase {
 
 // Every wider tier must write the SSE2 tier's bytes: the same operands
 // and starting C, memcmp'd over the whole C buffer, so the gutters of a
-// padded ldc must stay untouched too. Shapes straddle each tier's mr,
-// nr and mc, and kKc and kNc, in all four transpose forms, accumulating
-// and overwriting.
+// padded ldc must stay untouched too. Shapes straddle each tier's mr
+// and nr, and kMc, kKc and kNc, in all four transpose forms,
+// accumulating and overwriting.
 TEST(Kernels, EveryTierWritesSse2BytesAcrossShapesAndForms) {
   const auto tiers = WideTiersOnThisHost(/*int8=*/false);
   const auto edges = testing::TileStraddleDims();

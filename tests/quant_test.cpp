@@ -126,7 +126,7 @@ TEST(QuantKernels, Int8GemmRespectsLeadingDimensionGutters) {
 
 // Every wider int8 tier must write the SSE2 tier's bytes over the whole
 // C buffer (padded gutters stay untouched), for shapes straddling each
-// tier's mr, nr and mc, and kKc and kNc, odd and even k, accumulating
+// tier's mr and nr, and kMc, kKc and kNc, odd and even k, accumulating
 // and overwriting, with operands spanning the full int8 range.
 TEST(QuantKernels, EveryInt8TierWritesSse2Bytes) {
   const auto tiers = testing::WideTiersOnThisHost(/*int8=*/true);
