@@ -86,8 +86,8 @@ TrainHistory PelicanIds::Train(const data::RawDataset& train_set,
     history = trainer_->Fit(x, train_set.Labels());
   }
   // Post-training int8 calibration on a slice of the training set —
-  // inference-mode forwards only, so the fp32 weights (and therefore
-  // the saved model bytes) are unaffected.
+  // one fp32 Score only, so the fp32 weights (and therefore the saved
+  // model bytes) are unaffected.
   CalibrateQuantized(x);
   return history;
 }
@@ -105,13 +105,18 @@ void PelicanIds::CalibrateQuantized(const Tensor& x) {
     const auto src = x.Row(i * stride);
     std::copy(src.begin(), src.end(), slice.Row(i).begin());
   }
-  // Calibration must run through Forward, not the reentrant Score path:
-  // Score is const and never feeds the activation observers (Observe
-  // mutates them, which would race across scorer threads).
-  network_->SetQuantMode(quant::Mode::kCalibrate);
-  (void)network_->Forward(slice, /*training=*/false);  // feed the observers
-  network_->SetQuantMode(quant::Mode::kInt8);    // freeze scales + weights
-  network_->SetQuantMode(quant::Mode::kOff);     // back to fp32 default
+  // One fp32 Score with a calibration sink attached records every
+  // quantizable op's input; the layers stay const, and the sink is
+  // copied into the ops' observers afterwards.
+  nn::CalibrationSink sink;
+  nn::InferenceContext ctx;
+  ctx.set_calibration_sink(&sink);
+  (void)network_->Score(slice, ctx);
+  std::vector<quant::LinearQuant*> ops;
+  network_->CollectQuantOps(ops);
+  for (quant::LinearQuant* op : ops) op->observer = sink[op];
+  network_->SetQuantMode(quant::Mode::kInt8);  // freeze scales + weights
+  network_->SetQuantMode(quant::Mode::kOff);   // back to fp32 default
 }
 
 void PelicanIds::Quantize(const data::RawDataset& calibration) {

@@ -98,9 +98,9 @@ class PelicanIds {
  private:
   [[nodiscard]] Tensor EncodeAndScale(const data::RawDataset& records) const;
   void BuildNetwork();
-  // Observer pass over (a stride sample of) the scaled rows, then
-  // freeze. Inference-mode forwards only: fp32 weights and the trainer
-  // RNG are untouched, so the saved model bytes don't change.
+  // Calibration Score over (a stride sample of) the scaled rows, then
+  // freeze. Inference only: fp32 weights and the trainer RNG are
+  // untouched, so the saved model bytes don't change.
   void CalibrateQuantized(const Tensor& x);
 
   data::Schema schema_;

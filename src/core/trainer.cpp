@@ -536,65 +536,52 @@ TrainHistory Trainer::Fit(const Tensor& x, std::span<const int> y,
   return history;
 }
 
-namespace {
-// One inference context per thread: the arena grows to the model's
-// steady-state footprint on the first batch and is reused afterwards.
-// Predict/PredictProbabilities/Evaluate never nest on one thread, so a
-// single context per thread is always idle when they are entered —
-// that is what makes these const methods safe to call concurrently
-// (the multi-scorer serve plane relies on it).
-nn::InferenceContext& InferenceCtx() {
-  static thread_local nn::InferenceContext ctx;
-  return ctx;
+// Score on the calling thread's context writes no layer state, which is
+// what makes Predict/PredictProbabilities/Evaluate safe to call
+// concurrently (the multi-scorer serve plane relies on it); the
+// context's arena grows to the model's footprint on the first slice and
+// is reused afterwards.
+template <typename Fn>
+void Trainer::ScoreSlices(const Tensor& x, Fn&& fn) const {
+  const std::int64_t n = x.dim(0), d = x.dim(1);
+  const auto bs = static_cast<std::int64_t>(config_.batch_size);
+  nn::InferenceContext& ctx = nn::InferenceContext::ThisThread();
+  for (std::int64_t start = 0; start < n; start += bs) {
+    const std::int64_t len = std::min(bs, n - start);
+    Tensor slice({len, d});
+    std::copy(x.data().begin() + start * d,
+              x.data().begin() + (start + len) * d, slice.data().begin());
+    fn(start, network_->Score(slice, ctx));
+  }
 }
-}  // namespace
 
 std::vector<int> Trainer::Predict(const Tensor& x) const {
   PELICAN_CHECK(x.rank() == 2, "Predict expects (N, D)");
-  const std::int64_t n = x.dim(0);
-  std::vector<int> predictions(static_cast<std::size_t>(n));
-  const auto bs = static_cast<std::int64_t>(config_.batch_size);
-  for (std::int64_t start = 0; start < n; start += bs) {
-    const std::int64_t len = std::min(bs, n - start);
-    Tensor slice({len, x.dim(1)});
-    std::copy(x.data().begin() + start * x.dim(1),
-              x.data().begin() + (start + len) * x.dim(1),
-              slice.data().begin());
-    // The scoring pass parallelizes inside the layers; rows of the
-    // resulting logits argmax independently. Score (not Forward) keeps
-    // this method reentrant: each thread scores through its own
-    // context, so concurrent callers never touch shared layer caches.
-    Tensor logits = network_->Score(slice, InferenceCtx());
+  std::vector<int> predictions(static_cast<std::size_t>(x.dim(0)));
+  ScoreSlices(x, [&](std::int64_t start, const Tensor& logits) {
+    // Rows of the logits argmax independently.
     ParallelFor(
-        0, static_cast<std::size_t>(len),
+        0, static_cast<std::size_t>(logits.dim(0)),
         [&](std::size_t i) {
           predictions[static_cast<std::size_t>(start) + i] =
               static_cast<int>(logits.ArgMaxRow(static_cast<std::int64_t>(i)));
         },
         64);
-  }
+  });
   return predictions;
 }
 
 Tensor Trainer::PredictProbabilities(const Tensor& x) const {
   PELICAN_CHECK(x.rank() == 2, "PredictProbabilities expects (N, D)");
-  const std::int64_t n = x.dim(0);
   Tensor probs;
-  const auto bs = static_cast<std::int64_t>(config_.batch_size);
-  for (std::int64_t start = 0; start < n; start += bs) {
-    const std::int64_t len = std::min(bs, n - start);
-    Tensor slice({len, x.dim(1)});
-    std::copy(x.data().begin() + start * x.dim(1),
-              x.data().begin() + (start + len) * x.dim(1),
-              slice.data().begin());
-    Tensor logits = network_->Score(slice, InferenceCtx());
-    Tensor batch_probs = SoftmaxRows(logits);
+  ScoreSlices(x, [&](std::int64_t start, const Tensor& logits) {
+    const Tensor batch_probs = SoftmaxRows(logits);
     if (probs.empty()) {
-      probs = Tensor({n, batch_probs.dim(1)});
+      probs = Tensor({x.dim(0), batch_probs.dim(1)});
     }
     std::copy(batch_probs.data().begin(), batch_probs.data().end(),
               probs.data().begin() + start * batch_probs.dim(1));
-  }
+  });
   return probs;
 }
 
@@ -605,18 +592,12 @@ Trainer::Evaluation Trainer::Evaluate(const Tensor& x,
                 "Evaluate expects (N, D) + N labels");
   const std::int64_t n = x.dim(0);
   PELICAN_CHECK(n > 0, "empty evaluation set");
-  const auto bs = static_cast<std::int64_t>(config_.batch_size);
   double loss_sum = 0.0;
   std::int64_t correct = 0;
-  for (std::int64_t start = 0; start < n; start += bs) {
-    const std::int64_t len = std::min(bs, n - start);
-    Tensor slice({len, x.dim(1)});
-    std::copy(x.data().begin() + start * x.dim(1),
-              x.data().begin() + (start + len) * x.dim(1),
-              slice.data().begin());
-    std::span<const int> labels{y.data() + start,
-                                static_cast<std::size_t>(len)};
-    Tensor logits = network_->Score(slice, InferenceCtx());
+  ScoreSlices(x, [&](std::int64_t start, const Tensor& logits) {
+    const std::int64_t len = logits.dim(0);
+    const auto labels = y.subspan(static_cast<std::size_t>(start),
+                                  static_cast<std::size_t>(len));
     loss_sum += static_cast<double>(nn::SoftmaxCrossEntropyLoss(logits,
                                                                 labels)) *
                 static_cast<double>(len);
@@ -625,7 +606,7 @@ Trainer::Evaluation Trainer::Evaluate(const Tensor& x,
         ++correct;
       }
     }
-  }
+  });
   Evaluation eval;
   eval.loss = static_cast<float>(loss_sum / static_cast<double>(n));
   eval.accuracy = static_cast<float>(correct) / static_cast<float>(n);

@@ -152,6 +152,11 @@ class Trainer {
   [[nodiscard]] const TrainConfig& config() const { return config_; }
 
  private:
+  // Scores x in config_.batch_size row slices, in order, and calls
+  // fn(first_row, logits) on each slice's logits.
+  template <typename Fn>
+  void ScoreSlices(const Tensor& x, Fn&& fn) const;
+
   nn::Sequential* network_;
   TrainConfig config_;
   std::unique_ptr<optim::Optimizer> optimizer_;

@@ -136,7 +136,8 @@ double AutoencoderDetector::Score(std::span<const float> row) const {
   PELICAN_CHECK(net_.LayerCount() > 0, "Score before FitNormal");
   Tensor x({1, static_cast<std::int64_t>(row.size())});
   std::copy(row.begin(), row.end(), x.data().begin());
-  Tensor recon = net_.Forward(x, /*training=*/false);
+  // Score writes no layer state, so concurrent callers are safe.
+  Tensor recon = net_.Score(x, nn::InferenceContext::ThisThread());
   double acc = 0.0;
   for (std::int64_t i = 0; i < recon.size(); ++i) {
     const double d = recon[i] - x[i];

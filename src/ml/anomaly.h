@@ -82,7 +82,7 @@ class AutoencoderDetector final : public AnomalyDetector {
 
  private:
   Config config_;
-  mutable nn::Sequential net_;  // Forward mutates layer caches
+  nn::Sequential net_;
   float final_loss_ = 0.0F;
 };
 

@@ -2,9 +2,8 @@
 
 namespace pelican::nn {
 
-Tensor ActivationLayer::Forward(const Tensor& x, bool /*training*/) {
-  y_ = x;
-  for (auto& v : y_.data()) v = Apply(kind_, v);
+Tensor ActivationLayer::TrainForward(const Tensor& x) {
+  y_ = Score(x, InferenceContext::ThisThread());
   return y_;
 }
 

@@ -59,7 +59,7 @@ class ActivationLayer final : public Layer {
  public:
   explicit ActivationLayer(Activation kind) : kind_(kind) {}
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   [[nodiscard]] std::string Name() const override;

@@ -60,7 +60,9 @@ Tensor ShardedChannelSum(std::int64_t rows, std::int64_t c,
 }
 }  // namespace
 
-Tensor BatchNorm::Forward(const Tensor& x, bool training) {
+// The training pass normalizes with the batch statistics, folds them
+// into the running averages, and caches xhat and 1/σ for Backward.
+Tensor BatchNorm::TrainForward(const Tensor& x) {
   PELICAN_CHECK(x.rank() == 2 || x.rank() == 3, "BatchNorm expects rank 2/3");
   const std::int64_t c = x.dim(x.rank() - 1);
   PELICAN_CHECK(c == channels_, "BatchNorm channel mismatch");
@@ -68,29 +70,22 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
   rows_ = x.size() / c;
   const float* xp = x.data().data();
 
-  Tensor mean({c});
-  Tensor var({c});
-  if (training) {
-    mean = ShardedChannelSum(
-        rows_, c, [xp](std::int64_t i, std::int64_t) { return xp[i]; });
-    mean.Scale(1.0F / static_cast<float>(rows_));
-    const float* mp = mean.data().data();
-    var = ShardedChannelSum(rows_, c,
-                            [xp, mp](std::int64_t i, std::int64_t j) {
-                              const float d = xp[i] - mp[j];
-                              return d * d;
-                            });
-    var.Scale(1.0F / static_cast<float>(rows_));
-    // Update running averages.
-    for (std::int64_t j = 0; j < c; ++j) {
-      running_mean_[j] = momentum_ * running_mean_[j] +
-                         (1.0F - momentum_) * mean[j];
-      running_var_[j] = momentum_ * running_var_[j] +
-                        (1.0F - momentum_) * var[j];
-    }
-  } else {
-    mean = running_mean_;
-    var = running_var_;
+  Tensor mean = ShardedChannelSum(
+      rows_, c, [xp](std::int64_t i, std::int64_t) { return xp[i]; });
+  mean.Scale(1.0F / static_cast<float>(rows_));
+  const float* mp = mean.data().data();
+  Tensor var = ShardedChannelSum(rows_, c,
+                                 [xp, mp](std::int64_t i, std::int64_t j) {
+                                   const float d = xp[i] - mp[j];
+                                   return d * d;
+                                 });
+  var.Scale(1.0F / static_cast<float>(rows_));
+  // Update running averages.
+  for (std::int64_t j = 0; j < c; ++j) {
+    running_mean_[j] = momentum_ * running_mean_[j] +
+                       (1.0F - momentum_) * mean[j];
+    running_var_[j] = momentum_ * running_var_[j] +
+                      (1.0F - momentum_) * var[j];
   }
 
   for (std::int64_t j = 0; j < c; ++j) {
@@ -101,7 +96,6 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
   Tensor y(in_shape_);
   float* hp = xhat_.data().data();
   float* yp = y.data().data();
-  const float* mp = mean.data().data();
   const float* sp = inv_std_.data().data();
   const float* gp = gamma_.data().data();
   const float* betap = beta_.data().data();
@@ -115,14 +109,11 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
         }
       },
       RowGrain(c));
-  trained_forward_ = training;
   return y;
 }
 
-// Score is the inference branch of Forward with every cache (xhat_,
-// inv_std_, shape bookkeeping) replaced by locals: running statistics
-// in, affine map out, identical loop shape and expression order, so the
-// output bytes match Forward(x, false) exactly.
+// Inference: running statistics in, affine map out, with the training
+// pass's loop shape and expression order.
 Tensor BatchNorm::Score(const Tensor& x, InferenceContext& /*ctx*/) const {
   PELICAN_CHECK(x.rank() == 2 || x.rank() == 3, "BatchNorm expects rank 2/3");
   const std::int64_t c = x.dim(x.rank() - 1);
@@ -176,31 +167,18 @@ Tensor BatchNorm::Backward(const Tensor& dy) {
   const float* sp = inv_std_.data().data();
   const float* sdy = sum_dy.data().data();
   const float* sdyh = sum_dy_xhat.data().data();
-  if (trained_forward_) {
-    // Full BN gradient (batch statistics participate).
-    ParallelFor(
-        0, static_cast<std::size_t>(rows_),
-        [&](std::size_t r) {
-          const std::int64_t base = static_cast<std::int64_t>(r) * c;
-          for (std::int64_t j = 0; j < c; ++j) {
-            dxp[base + j] =
-                gp[j] * sp[j] *
-                (dyp[base + j] - sdy[j] / m - hp[base + j] * sdyh[j] / m);
-          }
-        },
-        RowGrain(c));
-  } else {
-    // Inference-mode normalization is an affine map.
-    ParallelFor(
-        0, static_cast<std::size_t>(rows_),
-        [&](std::size_t r) {
-          const std::int64_t base = static_cast<std::int64_t>(r) * c;
-          for (std::int64_t j = 0; j < c; ++j) {
-            dxp[base + j] = dyp[base + j] * gp[j] * sp[j];
-          }
-        },
-        RowGrain(c));
-  }
+  // Full BN gradient (batch statistics participate).
+  ParallelFor(
+      0, static_cast<std::size_t>(rows_),
+      [&](std::size_t r) {
+        const std::int64_t base = static_cast<std::int64_t>(r) * c;
+        for (std::int64_t j = 0; j < c; ++j) {
+          dxp[base + j] =
+              gp[j] * sp[j] *
+              (dyp[base + j] - sdy[j] / m - hp[base + j] * sdyh[j] / m);
+        }
+      },
+      RowGrain(c));
   return dx;
 }
 

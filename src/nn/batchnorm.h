@@ -15,7 +15,7 @@ class BatchNorm final : public Layer {
   explicit BatchNorm(std::int64_t channels, float momentum = 0.99F,
                      float epsilon = 1e-5F);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   std::vector<ParamRef> Params() override;
@@ -24,6 +24,7 @@ class BatchNorm final : public Layer {
   [[nodiscard]] int ParameterLayerCount() const override { return 1; }
 
   [[nodiscard]] std::int64_t channels() const { return channels_; }
+  [[nodiscard]] float epsilon() const { return eps_; }
   [[nodiscard]] const Tensor& running_mean() const { return running_mean_; }
   [[nodiscard]] const Tensor& running_var() const { return running_var_; }
 
@@ -34,12 +35,11 @@ class BatchNorm final : public Layer {
   Tensor gamma_, beta_;
   Tensor dgamma_, dbeta_;
   Tensor running_mean_, running_var_;
-  // Forward cache (training mode).
+  // Training-pass cache.
   Tensor xhat_;          // normalized input, same shape as x
   Tensor inv_std_;       // (C)
   Tensor::Shape in_shape_;
   std::int64_t rows_ = 0;  // N or N·L — reduction length per channel
-  bool trained_forward_ = false;
 };
 
 }  // namespace pelican::nn

@@ -83,66 +83,21 @@ TapRange ValidTaps(std::int64_t k, std::int64_t len, std::int64_t pad_left) {
   return {lo, hi - lo + 1};
 }
 
-// Forward lowers to one wide GEMM over the valid taps:
-//   y(N·L, F) = im2col(x)(N·L, K_eff·C_in) · W[kk_lo:](K_eff·C_in, F)
-// — the weight tensor (K, C_in, F) is already the GEMM operand in
-// row-major, and a tap sub-range is a contiguous row block of it. The
-// im2col scratch lives in the thread-local workspace, so steady-state
-// training reallocates nothing.
-Tensor Conv1D::Forward(const Tensor& x, bool training) {
-  PELICAN_CHECK(x.rank() == 3 && x.dim(2) == in_channels_,
-                "Conv1D expects (N, L, C_in)");
-  const std::int64_t n = x.dim(0), len = x.dim(1);
-  const std::int64_t cin = in_channels_, f = filters_;
-  const auto [kk_lo, keff] = ValidTaps(kernel_, len, pad_left_);
-  const std::int64_t rows = n * len, kc = keff * cin;
-
-  if (quant_mode_ == quant::Mode::kInt8) {
-    PELICAN_CHECK(!training, "int8 forward is inference-only");
-    Tensor yq({n, len, f});
-    Workspace::Scope qscope;
-    float* qcol = Workspace::Tls().Alloc(static_cast<std::size_t>(rows * kc));
-    {
-      obs::TraceSpan span("conv1d_im2col", "kernel");
-      Im2Col(x.data().data(), n, len, cin, keff, kk_lo, pad_left_, qcol);
-    }
-    {
-      obs::TraceSpan span("conv1d_gemm_int8_fwd", "kernel");
-      quant::QuantizedMatMul(qcol, rows, kc, qop_, kk_lo * cin,
-                             yq.data().data(), f);
-    }
-    AddRowBias(yq.data().data(), rows, f, b_.data().data());
-    return yq;
-  }
-  if (quant_mode_ == quant::Mode::kCalibrate && !training) {
-    // im2col entries are a subset of x plus padding zeros (which
-    // quantize to exactly 0), so observing the raw input bounds the
-    // GEMM operand exactly.
-    qop_.observer.Observe(x.data().data(), x.size());
-  }
+Tensor Conv1D::TrainForward(const Tensor& x) {
+  PELICAN_CHECK(quant_mode_ != quant::Mode::kInt8,
+                "int8 forward is inference-only");
+  Tensor y = Score(x, InferenceContext::ThisThread());
   x_ = x;
-  Tensor y({n, len, f});
-
-  Workspace::Scope scope;
-  float* col = Workspace::Tls().Alloc(static_cast<std::size_t>(rows * kc));
-  {
-    obs::TraceSpan span("conv1d_im2col", "kernel");
-    Im2Col(x.data().data(), n, len, cin, keff, kk_lo, pad_left_, col);
-  }
-  {
-    obs::TraceSpan span("conv1d_gemm_fwd", "kernel");
-    kernels::Gemm(false, false, rows, f, kc, col, kc,
-                  w_.data().data() + kk_lo * cin * f, f, y.data().data(), f,
-                  /*accumulate=*/false);
-  }
-  AddRowBias(y.data().data(), rows, f, b_.data().data());
   return y;
 }
 
-// Score mirrors Forward's inference branches operation for operation —
-// same Im2Col, same GEMM shapes and operands — so verdicts are
-// bit-identical; only the scratch arena differs (the caller's context
-// instead of the TLS workspace) and no member is written.
+// Score lowers to one wide GEMM over the valid taps:
+//   y(N·L, F) = im2col(x)(N·L, K_eff·C_in) · W[kk_lo:](K_eff·C_in, F)
+// — the weight tensor (K, C_in, F) is already the GEMM operand in
+// row-major, and a tap sub-range is a contiguous row block of it. The
+// im2col scratch lives in the context's arena, so steady-state scoring
+// and training reallocate nothing. int8 runs the same lowering through
+// QuantizedMatMul on the same row block of the quantized weight.
 Tensor Conv1D::Score(const Tensor& x, InferenceContext& ctx) const {
   PELICAN_CHECK(x.rank() == 3 && x.dim(2) == in_channels_,
                 "Conv1D expects (N, L, C_in)");
@@ -150,6 +105,10 @@ Tensor Conv1D::Score(const Tensor& x, InferenceContext& ctx) const {
   const std::int64_t cin = in_channels_, f = filters_;
   const auto [kk_lo, keff] = ValidTaps(kernel_, len, pad_left_);
   const std::int64_t rows = n * len, kc = keff * cin;
+  // im2col entries are a subset of x plus padding zeros (which quantize
+  // to exactly 0), so recording the raw input bounds the GEMM operand
+  // exactly.
+  ctx.Record(qop_, x.data().data(), x.size());
 
   Tensor y({n, len, f});
   Workspace::Scope scope(ctx.workspace());

@@ -18,7 +18,7 @@ class Conv1D final : public Layer {
   Conv1D(std::int64_t in_channels, std::int64_t filters,
          std::int64_t kernel_size, Rng& rng);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   std::vector<ParamRef> Params() override;

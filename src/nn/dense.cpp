@@ -16,31 +16,21 @@ Dense::Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng)
   qop_.name = "dense.w";
 }
 
-Tensor Dense::Forward(const Tensor& x, bool training) {
-  PELICAN_CHECK(x.rank() == 2 && x.dim(1) == in_,
-                "Dense expects (N, in_features)");
-  if (quant_mode_ == quant::Mode::kInt8) {
-    PELICAN_CHECK(!training, "int8 forward is inference-only");
-    Tensor y({x.dim(0), out_});
-    quant::QuantizedMatMul(x.data().data(), x.dim(0), in_, qop_, 0,
-                           y.data().data(), out_);
-    AddRowBias(y, b_);
-    return y;
-  }
-  if (quant_mode_ == quant::Mode::kCalibrate && !training) {
-    qop_.observer.Observe(x.data().data(), x.size());
-  }
+Tensor Dense::TrainForward(const Tensor& x) {
+  PELICAN_CHECK(quant_mode_ != quant::Mode::kInt8,
+                "int8 forward is inference-only");
+  Tensor y = Score(x, InferenceContext::ThisThread());
   x_ = x;
-  Tensor y = MatMul(x, w_);
-  AddRowBias(y, b_);
   return y;
 }
 
-Tensor Dense::Score(const Tensor& x, InferenceContext& /*ctx*/) const {
+Tensor Dense::Score(const Tensor& x, InferenceContext& ctx) const {
   PELICAN_CHECK(x.rank() == 2 && x.dim(1) == in_,
                 "Dense expects (N, in_features)");
-  Tensor y({x.dim(0), out_});
+  ctx.Record(qop_, x.data().data(), x.size());
+  Tensor y;
   if (quant_mode_ == quant::Mode::kInt8) {
+    y = Tensor({x.dim(0), out_});
     quant::QuantizedMatMul(x.data().data(), x.dim(0), in_, qop_, 0,
                            y.data().data(), out_);
   } else {

@@ -10,7 +10,7 @@ class Dense final : public Layer {
   // Weights are Glorot-uniform, bias zero.
   Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   std::vector<ParamRef> Params() override;

@@ -6,11 +6,8 @@ Dropout::Dropout(float rate) : rate_(rate) {
   PELICAN_CHECK(rate >= 0.0F && rate < 1.0F, "dropout rate must be in [0,1)");
 }
 
-Tensor Dropout::Forward(const Tensor& x, bool training) {
-  if (!training || rate_ == 0.0F) {
-    used_mask_ = false;
-    return x;
-  }
+Tensor Dropout::TrainForward(const Tensor& x) {
+  if (rate_ == 0.0F) return x;
   Rng& rng = rng_ != nullptr ? *rng_ : fallback_rng_;
   const float keep_scale = 1.0F / (1.0F - rate_);
   mask_ = Tensor(x.shape());
@@ -22,12 +19,11 @@ Tensor Dropout::Forward(const Tensor& x, bool training) {
     mp[i] = m;
     yp[i] *= m;
   }
-  used_mask_ = true;
   return y;
 }
 
 Tensor Dropout::Backward(const Tensor& dy) {
-  if (!used_mask_) return dy;
+  if (rate_ == 0.0F) return dy;
   PELICAN_CHECK(dy.SameShape(mask_), "dropout backward shape mismatch");
   Tensor dx = dy;
   dx.Mul(mask_);

@@ -11,7 +11,7 @@ class Dropout final : public Layer {
  public:
   explicit Dropout(float rate);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   // Inference dropout is the identity; nothing to cache, nothing to do.
   Tensor Score(const Tensor& x, InferenceContext& /*ctx*/) const override {
@@ -26,8 +26,7 @@ class Dropout final : public Layer {
   float rate_;
   Rng* rng_ = nullptr;
   Rng fallback_rng_{0xd40u};
-  Tensor mask_;  // scaled keep-mask from the last training forward
-  bool used_mask_ = false;
+  Tensor mask_;  // scaled keep-mask from the last training pass
 };
 
 }  // namespace pelican::nn

@@ -44,16 +44,18 @@ Gru::Gru(std::int64_t input_size, std::int64_t units, Rng& rng,
       duh_({units, units}),
       dbz_({units}),
       dbr_({units}),
-      dbh_({units}),
-      w_zrh_({input_size, 3 * units}),
-      u_zr_({units, 2 * units}),
-      b_zrh_({3 * units}) {
+      dbh_({units}) {
   PELICAN_CHECK(input_size > 0 && units > 0);
   qop_.name = "gru.w_zrh";
 }
 
 void Gru::RefreshFusedPanels() {
   const std::int64_t c = input_size_, h = units_;
+  if (w_zrh_.empty()) {  // first training pass or int8 freeze
+    w_zrh_ = Tensor({c, 3 * h});
+    u_zr_ = Tensor({h, 2 * h});
+    b_zrh_ = Tensor({3 * h});
+  }
   float* wp = w_zrh_.data().data();
   for (std::int64_t i = 0; i < c; ++i) {
     float* dst = wp + i * 3 * h;
@@ -73,14 +75,18 @@ void Gru::RefreshFusedPanels() {
   std::copy_n(bh_.data().data(), h, bp + 2 * h);
 }
 
-// Forward runs two fused GEMMs per call plus two skinny ones per step:
-// the z/r/h input projections for *all* timesteps go through a single
-// (N·L, C)·(C, 3H) GEMM against the packed [Wz|Wr|Wh] panel, and per
-// step the z/r recurrent terms use the packed [Uz|Ur] panel. The
-// per-step projections live as a strided sub-view of the workspace
+// The training pass runs two fused GEMMs per call plus two skinny ones
+// per step: the z/r/h input projections for *all* timesteps go through
+// a single (N·L, C)·(C, 3H) GEMM against the packed [Wz|Wr|Wh] panel,
+// and per step the z/r recurrent terms use the packed [Uz|Ur] panel.
+// The per-step projections live as a strided sub-view of the workspace
 // `proj` buffer (leading dimension L·3H), which the GEMM addresses
-// directly — no per-step gate copies.
-Tensor Gru::Forward(const Tensor& x, bool training) {
+// directly — no per-step gate copies. It keeps its own code rather
+// than calling Score because Backward reads the fused panels and every
+// step's gates.
+Tensor Gru::TrainForward(const Tensor& x) {
+  PELICAN_CHECK(quant_mode_ != quant::Mode::kInt8,
+                "int8 forward is inference-only");
   PELICAN_CHECK(x.rank() == 3 && x.dim(2) == input_size_,
                 "GRU expects (N, L, C_in)");
   const std::int64_t n = x.dim(0), len = x.dim(1);
@@ -97,18 +103,9 @@ Tensor Gru::Forward(const Tensor& x, bool training) {
 
   Workspace::Scope scope;
   float* proj = Workspace::Tls().Alloc(static_cast<std::size_t>(n * len * h3));
-  if (quant_mode_ == quant::Mode::kInt8) {
-    PELICAN_CHECK(!training, "int8 forward is inference-only");
-    quant::QuantizedMatMul(x.data().data(), n * len, input_size_, qop_, 0,
-                           proj, h3);
-  } else {
-    if (quant_mode_ == quant::Mode::kCalibrate && !training) {
-      qop_.observer.Observe(x.data().data(), x.size());
-    }
-    kernels::Gemm(false, false, n * len, h3, input_size_, x.data().data(),
-                  input_size_, w_zrh_.data().data(), h3, proj, h3,
-                  /*accumulate=*/false);
-  }
+  kernels::Gemm(false, false, n * len, h3, input_size_, x.data().data(),
+                input_size_, w_zrh_.data().data(), h3, proj, h3,
+                /*accumulate=*/false);
   AddRowBias(proj, n * len, h3, b_zrh_.data().data());
 
   const std::int64_t ld = len * h3;  // row stride of one step's sub-view
@@ -182,23 +179,22 @@ Tensor Gru::Forward(const Tensor& x, bool training) {
   return y;
 }
 
-// Score computes the bytes Forward(x, false) computes, minus work that
-// cannot change them, with every mutable member replaced by context
-// scratch (so it stays const and reentrant).
+// Score computes the bytes the fp32 training pass computes, minus work
+// that cannot change them, with every mutable member replaced by
+// context scratch (so it stays const and reentrant).
 //
 // No fused panel is built: the fp32 projections run one GEMM per gate
 // straight from the per-gate masters into that gate's columns of the
 // strided `proj` buffer. The kernel's per-element order depends on k
 // alone, so each column gets the bits the fused [Wz|Wr|Wh] GEMM gives
-// it. The int8 projection reads the quantized fused panel, as Forward
-// does.
+// it. The int8 projection reads the quantized fused panel.
 //
 // At t = 0, h₀ = 0, so both recurrent GEMMs are skipped. With finite U
 // (LoadWeights rejects non-finite weights) the skipped products are +0
 // in every element, and adding +0 changes no output byte: it can only
 // turn a -0 pre-activation into +0, which hard_sigmoid maps to the
 // same 0.5 and which h₁ = z·0 + (1 - z)·tanh(·) sums to the same +0.
-// The exception is a row whose r holds a NaN: there Forward's
+// The exception is a row whose r holds a NaN: there the full
 // (r ⊙ h₀)·Uh is NaN across the row, so Score writes NaN into that row
 // of pre_h itself. Same elementwise formulas and parallel grain
 // otherwise.
@@ -209,6 +205,7 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
   const std::int64_t h = units_, h3 = 3 * units_;
   const Tensor* gate_w[3] = {&wz_, &wr_, &wh_};
   const Tensor* gate_b[3] = {&bz_, &br_, &bh_};
+  ctx.Record(qop_, x.data().data(), x.size());
 
   Workspace::Scope scope(ctx.workspace());
   float* proj = ctx.Alloc(static_cast<std::size_t>(n * len * h3));
@@ -301,7 +298,7 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
   return y;
 }
 
-// Backward mirrors the fused forward: per step the three gate
+// Backward mirrors the fused training pass: per step the three gate
 // pre-activation gradients are assembled into one (N, 3H) panel `g` =
 // [da_z | da_r | da_h], so the weight-gradient GEMMs against x/h_{t-1}
 // and the input/recurrent gradient GEMMs against the fused panels each

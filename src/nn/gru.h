@@ -20,7 +20,7 @@ class Gru final : public Layer {
   Gru(std::int64_t input_size, std::int64_t units, Rng& rng,
       bool return_sequences = true);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   std::vector<ParamRef> Params() override;
@@ -34,7 +34,8 @@ class Gru final : public Layer {
 
  private:
   // Rebuilds the fused panels below from the per-gate master weights
-  // (which the optimizer updates between steps).
+  // (which the optimizer updates between steps), allocating them on
+  // first use.
   void RefreshFusedPanels();
 
   std::int64_t input_size_;
@@ -49,16 +50,18 @@ class Gru final : public Layer {
   Tensor duz_, dur_, duh_;
   Tensor dbz_, dbr_, dbh_;
 
-  // Fused copies for Forward/Backward: all three input projections
+  // Fused copies for TrainForward/Backward: all three input projections
   // (and the z/r recurrent ones) run as one wide GEMM per step instead
   // of three skinny ones. The per-gate tensors above stay the masters
   // so Params(), model I/O and checkpoints are unchanged; Score reads
-  // the masters directly and never touches these.
+  // the masters directly and never touches these, so a model that is
+  // only scored (or frozen to int8 from a sidecar) never allocates
+  // them.
   Tensor w_zrh_;  // (C_in, 3H) = [Wz | Wr | Wh]
   Tensor u_zr_;   // (H, 2H)   = [Uz | Ur]
   Tensor b_zrh_;  // (3H)      = [bz | br | bh]
 
-  // Forward caches.
+  // Training-pass caches.
   Tensor x_;                    // (N, L, C_in) input, for backward GEMMs
   std::vector<Tensor> hs_;      // (N, H), hs_[0] is the initial state
   std::vector<Tensor> zs_, rs_, hcands_, rhs_;  // one entry per step

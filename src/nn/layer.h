@@ -1,7 +1,8 @@
 // Layer abstraction for the neural-network substrate.
 //
-// Each layer implements an explicit forward/backward pair (hand-derived
-// backprop, no tape autograd): Forward caches whatever it needs,
+// Each layer implements one inference pass, Score, and one training
+// pass, TrainForward, paired with Backward (hand-derived backprop, no
+// tape autograd): TrainForward caches whatever Backward reads,
 // Backward(dy) returns dL/dx and *accumulates* parameter gradients into
 // the layers' grad tensors. Optimizers consume ParamRef views.
 //
@@ -39,25 +40,36 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  // Computes the layer output. `training` toggles train-time behaviour
-  // (dropout masks, batch-norm batch statistics).
-  virtual Tensor Forward(const Tensor& x, bool training) = 0;
+  // Training pass: batch statistics, dropout masks, and the caches
+  // Backward reads. Where it computes what inference computes (Dense,
+  // Conv1D, activations, Reshape, pooling) it calls Score on the
+  // calling thread's context and records only what Backward reads;
+  // BatchNorm, Dropout, GRU and LSTM keep their own pass. Dense, Conv1D
+  // and GRU throw CheckError in int8 mode (the int8 engine is
+  // inference-only).
+  virtual Tensor TrainForward(const Tensor& x) = 0;
 
-  // Backpropagates dy (gradient w.r.t. the last Forward output) and
-  // returns the gradient w.r.t. that Forward's input. Must be called at
-  // most once per Forward.
+  // Backpropagates dy (gradient w.r.t. the last TrainForward output)
+  // and returns the gradient w.r.t. that pass's input. Must be called
+  // at most once per TrainForward.
   virtual Tensor Backward(const Tensor& dy) = 0;
 
-  // Reentrant inference: computes the same bytes as Forward(x, false)
-  // but reads weights only and never mutates layer state, so any number
-  // of threads may Score one model concurrently, each with its own
-  // context (scratch arena). Differences from Forward(x, false):
-  //   * no activation caches are written (Backward stays paired with
-  //     Forward, untouched);
-  //   * calibration observers are NOT fed (kCalibrate scores as fp32;
-  //     calibration feeds observers through Forward);
-  //   * kInt8 runs the frozen quantized path, identical to Forward's.
+  // Inference, the only implementation of it: BatchNorm reads its
+  // running statistics, dropout is the identity, and kInt8 runs the
+  // frozen quantized path. Reads weights only and never mutates layer
+  // state, so any number of threads may Score one model concurrently,
+  // each with its own context (scratch arena); Backward stays paired
+  // with TrainForward, untouched. The quantizable ops (Dense, Conv1D,
+  // GRU) record their fp32 input in the context's calibration sink
+  // when one is attached.
   virtual Tensor Score(const Tensor& x, InferenceContext& ctx) const = 0;
+
+  // `training` picks the pass: TrainForward, or Score on the calling
+  // thread's context.
+  Tensor Forward(const Tensor& x, bool training) {
+    return training ? TrainForward(x)
+                    : Score(x, InferenceContext::ThisThread());
+  }
 
   // Trainable parameters (empty for stateless layers).
   virtual std::vector<ParamRef> Params() { return {}; }

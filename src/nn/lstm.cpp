@@ -61,7 +61,7 @@ Tensor Gate(const Tensor& xt, const Tensor& w, const Tensor& hprev,
 }
 }  // namespace
 
-Tensor Lstm::Forward(const Tensor& x, bool /*training*/) {
+Tensor Lstm::TrainForward(const Tensor& x) {
   PELICAN_CHECK(x.rank() == 3 && x.dim(2) == input_size_,
                 "LSTM expects (N, L, C_in)");
   const std::int64_t n = x.dim(0), len = x.dim(1), h = units_;
@@ -119,9 +119,9 @@ Tensor Lstm::Forward(const Tensor& x, bool /*training*/) {
   return y;
 }
 
-// Forward with rotating local h/c states instead of the cached state
-// vectors — same SliceStep/Gate helpers, same elementwise recurrence,
-// so outputs match Forward(x, false) byte for byte.
+// The training pass with rotating local h/c states instead of the
+// cached state vectors — same SliceStep/Gate helpers, same elementwise
+// recurrence, so outputs match TrainForward's byte for byte.
 Tensor Lstm::Score(const Tensor& x, InferenceContext& /*ctx*/) const {
   PELICAN_CHECK(x.rank() == 3 && x.dim(2) == input_size_,
                 "LSTM expects (N, L, C_in)");

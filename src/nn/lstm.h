@@ -20,7 +20,7 @@ class Lstm final : public Layer {
   Lstm(std::int64_t input_size, std::int64_t units, Rng& rng,
        bool return_sequences = true);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   std::vector<ParamRef> Params() override;

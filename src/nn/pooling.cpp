@@ -11,14 +11,24 @@ std::int64_t MaxPool1D::OutputLength(std::int64_t input_length) const {
   return input_length / pool_;
 }
 
-Tensor MaxPool1D::Forward(const Tensor& x, bool /*training*/) {
-  PELICAN_CHECK(x.rank() == 3, "MaxPool1D expects (N, L, C)");
+Tensor MaxPool1D::TrainForward(const Tensor& x) {
+  Tensor y = Pool(x, &argmax_);
   in_shape_ = x.shape();
+  return y;
+}
+
+Tensor MaxPool1D::Score(const Tensor& x, InferenceContext& /*ctx*/) const {
+  return Pool(x, nullptr);
+}
+
+Tensor MaxPool1D::Pool(const Tensor& x,
+                       std::vector<std::int64_t>* argmax) const {
+  PELICAN_CHECK(x.rank() == 3, "MaxPool1D expects (N, L, C)");
   const std::int64_t n = x.dim(0), len = x.dim(1), c = x.dim(2);
   const std::int64_t out_len = OutputLength(len);
   const std::int64_t window = (len < pool_) ? len : pool_;
   Tensor y({n, out_len, c});
-  argmax_.assign(static_cast<std::size_t>(y.size()), 0);
+  if (argmax != nullptr) argmax->assign(static_cast<std::size_t>(y.size()), 0);
   const float* xp = x.data().data();
   float* yp = y.data().data();
   for (std::int64_t in = 0; in < n; ++in) {
@@ -36,33 +46,9 @@ Tensor MaxPool1D::Forward(const Tensor& x, bool /*training*/) {
         }
         const std::int64_t out_idx = (in * out_len + t) * c + ch;
         yp[out_idx] = best_v;
-        argmax_[static_cast<std::size_t>(out_idx)] = best;
-      }
-    }
-  }
-  return y;
-}
-
-// Forward minus the argmax/shape bookkeeping — same windowing, same
-// comparison order, so outputs match byte for byte.
-Tensor MaxPool1D::Score(const Tensor& x, InferenceContext& /*ctx*/) const {
-  PELICAN_CHECK(x.rank() == 3, "MaxPool1D expects (N, L, C)");
-  const std::int64_t n = x.dim(0), len = x.dim(1), c = x.dim(2);
-  const std::int64_t out_len = OutputLength(len);
-  const std::int64_t window = (len < pool_) ? len : pool_;
-  Tensor y({n, out_len, c});
-  const float* xp = x.data().data();
-  float* yp = y.data().data();
-  for (std::int64_t in = 0; in < n; ++in) {
-    for (std::int64_t t = 0; t < out_len; ++t) {
-      const std::int64_t start = t * window;
-      for (std::int64_t ch = 0; ch < c; ++ch) {
-        float best_v = xp[(in * len + start) * c + ch];
-        for (std::int64_t k = 1; k < window; ++k) {
-          const std::int64_t idx = (in * len + start + k) * c + ch;
-          if (xp[idx] > best_v) best_v = xp[idx];
+        if (argmax != nullptr) {
+          (*argmax)[static_cast<std::size_t>(out_idx)] = best;
         }
-        yp[(in * out_len + t) * c + ch] = best_v;
       }
     }
   }
@@ -91,26 +77,9 @@ std::int64_t AvgPool1D::OutputLength(std::int64_t input_length) const {
   return input_length / pool_;
 }
 
-Tensor AvgPool1D::Forward(const Tensor& x, bool /*training*/) {
-  PELICAN_CHECK(x.rank() == 3, "AvgPool1D expects (N, L, C)");
+Tensor AvgPool1D::TrainForward(const Tensor& x) {
+  Tensor y = Score(x, InferenceContext::ThisThread());
   in_shape_ = x.shape();
-  const std::int64_t n = x.dim(0), len = x.dim(1), c = x.dim(2);
-  const std::int64_t out_len = OutputLength(len);
-  window_ = (len < pool_) ? len : pool_;
-  Tensor y({n, out_len, c});
-  const float inv = 1.0F / static_cast<float>(window_);
-  for (std::int64_t in = 0; in < n; ++in) {
-    for (std::int64_t t = 0; t < out_len; ++t) {
-      const std::int64_t start = t * window_;
-      for (std::int64_t ch = 0; ch < c; ++ch) {
-        float sum = 0.0F;
-        for (std::int64_t k = 0; k < window_; ++k) {
-          sum += x.At(in, start + k, ch);
-        }
-        y.At(in, t, ch) = sum * inv;
-      }
-    }
-  }
   return y;
 }
 
@@ -140,17 +109,18 @@ Tensor AvgPool1D::Backward(const Tensor& dy) {
   PELICAN_CHECK(!in_shape_.empty(), "Backward before Forward");
   const std::int64_t n = in_shape_[0], len = in_shape_[1], c = in_shape_[2];
   const std::int64_t out_len = OutputLength(len);
+  const std::int64_t window = (len < pool_) ? len : pool_;
   PELICAN_CHECK(dy.rank() == 3 && dy.dim(0) == n && dy.dim(1) == out_len &&
                     dy.dim(2) == c,
                 "AvgPool1D backward shape mismatch");
   Tensor dx(in_shape_);
-  const float inv = 1.0F / static_cast<float>(window_);
+  const float inv = 1.0F / static_cast<float>(window);
   for (std::int64_t in = 0; in < n; ++in) {
     for (std::int64_t t = 0; t < out_len; ++t) {
-      const std::int64_t start = t * window_;
+      const std::int64_t start = t * window;
       for (std::int64_t ch = 0; ch < c; ++ch) {
         const float g = dy.At(in, t, ch) * inv;
-        for (std::int64_t k = 0; k < window_; ++k) {
+        for (std::int64_t k = 0; k < window; ++k) {
           dx.At(in, start + k, ch) += g;
         }
       }
@@ -159,22 +129,9 @@ Tensor AvgPool1D::Backward(const Tensor& dy) {
   return dx;
 }
 
-Tensor GlobalAvgPool1D::Forward(const Tensor& x, bool /*training*/) {
-  PELICAN_CHECK(x.rank() == 3, "GlobalAvgPool1D expects (N, L, C)");
+Tensor GlobalAvgPool1D::TrainForward(const Tensor& x) {
+  Tensor y = Score(x, InferenceContext::ThisThread());
   in_shape_ = x.shape();
-  const std::int64_t n = x.dim(0), len = x.dim(1), c = x.dim(2);
-  Tensor y({n, c});
-  const float inv = 1.0F / static_cast<float>(len);
-  const float* xp = x.data().data();
-  float* yp = y.data().data();
-  for (std::int64_t in = 0; in < n; ++in) {
-    for (std::int64_t t = 0; t < len; ++t) {
-      const float* xrow = xp + (in * len + t) * c;
-      for (std::int64_t ch = 0; ch < c; ++ch) {
-        yp[in * c + ch] += xrow[ch] * inv;
-      }
-    }
-  }
   return y;
 }
 

@@ -15,18 +15,23 @@ class MaxPool1D final : public Layer {
  public:
   explicit MaxPool1D(std::int64_t pool_size = 2);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   [[nodiscard]] std::string Name() const override { return "MaxPool1D"; }
+  [[nodiscard]] std::int64_t pool_size() const { return pool_; }
 
   // Output length for a given input length under this layer's rules.
   [[nodiscard]] std::int64_t OutputLength(std::int64_t input_length) const;
 
  private:
+  // The pooling loop of both passes; fills `argmax` (the flat source
+  // index per output element) when non-null.
+  Tensor Pool(const Tensor& x, std::vector<std::int64_t>* argmax) const;
+
   std::int64_t pool_;
   Tensor::Shape in_shape_;
-  std::vector<std::int64_t> argmax_;  // flat source index per output element
+  std::vector<std::int64_t> argmax_;  // from the last training pass
 };
 
 // Average pooling with the same length rules as MaxPool1D (ablation
@@ -35,7 +40,7 @@ class AvgPool1D final : public Layer {
  public:
   explicit AvgPool1D(std::int64_t pool_size = 2);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   [[nodiscard]] std::string Name() const override { return "AvgPool1D"; }
@@ -45,13 +50,12 @@ class AvgPool1D final : public Layer {
  private:
   std::int64_t pool_;
   Tensor::Shape in_shape_;
-  std::int64_t window_ = 0;  // effective window of the last forward
 };
 
 // Collapses the time axis by averaging: (N, L, C) → (N, C).
 class GlobalAvgPool1D final : public Layer {
  public:
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   [[nodiscard]] std::string Name() const override { return "GlobalAvgPool1D"; }

@@ -7,14 +7,10 @@ Reshape::Reshape(Tensor::Shape per_sample_shape)
   PELICAN_CHECK(!target_.empty(), "Reshape needs a per-sample shape");
 }
 
-Tensor Reshape::Forward(const Tensor& x, bool /*training*/) {
-  PELICAN_CHECK(x.rank() >= 1, "Reshape expects batched input");
+Tensor Reshape::TrainForward(const Tensor& x) {
+  Tensor y = Score(x, InferenceContext::ThisThread());
   in_shape_ = x.shape();
-  Tensor::Shape out{x.dim(0)};
-  out.insert(out.end(), target_.begin(), target_.end());
-  PELICAN_CHECK(NumElements(out) == x.size(),
-                "Reshape target incompatible with input size");
-  return x.Reshaped(std::move(out));
+  return y;
 }
 
 Tensor Reshape::Score(const Tensor& x, InferenceContext& /*ctx*/) const {

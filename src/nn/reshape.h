@@ -12,10 +12,11 @@ class Reshape final : public Layer {
   // `per_sample_shape` excludes the leading batch dimension.
   explicit Reshape(Tensor::Shape per_sample_shape);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   [[nodiscard]] std::string Name() const override { return "Reshape"; }
+  [[nodiscard]] const Tensor::Shape& target() const { return target_; }
 
  private:
   Tensor::Shape target_;

@@ -11,16 +11,16 @@ ResidualWrap::ResidualWrap(LayerPtr pre, LayerPtr body, LayerPtr shortcut,
   PELICAN_CHECK(body_ != nullptr, "residual body is required");
 }
 
-Tensor ResidualWrap::Forward(const Tensor& x, bool training) {
-  Tensor u = pre_ ? pre_->Forward(x, training) : x;
-  Tensor v = body_->Forward(u, training);
-  Tensor s = shortcut_ ? shortcut_->Forward(u, training) : u;
+Tensor ResidualWrap::TrainForward(const Tensor& x) {
+  Tensor u = pre_ ? pre_->TrainForward(x) : x;
+  Tensor v = body_->TrainForward(u);
+  Tensor s = shortcut_ ? shortcut_->TrainForward(u) : u;
   PELICAN_CHECK(v.SameShape(s),
                 "residual add shape mismatch: body " + v.ShapeString() +
                     " vs shortcut " + s.ShapeString() +
                     " (use a projection shortcut)");
   v.Add(s);
-  return post_ ? post_->Forward(v, training) : v;
+  return post_ ? post_->TrainForward(v) : v;
 }
 
 Tensor ResidualWrap::Score(const Tensor& x, InferenceContext& ctx) const {

@@ -20,7 +20,7 @@ class ResidualWrap final : public Layer {
   // Any of pre / shortcut / post may be null (identity).
   ResidualWrap(LayerPtr pre, LayerPtr body, LayerPtr shortcut, LayerPtr post);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   std::vector<ParamRef> Params() override;
@@ -30,6 +30,12 @@ class ResidualWrap final : public Layer {
   void SetRng(Rng* rng) override;
   void SetQuantMode(quant::Mode mode) override;
   void CollectQuantOps(std::vector<quant::LinearQuant*>& ops) override;
+
+  // The wrapped layers (pre, shortcut and post may be null = identity).
+  [[nodiscard]] Layer* pre() const { return pre_.get(); }
+  [[nodiscard]] Layer& body() const { return *body_; }
+  [[nodiscard]] Layer* shortcut() const { return shortcut_.get(); }
+  [[nodiscard]] Layer* post() const { return post_.get(); }
 
  private:
   LayerPtr pre_;

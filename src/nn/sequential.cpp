@@ -70,10 +70,10 @@ Sequential& Sequential::Add(LayerPtr layer) {
   return *this;
 }
 
-Tensor Sequential::Forward(const Tensor& x, bool training) {
+Tensor Sequential::TrainForward(const Tensor& x) {
   if (!obs::MetricsEnabled() && !obs::TracingEnabled()) {
     Tensor y = x;
-    for (auto& layer : layers_) y = layer->Forward(y, training);
+    for (auto& layer : layers_) y = layer->TrainForward(y);
     return y;
   }
   EnsureObs();
@@ -83,16 +83,18 @@ Tensor Sequential::Forward(const Tensor& x, bool training) {
     auto& pl = obs_->layers[i];
     obs::TraceSpan span(pl.fwd_name, "layer");
     const auto t0 = std::chrono::steady_clock::now();
-    y = layers_[i]->Forward(y, training);
+    y = layers_[i]->TrainForward(y);
     if (metrics && pl.fwd_seconds) pl.fwd_seconds->Observe(SecondsSince(t0));
   }
   return y;
 }
 
-// Score skips the per-layer instrumentation entirely: EnsureObs()
-// mutates lazily-built state, which would race across scorer threads,
-// and the serving plane has its own end-to-end latency metrics. The
-// chain itself is the uninstrumented Forward fast path.
+// Score is the network's one inference path (Forward(x, false) and
+// calibration run it too). It skips the per-layer instrumentation
+// entirely: EnsureObs() mutates lazily-built state, which would race
+// across scorer threads, and the serving plane has its own end-to-end
+// latency metrics. The chain itself is TrainForward's uninstrumented
+// fast path.
 Tensor Sequential::Score(const Tensor& x, InferenceContext& ctx) const {
   Tensor y = x;
   for (const auto& layer : layers_) y = layer->Score(y, ctx);

@@ -14,7 +14,7 @@ class Sequential final : public Layer {
   // Appends a layer; returns *this for chaining.
   Sequential& Add(LayerPtr layer);
 
-  Tensor Forward(const Tensor& x, bool training) override;
+  Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;
   Tensor Score(const Tensor& x, InferenceContext& ctx) const override;
   std::vector<ParamRef> Params() override;
@@ -34,7 +34,7 @@ class Sequential final : public Layer {
  private:
   // Lazily-built per-layer instruments (trace span names + latency
   // histograms); only materialized once observability is enabled, so a
-  // disabled process pays one relaxed load per Forward/Backward.
+  // disabled process pays one relaxed load per TrainForward/Backward.
   struct ObsState;
   void EnsureObs();
 

@@ -25,11 +25,11 @@
 namespace pelican::quant {
 
 // Layer-side quantization state.
-//  kOff       — plain fp32 forward (training and default inference).
-//  kCalibrate — fp32 forward that additionally feeds the activation
-//               observers (inference only).
-//  kInt8      — quantized forward using frozen scales (inference only).
-enum class Mode { kOff, kCalibrate, kInt8 };
+//  kOff  — plain fp32 forward (training and default inference).
+//  kInt8 — quantized forward using frozen scales (inference only).
+// Calibration is not a mode: it is an nn::CalibrationSink attached to
+// the context of an fp32 Score call.
+enum class Mode { kOff, kInt8 };
 
 // Running max-|x| over everything shown to it. Non-finite values are
 // ignored (they would otherwise poison the scale).

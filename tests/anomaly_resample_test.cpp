@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "data/data.h"
 #include "ml/anomaly.h"
@@ -282,6 +283,45 @@ TEST(AutoencoderAnomaly, AttackScoresExceedNormalScores) {
     }
   }
   EXPECT_GT(attack_mean / attacks, 2.0 * normal_mean / normals);
+}
+
+// Score is const and writes no layer state, so threads scoring the same
+// rows through one fitted detector must each reproduce a sequential
+// pass exactly.
+TEST(AutoencoderAnomaly, ConcurrentScoresMatchSequentialPass) {
+  Rng rng(19);
+  Tensor x_normal, x_test;
+  std::vector<int> truth;
+  MakeAnomalyProblem(rng, x_normal, x_test, truth);
+  ml::AutoencoderDetector::Config config;
+  config.epochs = 2;
+  config.hidden = 16;
+  config.bottleneck = 4;
+  ml::AutoencoderDetector detector(config);
+  detector.FitNormal(x_normal);
+  std::vector<double> want;
+  for (std::int64_t i = 0; i < x_test.dim(0); ++i) {
+    want.push_back(detector.Score(x_test.Row(i)));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::int64_t i = 0; i < x_test.dim(0); ++i) {
+        if (detector.Score(x_test.Row(i)) !=
+            want[static_cast<std::size_t>(i)]) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Behavioural unit tests for the nn layers: output shapes, forward
 // semantics (padding, pooling rules, normalization statistics, dropout
-// masks, recurrent state handling), parameter plumbing.
+// masks, recurrent state handling), parameter plumbing, and Score
+// against the scalar oracle in score_oracle.h.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +10,10 @@
 #include <memory>
 #include <thread>
 
+#include "models/pelican.h"
 #include "nn/nn.h"
+#include "optim/optimizer.h"
+#include "score_oracle.h"
 #include "tensor/ops.h"
 
 namespace pelican {
@@ -409,7 +413,7 @@ TEST(Reshape, ForwardAndBackwardShapes) {
   nn::Reshape reshape({2, 6});
   Rng rng(17);
   auto x = Tensor::RandomNormal({3, 4, 3}, rng, 0, 1);
-  auto y = reshape.Forward(x, false);
+  auto y = reshape.Forward(x, true);
   EXPECT_EQ(y.shape(), (Tensor::Shape{3, 2, 6}));
   auto dx = reshape.Backward(y);
   EXPECT_EQ(dx.shape(), x.shape());
@@ -470,8 +474,8 @@ TEST(Residual, ShapeMismatchIsDiagnosed) {
 
 // A small network exercising every layer kind the paper's topology
 // uses (conv, BN, activations, GRU, reshape, residual, pooling,
-// dropout, dense) so the Score-vs-Forward contract is checked through
-// real composition, not per-layer in isolation.
+// dropout, dense) so Score is checked through real composition, not
+// per layer in isolation.
 std::unique_ptr<nn::Sequential> BuildScoreNet(Rng& rng) {
   auto net = std::make_unique<nn::Sequential>();
   net->Add(std::make_unique<nn::Conv1D>(3, 4, 3, rng));
@@ -491,23 +495,63 @@ std::unique_ptr<nn::Sequential> BuildScoreNet(Rng& rng) {
   return net;
 }
 
-TEST(InferenceContext, ScoreMatchesInferenceForwardByteForByte) {
+// Three RMSprop steps move the weights and the BN running statistics
+// off their init, so the oracle sees non-trivial parameters.
+void TrainThreeSteps(nn::Sequential& net, const Tensor::Shape& batch_shape,
+                     int n_classes, Rng& rng) {
+  optim::RmsProp optimizer(0.01F);
+  optimizer.Attach(net.Params());
+  std::vector<int> labels(static_cast<std::size_t>(batch_shape[0]));
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int>(i) % n_classes;
+  }
+  for (int step = 0; step < 3; ++step) {
+    net.ZeroGrad();
+    const Tensor logits =
+        net.Forward(Tensor::RandomNormal(batch_shape, rng, 0, 1), true);
+    net.Backward(nn::SoftmaxCrossEntropy(logits, labels).dlogits);
+    optimizer.Step();
+  }
+}
+
+// Calibrates every quantizable op of `layer` from one Score over x
+// with a sink attached, as PelicanIds::CalibrateQuantized does.
+void Calibrate(nn::Layer& layer, const Tensor& x) {
+  nn::CalibrationSink sink;
+  nn::InferenceContext ctx;
+  ctx.set_calibration_sink(&sink);
+  (void)layer.Score(x, ctx);
+  std::vector<quant::LinearQuant*> ops;
+  layer.CollectQuantOps(ops);
+  for (quant::LinearQuant* op : ops) op->observer = sink.at(op);
+}
+
+TEST(Score, MatchesScalarOracleOnScoreNet) {
   Rng rng(31);
   auto net = BuildScoreNet(rng);
   net->SetRng(&rng);
-  // A few training steps move the BN running stats off their init so
-  // the comparison exercises non-trivial statistics.
-  for (int i = 0; i < 3; ++i) {
-    (void)net->Forward(Tensor::RandomNormal({4, 5, 3}, rng, 0, 1), true);
-  }
+  TrainThreeSteps(*net, {4, 5, 3}, 2, rng);
   const auto x = Tensor::RandomNormal({6, 5, 3}, rng, 0, 1);
-  const Tensor want = net->Forward(x, /*training=*/false);
   nn::InferenceContext ctx;
   const Tensor got = net->Score(x, ctx);
-  EXPECT_TRUE(SameBytes(want, got));
+  oracle::ExpectNearOracle(got, oracle::Score(*net, oracle::FromTensor(x)));
   // Arena reuse: the second call recycles the grown arena.
-  const Tensor again = net->Score(x, ctx);
-  EXPECT_TRUE(SameBytes(want, again));
+  EXPECT_TRUE(SameBytes(got, net->Score(x, ctx)));
+}
+
+TEST(Score, MatchesScalarOracleOnPelicanNet) {
+  Rng rng(34);
+  models::NetworkConfig config;
+  config.features = 12;
+  config.n_classes = 3;
+  config.n_blocks = 2;
+  auto net = models::BuildNetwork(config, rng);
+  net->SetRng(&rng);
+  TrainThreeSteps(*net, {8, 12}, 3, rng);
+  const auto x = Tensor::RandomNormal({5, 12}, rng, 0, 1);
+  nn::InferenceContext ctx;
+  oracle::ExpectNearOracle(net->Score(x, ctx),
+                           oracle::Score(*net, oracle::FromTensor(x)));
 }
 
 TEST(InferenceContext, TwoContextsOnOneModelInterleaveIndependently) {
@@ -516,12 +560,13 @@ TEST(InferenceContext, TwoContextsOnOneModelInterleaveIndependently) {
   (void)net->Forward(Tensor::RandomNormal({4, 5, 3}, rng, 0, 1), true);
   const auto xa = Tensor::RandomNormal({3, 5, 3}, rng, 0, 1);
   const auto xb = Tensor::RandomNormal({5, 5, 3}, rng, 0, 1);
-  const Tensor want_a = net->Forward(xa, false);
-  const Tensor want_b = net->Forward(xb, false);
+  nn::InferenceContext ref;
+  const Tensor want_a = net->Score(xa, ref);
+  const Tensor want_b = net->Score(xb, ref);
 
   // Interleave two private contexts on one thread against the same
   // model: neither call may disturb the other's scratch, and both must
-  // reproduce the sequential reference exactly.
+  // reproduce the single-context reference exactly.
   nn::InferenceContext ctx_a;
   nn::InferenceContext ctx_b;
   for (int round = 0; round < 3; ++round) {
@@ -537,7 +582,8 @@ TEST(InferenceContext, ConcurrentScorersProduceIdenticalBytes) {
   auto net = BuildScoreNet(rng);
   (void)net->Forward(Tensor::RandomNormal({4, 5, 3}, rng, 0, 1), true);
   const auto x = Tensor::RandomNormal({4, 5, 3}, rng, 0, 1);
-  const Tensor want = net->Forward(x, false);
+  nn::InferenceContext ref;
+  const Tensor want = net->Score(x, ref);
 
   constexpr int kThreads = 4;
   constexpr int kRounds = 8;
@@ -558,9 +604,64 @@ TEST(InferenceContext, ConcurrentScorersProduceIdenticalBytes) {
   }
 }
 
+// A sink only observes: Score's bytes are those of a plain Score, the
+// layers' own observers stay untouched, and every quantizable op (two
+// Conv1D, the GRU, the Dense) gets one Seen() observer in the sink.
+TEST(InferenceContext, CalibrationSinkObservesWithoutChangingScore) {
+  Rng rng(35);
+  auto net = BuildScoreNet(rng);
+  (void)net->Forward(Tensor::RandomNormal({4, 5, 3}, rng, 0, 1), true);
+  const auto x = Tensor::RandomNormal({6, 5, 3}, rng, 0, 1);
+  nn::InferenceContext plain;
+  const Tensor want = net->Score(x, plain);
+
+  nn::CalibrationSink sink;
+  nn::InferenceContext ctx;
+  ctx.set_calibration_sink(&sink);
+  EXPECT_TRUE(SameBytes(want, net->Score(x, ctx)));
+  std::vector<quant::LinearQuant*> ops;
+  net->CollectQuantOps(ops);
+  ASSERT_EQ(ops.size(), 4U);
+  EXPECT_EQ(sink.size(), ops.size());
+  for (const quant::LinearQuant* op : ops) {
+    ASSERT_EQ(sink.count(op), 1U) << op->name;
+    EXPECT_TRUE(sink.at(op).Seen()) << op->name;
+    EXPECT_FALSE(op->observer.Seen()) << op->name;
+  }
+  // The first Conv1D reads the network input itself.
+  EXPECT_EQ(sink.at(ops[0]).max_abs(), x.AbsMax());
+}
+
+// The int8 engine is inference-only: a training pass through any
+// quantizable layer in int8 mode throws, while Score still runs.
+TEST(InferenceContext, Int8TrainingPassThrows) {
+  Rng rng(36);
+  nn::Dense dense(4, 3, rng);
+  nn::Conv1D conv(4, 3, 3, rng);
+  nn::Gru gru(4, 3, rng);
+  const auto flat = Tensor::RandomNormal({2, 4}, rng, 0, 1);
+  const auto seq = Tensor::RandomNormal({2, 3, 4}, rng, 0, 1);
+  Calibrate(dense, flat);
+  Calibrate(conv, seq);
+  Calibrate(gru, seq);
+  for (nn::Layer* layer : std::initializer_list<nn::Layer*>{&dense, &conv,
+                                                            &gru}) {
+    layer->SetQuantMode(quant::Mode::kInt8);
+  }
+  EXPECT_THROW((void)dense.Forward(flat, true), CheckError);
+  EXPECT_THROW((void)conv.Forward(seq, true), CheckError);
+  EXPECT_THROW((void)gru.Forward(seq, true), CheckError);
+  nn::InferenceContext ctx;
+  EXPECT_EQ(dense.Score(flat, ctx).shape(), (Tensor::Shape{2, 3}));
+  EXPECT_EQ(conv.Score(seq, ctx).shape(), (Tensor::Shape{2, 3, 3}));
+  EXPECT_EQ(gru.Score(seq, ctx).shape(), (Tensor::Shape{2, 3, 3}));
+}
+
 // Gru::Score builds no fused panel and, at t = 0, skips both recurrent
-// GEMMs (h₀ = 0); it must still reproduce Forward(x, false) byte for
-// byte. Random biases keep the bias add and the skipped terms honest.
+// GEMMs (h₀ = 0); in fp32 it must still reproduce the training pass
+// byte for byte. That pass runs the fused panels and no t = 0 skip, so
+// the two share no code. Random biases keep the bias add and the
+// skipped terms honest.
 std::unique_ptr<nn::Gru> MakeScoreGru(bool return_sequences, bool int8,
                                       Rng& rng) {
   constexpr std::int64_t kIn = 12, kUnits = 20;
@@ -571,56 +672,90 @@ std::unique_ptr<nn::Gru> MakeScoreGru(bool return_sequences, bool int8,
     }
   }
   if (int8) {
-    gru->SetQuantMode(quant::Mode::kCalibrate);
-    (void)gru->Forward(Tensor::RandomNormal({16, 2, kIn}, rng, 0, 1), false);
+    Calibrate(*gru, Tensor::RandomNormal({16, 2, kIn}, rng, 0, 1));
     gru->SetQuantMode(quant::Mode::kInt8);
   }
   return gru;
 }
 
-TEST(Gru, ScoreMatchesInferenceForwardByteForByte) {
-  for (bool int8 : {false, true}) {
-    for (bool return_sequences : {false, true}) {
-      Rng rng(41);
-      auto gru = MakeScoreGru(return_sequences, int8, rng);
-      nn::InferenceContext ctx;
-      for (std::int64_t len : {1, 3}) {
-        for (std::int64_t batch : {1, 3, 64}) {
-          const auto x = Tensor::RandomNormal({batch, len, 12}, rng, 0, 1);
-          EXPECT_TRUE(SameBytes(gru->Forward(x, false), gru->Score(x, ctx)))
-              << "int8=" << int8 << " return_sequences=" << return_sequences
-              << " L=" << len << " batch=" << batch;
-        }
+// The int8 GRU checked per layer: the oracle's recurrence runs on the
+// layer's own quantized input projection of the same x (end to end, a
+// single rounding flip in QuantizeSymmetric would defeat any
+// tolerance).
+oracle::Ref Int8GruOracle(nn::Gru& gru, const Tensor& x) {
+  std::vector<quant::LinearQuant*> ops;
+  gru.CollectQuantOps(ops);
+  const quant::LinearQuant& q = *ops.at(0);
+  const std::int64_t rows = x.dim(0) * x.dim(1);
+  std::vector<float> proj(static_cast<std::size_t>(rows * q.n));
+  quant::QuantizedMatMul(x.data().data(), rows, x.dim(2), q, 0, proj.data(),
+                         q.n);
+  return oracle::GruRef(gru, oracle::FromTensor(x), &proj);
+}
+
+TEST(Gru, ScoreMatchesTrainingPassByteForByte) {
+  for (bool return_sequences : {false, true}) {
+    Rng rng(41);
+    auto gru = MakeScoreGru(return_sequences, /*int8=*/false, rng);
+    nn::InferenceContext ctx;
+    for (std::int64_t len : {1, 3}) {
+      for (std::int64_t batch : {1, 3, 64}) {
+        const auto x = Tensor::RandomNormal({batch, len, 12}, rng, 0, 1);
+        EXPECT_TRUE(SameBytes(gru->Forward(x, true), gru->Score(x, ctx)))
+            << "return_sequences=" << return_sequences << " L=" << len
+            << " batch=" << batch;
       }
     }
   }
 }
 
-// A NaN must propagate through Score exactly as through Forward: in
-// fp32 the row that carries it reads NaN, and every other row keeps
-// Forward's bytes. (The int8 engine quantizes a NaN input to -127, so
-// there every row keeps Forward's bytes.)
-TEST(Gru, ScoreNaNRowStaysNaNOthersMatchForward) {
+TEST(Gru, Int8ScoreMatchesOracleOnItsOwnProjection) {
+  for (bool return_sequences : {false, true}) {
+    Rng rng(41);
+    auto gru = MakeScoreGru(return_sequences, /*int8=*/true, rng);
+    nn::InferenceContext ctx;
+    for (std::int64_t len : {1, 3}) {
+      for (std::int64_t batch : {1, 3, 64}) {
+        SCOPED_TRACE(testing::Message()
+                     << "return_sequences=" << return_sequences
+                     << " L=" << len << " batch=" << batch);
+        const auto x = Tensor::RandomNormal({batch, len, 12}, rng, 0, 1);
+        oracle::ExpectNearOracle(gru->Score(x, ctx), Int8GruOracle(*gru, x));
+      }
+    }
+  }
+}
+
+// A NaN must propagate through Score exactly as through the training
+// pass: in fp32 the row that carries it reads NaN, and every other row
+// keeps the training pass's bytes. (The int8 engine quantizes a NaN
+// input to -127, so there every row stays finite and matches the
+// oracle on the layer's own projection.)
+TEST(Gru, ScoreNaNRowStaysNaNOthersMatchTrainingPass) {
   for (bool int8 : {false, true}) {
     for (std::int64_t len : {1, 3}) {
       Rng rng(42);
       auto gru = MakeScoreGru(/*return_sequences=*/false, int8, rng);
       auto x = Tensor::RandomNormal({3, len, 12}, rng, 0, 1);
       x.At(1, 0, 5) = std::numeric_limits<float>::quiet_NaN();
-      const Tensor want = gru->Forward(x, false);
       nn::InferenceContext ctx;
       const Tensor got = gru->Score(x, ctx);
+      if (int8) {
+        SCOPED_TRACE(testing::Message() << "int8 L=" << len);
+        oracle::ExpectNearOracle(got, Int8GruOracle(*gru, x));
+        continue;
+      }
+      const Tensor want = gru->Forward(x, true);
       ASSERT_EQ(got.shape(), want.shape());
       for (std::int64_t i = 0; i < 3; ++i) {
         for (std::int64_t j = 0; j < got.dim(1); ++j) {
           const float g = got.At(i, j), w = want.At(i, j);
-          if (i == 1 && !int8) {
+          if (i == 1) {
             EXPECT_TRUE(std::isnan(w));
             EXPECT_TRUE(std::isnan(g)) << "L=" << len << " unit " << j;
           } else {
             EXPECT_EQ(std::memcmp(&g, &w, sizeof(float)), 0)
-                << "int8=" << int8 << " L=" << len << " row " << i
-                << " unit " << j;
+                << "L=" << len << " row " << i << " unit " << j;
           }
         }
       }
@@ -628,9 +763,10 @@ TEST(Gru, ScoreNaNRowStaysNaNOthersMatchForward) {
   }
 }
 
-// The t = 0 skip must keep the NaN that Forward's (r ⊙ h₀)·Uh spreads
-// when r holds a NaN but pre_h does not: a NaN in one element of br
-// reaches every row's r, so every unit of every row must read NaN.
+// The t = 0 skip must keep the NaN that the training pass's
+// (r ⊙ h₀)·Uh spreads when r holds a NaN but pre_h does not: a NaN in
+// one element of br reaches every row's r, so every unit of every row
+// must read NaN.
 TEST(Gru, ScoreKeepsNaNFromResetGateAtFirstStep) {
   Rng rng(43);
   auto gru = MakeScoreGru(/*return_sequences=*/false, /*int8=*/false, rng);
@@ -638,7 +774,7 @@ TEST(Gru, ScoreKeepsNaNFromResetGateAtFirstStep) {
     if (p.name == "gru.br") p.value->At(4) = std::nanf("");
   }
   const auto x = Tensor::RandomNormal({3, 1, 12}, rng, 0, 1);
-  const Tensor want = gru->Forward(x, false);
+  const Tensor want = gru->Forward(x, true);
   nn::InferenceContext ctx;
   const Tensor got = gru->Score(x, ctx);
   for (std::int64_t i = 0; i < got.size(); ++i) {

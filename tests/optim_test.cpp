@@ -20,7 +20,7 @@ namespace {
 // Minimal "layer": one scalar parameter with an externally set gradient.
 class ScalarParam final : public nn::Layer {
  public:
-  Tensor Forward(const Tensor& x, bool) override { return x; }
+  Tensor TrainForward(const Tensor& x) override { return x; }
   Tensor Backward(const Tensor& dy) override { return dy; }
   Tensor Score(const Tensor& x, nn::InferenceContext&) const override {
     return x;
@@ -161,7 +161,7 @@ class MixedParams final : public nn::Layer {
   void Regrad() {
     for (auto& g : g_) Fill(g);
   }
-  Tensor Forward(const Tensor& x, bool) override { return x; }
+  Tensor TrainForward(const Tensor& x) override { return x; }
   Tensor Backward(const Tensor& dy) override { return dy; }
   Tensor Score(const Tensor& x, nn::InferenceContext&) const override {
     return x;

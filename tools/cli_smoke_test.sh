@@ -49,6 +49,18 @@ test -s "$WORK_DIR/model.bin"
 test -s "$WORK_DIR/model.bin.meta"
 test -s "$WORK_DIR/model.bin.pre"
 
+# Training and int8 calibration are bit-identical for any thread count:
+# the weights and the .quant sidecar written at 1 and at 4 threads
+# match byte for byte.
+for T in 1 4; do
+    "$PELICAN_BIN" train --dataset nsl --csv "$WORK_DIR/flows.csv" \
+        --blocks 2 --channels 8 --epochs 3 --threads "$T" \
+        --out "$WORK_DIR/model_t$T.bin"
+done
+cmp "$WORK_DIR/model_t1.bin" "$WORK_DIR/model_t4.bin"
+test -s "$WORK_DIR/model_t1.bin.quant"
+cmp "$WORK_DIR/model_t1.bin.quant" "$WORK_DIR/model_t4.bin.quant"
+
 "$PELICAN_BIN" info --model "$WORK_DIR/model.bin" > "$WORK_DIR/info.txt"
 grep -q "residual" "$WORK_DIR/info.txt"
 grep -Eq '^gemm: fp32 [a-z0-9]+ [0-9]+x[0-9]+, int8 [a-z0-9-]+ [0-9]+x[0-9]+$' \
