@@ -4,7 +4,8 @@
 // BENCH_kernels.json so the repo's perf trajectory is machine-readable.
 // Every row names the GEMM tier that ran; the GEMM shapes are timed on
 // each tier this host runs (fp32 and int8) at 1 thread, and on the
-// dispatched tier at every thread count.
+// dispatched tier at every thread count. kernels::Tanh is timed on each
+// tier against a std::tanh loop.
 //
 //   kernels_bench [--smoke] [--json=PATH]
 //
@@ -12,6 +13,7 @@
 // fast; the full run measures the ISSUE-3 acceptance shapes (GEMM
 // m=64 k=196 n=192 and Conv1D forward at the bench-default widths).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -255,6 +257,35 @@ void BenchGru(std::int64_t n, std::int64_t len, std::int64_t units,
   }
 }
 
+// The tanh tier names: the base tier runs the scalar fdlibm port.
+std::string TanhTierName(kernels::Isa isa) {
+  return isa == kernels::Isa::kSse2 ? "scalar port" : "avx512";
+}
+
+// kernels::Tanh on every tier this host runs against the libm loop it
+// replaced in the GRU, over n N(0,1) values (1 thread: Tanh does not
+// shard). The gflops column reads G values/s for these rows.
+void BenchTanh(std::int64_t n, std::vector<bench::BenchRow>& rows) {
+  Rng rng(11);
+  const Tensor x = Tensor::RandomNormal({n}, rng, 0, 1);
+  Tensor y({n});
+  const float* xp = x.data().data();
+  float* yp = y.data().data();
+  const std::string shape = "n" + std::to_string(n);
+  const auto values = static_cast<double>(n);
+  ThreadGuard guard(1);
+  {
+    const double ns = TimeNs([&] {
+      for (std::int64_t i = 0; i < n; ++i) yp[i] = std::tanh(xp[i]);
+    });
+    rows.push_back({"tanh_naive", shape, 1, ns, values / ns, "libm"});
+  }
+  for (const kernels::Isa isa : kernels::SupportedIsas(false)) {
+    const double ns = TimeNs([&] { kernels::TanhWith(isa, xp, yp, n); });
+    rows.push_back({"tanh", shape, 1, ns, values / ns, TanhTierName(isa)});
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -279,6 +310,7 @@ int main(int argc, char** argv) {
     BenchGemm({16, 33, 17}, threads, rows);
     BenchConv1D(4, 3, 8, 5, threads, rows);
     BenchGru(4, 2, 8, threads, rows);
+    BenchTanh(37, rows);
   } else {
     // The ISSUE-3 acceptance shape, the paper's encoded widths, and a
     // square reference point.
@@ -291,6 +323,9 @@ int main(int argc, char** argv) {
     BenchConv1D(64, 16, 64, 10, threads, rows);
     BenchGru(32, 1, 121, threads, rows);
     BenchGru(64, 8, 128, threads, rows);
+    // One GRU step's candidate state at batch 64, NSL and UNSW widths.
+    BenchTanh(64 * 121, rows);
+    BenchTanh(64 * 196, rows);
   }
 
   bench::WriteBenchJson(json_path, rows);
@@ -306,13 +341,16 @@ int main(int argc, char** argv) {
 
   // Single-thread speedup summary per shape (dispatched kernel vs naive).
   const std::string dispatched = DispatchedTier();
+  const std::string dispatched_tanh =
+      TanhTierName(kernels::SupportedIsas(false).back());
   for (const auto& naive : rows) {
     if (naive.op.find("_naive") == std::string::npos) continue;
     const std::string fast_op =
         naive.op.substr(0, naive.op.size() - std::strlen("_naive"));
     for (const auto& fast : rows) {
       if (fast.op == fast_op && fast.shape == naive.shape &&
-          fast.threads == 1 && fast.isa == dispatched) {
+          fast.threads == 1 &&
+          fast.isa == (fast_op == "tanh" ? dispatched_tanh : dispatched)) {
         std::printf("speedup %-20s %-22s %.2fx\n", fast_op.c_str(),
                     naive.shape.c_str(), naive.ns_per_iter / fast.ns_per_iter);
       }

@@ -216,22 +216,24 @@ void Checkpointer::LoadFile(const std::string& path, nn::Sequential& network,
                 "checkpoint checksum mismatch (corrupt or truncated): " +
                     path);
 
+  // Everything is parsed and checked into staging first; only a file
+  // that passes every check writes to the network, the optimizer and
+  // *state, so a rejected checkpoint leaves all three as they were.
   std::istringstream in(bytes, std::ios::binary);
   in.ignore(sizeof(kMagic));
   const auto version = ReadPod<std::uint32_t>(in);
   PELICAN_CHECK(version == kVersion, "unsupported checkpoint version");
 
-  state->epoch = ReadPod<std::int32_t>(in);
-  for (auto& s : state->rng.s) s = ReadPod<std::uint64_t>(in);
-  state->rng.cached_normal = ReadPod<double>(in);
-  state->rng.has_cached_normal = ReadPod<std::uint8_t>(in) != 0;
-  state->lr_scale = ReadPod<float>(in);
-  state->best_test_loss = ReadPod<float>(in);
-  state->epochs_without_improvement = ReadPod<std::int32_t>(in);
+  CheckpointState staged;
+  staged.epoch = ReadPod<std::int32_t>(in);
+  for (auto& s : staged.rng.s) s = ReadPod<std::uint64_t>(in);
+  staged.rng.cached_normal = ReadPod<double>(in);
+  staged.rng.has_cached_normal = ReadPod<std::uint8_t>(in) != 0;
+  staged.lr_scale = ReadPod<float>(in);
+  staged.best_test_loss = ReadPod<float>(in);
+  staged.epochs_without_improvement = ReadPod<std::int32_t>(in);
 
   const auto history_size = ReadPod<std::uint64_t>(in);
-  state->history.clear();
-  state->history.reserve(history_size);
   for (std::uint64_t i = 0; i < history_size; ++i) {
     EpochStats e;
     e.epoch = ReadPod<std::int32_t>(in);
@@ -245,9 +247,11 @@ void Checkpointer::LoadFile(const std::string& path, nn::Sequential& network,
       e.test_accuracy = test_accuracy;
     }
     e.recoveries = ReadPod<std::int32_t>(in);
-    state->history.push_back(e);
+    staged.history.push_back(e);
   }
 
+  // Model tensors: names and shapes are checked by ReadTensorEntry,
+  // finiteness as LoadWeights checks it.
   auto params = network.Params();
   auto buffers = network.Buffers();
   const auto param_count = ReadPod<std::uint64_t>(in);
@@ -255,8 +259,18 @@ void Checkpointer::LoadFile(const std::string& path, nn::Sequential& network,
   PELICAN_CHECK(param_count == params.size() &&
                     buffer_count == buffers.size(),
                 "checkpoint/network architecture mismatch: " + path);
-  for (auto& p : params) io::ReadTensorEntry(in, p.name, *p.value);
-  for (auto& b : buffers) io::ReadTensorEntry(in, b.name, *b.value);
+  std::vector<Tensor*> live;
+  std::vector<Tensor> model;
+  live.reserve(params.size() + buffers.size());
+  model.reserve(params.size() + buffers.size());
+  const auto stage_entry = [&](const std::string& name, Tensor* value) {
+    Tensor& t = model.emplace_back(value->shape());
+    io::ReadTensorEntry(in, name, t);
+    io::CheckFinite(name, live.size(), t, path);
+    live.push_back(value);
+  };
+  for (const auto& p : params) stage_entry(p.name, p.value);
+  for (const auto& b : buffers) stage_entry(b.name, b.value);
 
   const auto name_len = ReadPod<std::uint32_t>(in);
   std::string opt_name(name_len, '\0');
@@ -268,11 +282,28 @@ void Checkpointer::LoadFile(const std::string& path, nn::Sequential& network,
   const auto state_count = ReadPod<std::uint64_t>(in);
   PELICAN_CHECK(state_count == state_tensors.size(),
                 "optimizer state tensor count mismatch");
-  for (Tensor* t : state_tensors) ReadStateTensor(in, *t);
+  std::vector<Tensor> opt_state;
+  opt_state.reserve(state_tensors.size());
+  for (const Tensor* t : state_tensors) {
+    ReadStateTensor(in, opt_state.emplace_back(t->shape()));
+  }
   const auto scalar_count = ReadPod<std::uint64_t>(in);
+  PELICAN_CHECK(scalar_count == optimizer.ScalarState().size(),
+                "optimizer scalar state count mismatch");
   std::vector<std::int64_t> scalars(scalar_count);
   for (auto& s : scalars) s = ReadPod<std::int64_t>(in);
+
+  // Commit. Copies keep each live tensor's storage.
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    std::copy_n(model[i].data().data(), model[i].size(),
+                live[i]->data().data());
+  }
+  for (std::size_t i = 0; i < state_tensors.size(); ++i) {
+    std::copy_n(opt_state[i].data().data(), opt_state[i].size(),
+                state_tensors[i]->data().data());
+  }
   optimizer.SetScalarState(scalars);
+  *state = std::move(staged);
 }
 
 }  // namespace pelican::core

@@ -13,9 +13,10 @@
 //
 // Writes go through AtomicWriteFile (temp + fsync + rename), so a crash
 // mid-snapshot leaves the previous checkpoint intact. Loading verifies
-// the CRC32 footer first; LoadLatest walks checkpoints newest→oldest
-// and skips corrupt or truncated ones, so a crash (or a bit-flip) in
-// the newest snapshot degrades to the one before it.
+// the CRC32 footer first, then parses and checks the whole file before
+// writing anything; LoadLatest walks checkpoints newest→oldest and
+// skips corrupt, truncated or mismatched ones, so a crash (or a
+// bit-flip) in the newest snapshot degrades to the one before it.
 #pragma once
 
 #include <optional>
@@ -63,14 +64,16 @@ class Checkpointer {
   // Checkpoint paths on disk, oldest → newest (by epoch).
   [[nodiscard]] std::vector<std::string> List() const;
 
-  // Restores the newest checkpoint that passes its CRC check, skipping
-  // (and warning about) corrupt ones. Returns false when no loadable
+  // Restores the newest checkpoint LoadFile accepts, skipping (and
+  // warning about) the ones it rejects. Returns false when no loadable
   // checkpoint exists.
   bool LoadLatest(nn::Sequential& network, optim::Optimizer& optimizer,
                   CheckpointState* state) const;
 
-  // Restores one checkpoint file. Throws CheckError on checksum or
-  // architecture mismatch.
+  // Restores one checkpoint file. Throws CheckError on a checksum,
+  // architecture or optimizer mismatch and on a non-finite parameter or
+  // buffer (naming the tensor); a file it rejects writes nothing to
+  // `network`, `optimizer` or `state`.
   static void LoadFile(const std::string& path, nn::Sequential& network,
                        optim::Optimizer& optimizer, CheckpointState* state);
 

@@ -35,6 +35,10 @@ T ReadPod(std::istream& in) {
   return value;
 }
 
+}  // namespace
+
+namespace io {
+
 // Training never yields a non-finite weight worth keeping, so one in a
 // file is corruption. Rejecting it is also what lets inference treat
 // 0 · w as +0: Gru::Score skips the h₀ = 0 recurrent GEMMs, which a NaN
@@ -47,10 +51,6 @@ void CheckFinite(const std::string& name, std::size_t index,
                 "non-finite value in " + name + " (tensor " +
                     std::to_string(index) + "): " + path);
 }
-
-}  // namespace
-
-namespace io {
 
 void WriteTensorEntry(std::ostream& out, const std::string& name,
                       const Tensor& value) {
@@ -147,11 +147,11 @@ void LoadWeights(nn::Sequential& network, const std::string& path) {
   std::size_t index = 0;
   for (auto& p : params) {
     io::ReadTensorEntry(in, p.name, *p.value);
-    CheckFinite(p.name, index++, *p.value, path);
+    io::CheckFinite(p.name, index++, *p.value, path);
   }
   for (auto& b : buffers) {
     io::ReadTensorEntry(in, b.name, *b.value);
-    CheckFinite(b.name, index++, *b.value, path);
+    io::CheckFinite(b.name, index++, *b.value, path);
   }
 }
 

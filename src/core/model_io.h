@@ -14,6 +14,7 @@
 // architecture; names and shapes are verified parameter-by-parameter.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -39,6 +40,11 @@ void WriteTensorEntry(std::ostream& out, const std::string& name,
 // a truncated stream.
 void ReadTensorEntry(std::istream& in, const std::string& expected_name,
                      Tensor& value);
+
+// Throws CheckError naming `name`, its position `index` among the
+// file's tensors, and `path` when `value` holds a NaN or an infinity.
+void CheckFinite(const std::string& name, std::size_t index,
+                 const Tensor& value, const std::string& path);
 
 }  // namespace io
 

@@ -1,5 +1,7 @@
 #include "nn/activations.h"
 
+#include <cstdint>
+
 namespace pelican::nn {
 
 Tensor ActivationLayer::TrainForward(const Tensor& x) {
@@ -9,18 +11,55 @@ Tensor ActivationLayer::TrainForward(const Tensor& x) {
 
 Tensor ActivationLayer::Score(const Tensor& x,
                               InferenceContext& /*ctx*/) const {
-  Tensor y = x;
-  for (auto& v : y.data()) v = Apply(kind_, v);
+  Tensor y(x.shape());
+  const float* xp = x.data().data();
+  float* yp = y.data().data();
+  const auto n = static_cast<std::size_t>(x.size());
+  // The kind is switched on once, outside the element loops, so each
+  // loop is a plain map (at -O3, ReLU becomes a vector compare and mask
+  // with no branch per element).
+  const auto map = [&](auto f) {
+    for (std::size_t i = 0; i < n; ++i) yp[i] = f(xp[i]);
+  };
+  switch (kind_) {
+    case Activation::kRelu:
+      map([](float v) { return ReluF(v); });
+      break;
+    case Activation::kSigmoid:
+      map([](float v) { return SigmoidF(v); });
+      break;
+    case Activation::kTanh:
+      kernels::Tanh(xp, yp, static_cast<std::int64_t>(n));
+      break;
+    case Activation::kHardSigmoid:
+      map([](float v) { return HardSigmoidF(v); });
+      break;
+  }
   return y;
 }
 
 Tensor ActivationLayer::Backward(const Tensor& dy) {
   PELICAN_CHECK(dy.SameShape(y_), "activation backward shape mismatch");
   Tensor dx = dy;
-  auto ys = y_.data();
-  auto ds = dx.data();
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    ds[i] *= GradFromY(kind_, ys[i]);
+  const float* yp = y_.data().data();
+  float* dp = dx.data().data();
+  const auto n = static_cast<std::size_t>(dx.size());
+  const auto scale = [&](auto grad_from_y) {
+    for (std::size_t i = 0; i < n; ++i) dp[i] *= grad_from_y(yp[i]);
+  };
+  switch (kind_) {
+    case Activation::kRelu:
+      scale([](float v) { return ReluGradFromY(v); });
+      break;
+    case Activation::kSigmoid:
+      scale([](float v) { return SigmoidGradFromY(v); });
+      break;
+    case Activation::kTanh:
+      scale([](float v) { return TanhGradFromY(v); });
+      break;
+    case Activation::kHardSigmoid:
+      scale([](float v) { return HardSigmoidGradFromY(v); });
+      break;
   }
   return dx;
 }

@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "nn/layer.h"
+#include "tensor/kernels.h"
 
 namespace pelican::nn {
 
@@ -20,7 +21,8 @@ inline float ReluGradFromY(float y) { return y > 0.0F ? 1.0F : 0.0F; }
 inline float SigmoidF(float x) { return 1.0F / (1.0F + std::exp(-x)); }
 inline float SigmoidGradFromY(float y) { return y * (1.0F - y); }
 
-inline float TanhF(float x) { return std::tanh(x); }
+// One tanh for every layer: the libm-independent port in kernels.
+inline float TanhF(float x) { return kernels::Tanh(x); }
 inline float TanhGradFromY(float y) { return 1.0F - y * y; }
 
 // Keras hard_sigmoid: clip(0.2*x + 0.5, 0, 1).
@@ -42,16 +44,6 @@ inline float Apply(Activation a, float x) {
     case Activation::kHardSigmoid: return HardSigmoidF(x);
   }
   return x;
-}
-
-inline float GradFromY(Activation a, float y) {
-  switch (a) {
-    case Activation::kRelu: return ReluGradFromY(y);
-    case Activation::kSigmoid: return SigmoidGradFromY(y);
-    case Activation::kTanh: return TanhGradFromY(y);
-    case Activation::kHardSigmoid: return HardSigmoidGradFromY(y);
-  }
-  return 1.0F;
 }
 
 // Generic elementwise activation layer.

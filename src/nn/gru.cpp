@@ -14,11 +14,15 @@
 namespace pelican::nn {
 
 namespace {
-// Flat elementwise map over [0, size); iterations are independent, so
-// the shard layout cannot change the arithmetic.
+// Runs fn(i) for each row i in [0, n) of a gate loop, sharded by rows
+// of about 2^14 elements (a function of the shape only). Rows are
+// independent, so the split cannot change a byte.
 template <typename Fn>
-void ParallelApplyFlat(std::size_t size, Fn&& fn) {
-  ParallelFor(0, size, fn, 1U << 14U);
+void ParallelRows(std::int64_t n, std::int64_t width, Fn&& fn) {
+  ParallelFor(
+      0, static_cast<std::size_t>(n),
+      [&](std::size_t i) { fn(static_cast<std::int64_t>(i)); },
+      static_cast<std::size_t>(std::max<std::int64_t>(1, (1 << 14) / width)));
 }
 }  // namespace
 
@@ -123,14 +127,18 @@ Tensor Gru::TrainForward(const Tensor& x) {
       float* zp = z.data().data();
       float* rp = r.data().data();
       float* rhp = rh.data().data();
-      ParallelApplyFlat(static_cast<std::size_t>(n * h), [&](std::size_t ui) {
-        const auto idx = static_cast<std::int64_t>(ui);
-        const std::int64_t i = idx / h, j = idx % h;
+      ParallelRows(n, h, [&](std::int64_t i) {
         const float* row = pt + i * ld;
-        zp[idx] = HardSigmoidF(row[j]);
-        const float rv = HardSigmoidF(row[h + j]);
-        rp[idx] = rv;
-        rhp[idx] = rv * hpv[idx];
+        const float* hrow = hpv + i * h;
+        float* zrow = zp + i * h;
+        float* rrow = rp + i * h;
+        float* rhrow = rhp + i * h;
+        for (std::int64_t j = 0; j < h; ++j) {
+          zrow[j] = HardSigmoidF(row[j]);
+          const float rv = HardSigmoidF(row[h + j]);
+          rrow[j] = rv;
+          rhrow[j] = rv * hrow[j];
+        }
       });
     }
 
@@ -143,12 +151,15 @@ Tensor Gru::TrainForward(const Tensor& x) {
       float* hcp = hc.data().data();
       float* hn = hnew.data().data();
       const float* zp = z.data().data();
-      ParallelApplyFlat(static_cast<std::size_t>(n * h), [&](std::size_t ui) {
-        const auto idx = static_cast<std::int64_t>(ui);
-        const std::int64_t i = idx / h, j = idx % h;
-        const float cv = TanhF(pt[i * ld + 2 * h + j]);
-        hcp[idx] = cv;
-        hn[idx] = zp[idx] * hpv[idx] + (1.0F - zp[idx]) * cv;
+      ParallelRows(n, h, [&](std::int64_t i) {
+        float* cand = hcp + i * h;
+        kernels::Tanh(pt + i * ld + 2 * h, cand, h);
+        const float* zrow = zp + i * h;
+        const float* hrow = hpv + i * h;
+        float* out = hn + i * h;
+        for (std::int64_t j = 0; j < h; ++j) {
+          out[j] = zrow[j] * hrow[j] + (1.0F - zrow[j]) * cand[j];
+        }
       });
     }
 
@@ -196,8 +207,8 @@ Tensor Gru::TrainForward(const Tensor& x) {
 // same 0.5 and which h₁ = z·0 + (1 - z)·tanh(·) sums to the same +0.
 // The exception is a row whose r holds a NaN: there the full
 // (r ⊙ h₀)·Uh is NaN across the row, so Score writes NaN into that row
-// of pre_h itself. Same elementwise formulas and parallel grain
-// otherwise.
+// of pre_h itself. Same elementwise formulas otherwise; the tanh runs
+// in place on each row's pre_h span, which is scratch here.
 Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
   PELICAN_CHECK(x.rank() == 3 && x.dim(2) == input_size_,
                 "GRU expects (N, L, C_in)");
@@ -246,13 +257,15 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
     {
       float* zp = z.data().data();
       float* rhp = rh.data().data();
-      ParallelApplyFlat(static_cast<std::size_t>(n * h), [&](std::size_t ui) {
-        const auto idx = static_cast<std::int64_t>(ui);
-        const std::int64_t i = idx / h, j = idx % h;
+      ParallelRows(n, h, [&](std::int64_t i) {
         const float* row = pt + i * ld;
-        zp[idx] = HardSigmoidF(row[j]);
-        const float rv = HardSigmoidF(row[h + j]);
-        rhp[idx] = rv * hpv[idx];
+        const float* hrow = hpv + i * h;
+        float* zrow = zp + i * h;
+        float* rhrow = rhp + i * h;
+        for (std::int64_t j = 0; j < h; ++j) {
+          zrow[j] = HardSigmoidF(row[j]);
+          rhrow[j] = HardSigmoidF(row[h + j]) * hrow[j];
+        }
       });
     }
 
@@ -277,11 +290,15 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
     {
       float* hn = hnew.data().data();
       const float* zp = z.data().data();
-      ParallelApplyFlat(static_cast<std::size_t>(n * h), [&](std::size_t ui) {
-        const auto idx = static_cast<std::int64_t>(ui);
-        const std::int64_t i = idx / h, j = idx % h;
-        const float cv = TanhF(pt[i * ld + 2 * h + j]);
-        hn[idx] = zp[idx] * hpv[idx] + (1.0F - zp[idx]) * cv;
+      ParallelRows(n, h, [&](std::int64_t i) {
+        float* cand = pt + i * ld + 2 * h;
+        kernels::Tanh(cand, cand, h);  // in place: proj is scratch
+        const float* zrow = zp + i * h;
+        const float* hrow = hpv + i * h;
+        float* out = hn + i * h;
+        for (std::int64_t j = 0; j < h; ++j) {
+          out[j] = zrow[j] * hrow[j] + (1.0F - zrow[j]) * cand[j];
+        }
       });
     }
 
@@ -360,14 +377,19 @@ Tensor Gru::Backward(const Tensor& dy) {
 
     // Pass 1: dz into g[:,0:h) (scaled to da_z in pass 2), da_h into
     // g[:,2h:3h), and the z-path contribution to dh_prev.
-    ParallelApplyFlat(static_cast<std::size_t>(n * h), [&](std::size_t ui) {
-      const auto idx = static_cast<std::int64_t>(ui);
-      const std::int64_t i = idx / h, j = idx % h;
+    ParallelRows(n, h, [&](std::int64_t i) {
       float* grow = g + i * h3;
-      grow[j] = dhp[idx] * (hpv[idx] - hcp[idx]);
-      grow[2 * h + j] =
-          dhp[idx] * (1.0F - zp[idx]) * TanhGradFromY(hcp[idx]);
-      dhpp[idx] = dhp[idx] * zp[idx];
+      const float* dhrow = dhp + i * h;
+      const float* hrow = hpv + i * h;
+      const float* zrow = zp + i * h;
+      const float* hcrow = hcp + i * h;
+      float* dhprow = dhpp + i * h;
+      for (std::int64_t j = 0; j < h; ++j) {
+        grow[j] = dhrow[j] * (hrow[j] - hcrow[j]);
+        grow[2 * h + j] =
+            dhrow[j] * (1.0F - zrow[j]) * TanhGradFromY(hcrow[j]);
+        dhprow[j] = dhrow[j] * zrow[j];
+      }
     });
 
     // drh = da_h · Uhᵀ.
@@ -378,14 +400,19 @@ Tensor Gru::Backward(const Tensor& dy) {
     // Pass 2: da_r into g[:,h:2h), finish da_z, r-path into dh_prev.
     {
       const float* drhp = drh.data().data();
-      ParallelApplyFlat(static_cast<std::size_t>(n * h), [&](std::size_t ui) {
-        const auto idx = static_cast<std::int64_t>(ui);
-        const std::int64_t i = idx / h, j = idx % h;
+      ParallelRows(n, h, [&](std::int64_t i) {
         float* grow = g + i * h3;
-        grow[h + j] =
-            drhp[idx] * hpv[idx] * HardSigmoidGradFromY(rp[idx]);
-        grow[j] *= HardSigmoidGradFromY(zp[idx]);
-        dhpp[idx] += drhp[idx] * rp[idx];
+        const float* drhrow = drhp + i * h;
+        const float* hrow = hpv + i * h;
+        const float* rrow = rp + i * h;
+        const float* zrow = zp + i * h;
+        float* dhprow = dhpp + i * h;
+        for (std::int64_t j = 0; j < h; ++j) {
+          grow[h + j] =
+              drhrow[j] * hrow[j] * HardSigmoidGradFromY(rrow[j]);
+          grow[j] *= HardSigmoidGradFromY(zrow[j]);
+          dhprow[j] += drhrow[j] * rrow[j];
+        }
       });
     }
 

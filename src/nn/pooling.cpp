@@ -1,5 +1,7 @@
 #include "nn/pooling.h"
 
+#include <algorithm>
+
 namespace pelican::nn {
 
 MaxPool1D::MaxPool1D(std::int64_t pool_size) : pool_(pool_size) {
@@ -28,9 +30,29 @@ Tensor MaxPool1D::Pool(const Tensor& x,
   const std::int64_t out_len = OutputLength(len);
   const std::int64_t window = (len < pool_) ? len : pool_;
   Tensor y({n, out_len, c});
-  if (argmax != nullptr) argmax->assign(static_cast<std::size_t>(y.size()), 0);
   const float* xp = x.data().data();
   float* yp = y.data().data();
+  if (argmax == nullptr) {
+    // Row-wise channel maxima: the window's first row, then each later
+    // row replaces a value only where it is strictly greater — the
+    // argmax loop's comparisons in another order, so the same bytes
+    // (NaN included). At L = 1 this is a row copy.
+    for (std::int64_t in = 0; in < n; ++in) {
+      for (std::int64_t t = 0; t < out_len; ++t) {
+        const float* src = xp + (in * len + t * window) * c;
+        float* dst = yp + (in * out_len + t) * c;
+        std::copy_n(src, c, dst);
+        for (std::int64_t k = 1; k < window; ++k) {
+          const float* row = src + k * c;
+          for (std::int64_t ch = 0; ch < c; ++ch) {
+            if (row[ch] > dst[ch]) dst[ch] = row[ch];
+          }
+        }
+      }
+    }
+    return y;
+  }
+  argmax->assign(static_cast<std::size_t>(y.size()), 0);
   for (std::int64_t in = 0; in < n; ++in) {
     for (std::int64_t t = 0; t < out_len; ++t) {
       const std::int64_t start = t * window;
@@ -46,9 +68,7 @@ Tensor MaxPool1D::Pool(const Tensor& x,
         }
         const std::int64_t out_idx = (in * out_len + t) * c + ch;
         yp[out_idx] = best_v;
-        if (argmax != nullptr) {
-          (*argmax)[static_cast<std::size_t>(out_idx)] = best;
-        }
+        (*argmax)[static_cast<std::size_t>(out_idx)] = best;
       }
     }
   }

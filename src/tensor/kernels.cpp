@@ -1,6 +1,8 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 
 #if defined(__x86_64__)
@@ -632,6 +634,238 @@ void GemmInt8On(Isa isa, std::int64_t m, std::int64_t n, std::int64_t k,
   PackedGemmInt8For(isa)(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
 }
 
+// ---- tanh -------------------------------------------------------------
+//
+// fdlibm's tanhf over its expm1f (the 5-term Q1–Q5 form glibc ships),
+// ported operation for operation. Every step is one IEEE-rounded
+// multiply, add or divide (no contraction: -ffp-contract=off), so the
+// port's bytes depend on no libm, and the AVX-512 tier, which runs the
+// same steps in 16 lanes, writes the same bytes.
+
+constexpr float kLn2Hi = 6.9313812256e-01F;   // 0x3f317180
+constexpr float kLn2Lo = 9.0580006145e-06F;   // 0x3717f7d1
+constexpr float kInvLn2 = 1.4426950216e+00F;  // 0x3fb8aa3b
+constexpr float kQ1 = -3.3333335072e-02F;     // 0xbd088889
+constexpr float kQ2 = 1.5873016091e-03F;      // 0x3ad00d01
+constexpr float kQ3 = -7.9365076090e-05F;     // 0xb8a670cd
+constexpr float kQ4 = 4.0082177293e-06F;      // 0x36867e54
+constexpr float kQ5 = -2.0109921195e-07F;     // 0xb457edbb
+
+std::uint32_t BitsOf(float x) { return std::bit_cast<std::uint32_t>(x); }
+float FloatOf(std::uint32_t u) { return std::bit_cast<float>(u); }
+
+// y·2^k by adding k to y's exponent field (y is a normal near 1).
+float ScaleByPow2(float y, std::int32_t k) {
+  return FloatOf(BitsOf(y) + (static_cast<std::uint32_t>(k) << 23));
+}
+
+// fdlibm's expm1f on the arguments Tanh(float) passes it: −2|x| for
+// 2^-55 ≤ |x| < 1 and 2|x| for 1 ≤ |x| < 22, so x is finite and in
+// (−2, −2^-54] ∪ [2, 44). expm1f's branches for other arguments
+// (non-finite, overflowing, below −27·ln2, and the k = 1 and k = 128
+// results) cannot be reached and are left out.
+float Expm1ForTanh(float x) {
+  const std::uint32_t hx = BitsOf(x) & 0x7fffffffU;
+  float c = 0.0F;
+  std::int32_t k = 0;
+  if (hx > 0x3eb17218U) {  // |x| > 0.5·ln2: reduce to x − k·ln2
+    float hi = 0.0F;
+    float lo = 0.0F;
+    if (hx < 0x3f851592U) {  // and |x| < 1.5·ln2, where only x < 0 arrives
+      hi = x + kLn2Hi;
+      lo = -kLn2Lo;
+      k = -1;
+    } else {
+      k = static_cast<std::int32_t>(kInvLn2 * x + (x < 0.0F ? -0.5F : 0.5F));
+      const float t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;  // exact: ln2_hi has its low bits clear
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000U) {  // |x| < 2^-25
+    return x;
+  }
+  const float hfx = 0.5F * x;
+  const float hxs = x * hfx;
+  const float r1 =
+      1.0F + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const float t = 3.0F - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0F - x * t));
+  if (k == 0) return x - (x * e - hxs);
+  e = x * (e - c) - c;
+  e -= hxs;
+  if (k == -1) return 0.5F * (x - e) - 0.5F;
+  if (k <= -2 || k > 56) return ScaleByPow2(1.0F - (e - x), k) - 1.0F;
+  if (k < 23) {  // one_minus = 1 − 2^-k
+    const float one_minus = FloatOf(0x3f800000U - (0x1000000U >> k));
+    return ScaleByPow2(one_minus - (e - x), k);
+  }
+  // pow2 = 2^-k
+  const float pow2 = FloatOf(static_cast<std::uint32_t>(0x7f - k) << 23);
+  return ScaleByPow2(x - (e + pow2) + 1.0F, k);
+}
+
+void TanhBase(const float* x, float* y, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = Tanh(x[i]);
+}
+
+#if defined(PELICAN_WIDE_TIERS)
+// The AVX-512 tier computes every branch of the port in each of 16
+// lanes and keeps, per lane, the one the scalar code would take. Lanes
+// that take no expm1f branch feed it 2.0 instead of their own value, so
+// a subnormal or non-finite input cannot slow the lanes beside it.
+
+// Every lane. GCC 12's unmasked forms of some intrinsics (cvttps2dq,
+// cvtdq2ps, the shifts) pass an uninitialized _mm512_undefined_*()
+// source and warn under -Wall; their maskz forms over every lane
+// compile to the same unmasked instructions.
+constexpr __mmask16 kAllLanes = 0xffff;
+
+[[gnu::target("avx512f")]] inline __m512i SplatI(std::uint32_t v) {
+  return _mm512_set1_epi32(static_cast<std::int32_t>(v));
+}
+[[gnu::target("avx512f")]] inline __m512 SplatF(float v) {
+  return _mm512_set1_ps(v);
+}
+[[gnu::target("avx512f")]] inline __m512 AddExponent(__m512 y, __m512i k23) {
+  return _mm512_castsi512_ps(_mm512_add_epi32(_mm512_castps_si512(y), k23));
+}
+
+[[gnu::target("avx512f")]] __m512 Expm1ForTanhAvx512(__m512 x) {
+  const __m512i hx = _mm512_and_si512(_mm512_castps_si512(x),
+                                      SplatI(0x7fffffffU));
+  const __mmask16 neg = _mm512_cmp_ps_mask(x, _mm512_setzero_ps(),
+                                           _CMP_LT_OQ);
+  const __mmask16 reduce = _mm512_cmpgt_epi32_mask(hx, SplatI(0x3eb17218U));
+  const __mmask16 near = _mm512_cmplt_epi32_mask(hx, SplatI(0x3f851592U));
+  const __mmask16 tiny = _mm512_cmplt_epi32_mask(hx, SplatI(0x33000000U));
+
+  // Reduction: the general k, then k = −1 where |x| < 1.5·ln2; lanes
+  // that skip it keep x, c = 0 and k = 0.
+  const __m512 half = _mm512_mask_blend_ps(neg, SplatF(0.5F), SplatF(-0.5F));
+  __m512i k = _mm512_maskz_cvttps_epi32(
+      kAllLanes, _mm512_add_ps(_mm512_mul_ps(SplatF(kInvLn2), x), half));
+  const __m512 tk = _mm512_maskz_cvtepi32_ps(kAllLanes, k);
+  __m512 hi = _mm512_sub_ps(x, _mm512_mul_ps(tk, SplatF(kLn2Hi)));
+  __m512 lo = _mm512_mul_ps(tk, SplatF(kLn2Lo));
+  hi = _mm512_mask_mov_ps(hi, near, _mm512_add_ps(x, SplatF(kLn2Hi)));
+  lo = _mm512_mask_mov_ps(lo, near, SplatF(-kLn2Lo));
+  k = _mm512_mask_mov_epi32(k, near, SplatI(0xffffffffU));
+  const __m512 xr = _mm512_sub_ps(hi, lo);
+  const __m512 c = _mm512_maskz_mov_ps(
+      reduce, _mm512_sub_ps(_mm512_sub_ps(hi, xr), lo));
+  x = _mm512_mask_mov_ps(x, reduce, xr);
+  k = _mm512_maskz_mov_epi32(reduce, k);
+
+  const __m512 hfx = _mm512_mul_ps(SplatF(0.5F), x);
+  const __m512 hxs = _mm512_mul_ps(x, hfx);
+  __m512 r1 = _mm512_add_ps(SplatF(kQ4), _mm512_mul_ps(hxs, SplatF(kQ5)));
+  r1 = _mm512_add_ps(SplatF(kQ3), _mm512_mul_ps(hxs, r1));
+  r1 = _mm512_add_ps(SplatF(kQ2), _mm512_mul_ps(hxs, r1));
+  r1 = _mm512_add_ps(SplatF(kQ1), _mm512_mul_ps(hxs, r1));
+  r1 = _mm512_add_ps(SplatF(1.0F), _mm512_mul_ps(hxs, r1));
+  const __m512 t = _mm512_sub_ps(SplatF(3.0F), _mm512_mul_ps(r1, hfx));
+  __m512 e = _mm512_mul_ps(
+      hxs, _mm512_div_ps(_mm512_sub_ps(r1, t),
+                         _mm512_sub_ps(SplatF(6.0F), _mm512_mul_ps(x, t))));
+  const __m512 if_k0 =
+      _mm512_sub_ps(x, _mm512_sub_ps(_mm512_mul_ps(x, e), hxs));
+  e = _mm512_sub_ps(_mm512_mul_ps(x, _mm512_sub_ps(e, c)), c);
+  e = _mm512_sub_ps(e, hxs);
+  const __m512 if_km1 = _mm512_sub_ps(
+      _mm512_mul_ps(SplatF(0.5F), _mm512_sub_ps(x, e)), SplatF(0.5F));
+  const __m512i k23 = _mm512_maskz_slli_epi32(kAllLanes, k, 23);
+  const __m512 e_minus_x = _mm512_sub_ps(e, x);
+  const __m512 if_far = _mm512_sub_ps(
+      AddExponent(_mm512_sub_ps(SplatF(1.0F), e_minus_x), k23), SplatF(1.0F));
+  const __m512 one_minus = _mm512_castsi512_ps(_mm512_sub_epi32(
+      SplatI(0x3f800000U),
+      _mm512_maskz_srlv_epi32(kAllLanes, SplatI(0x1000000U), k)));
+  const __m512 if_lt23 = AddExponent(_mm512_sub_ps(one_minus, e_minus_x), k23);
+  const __m512 pow2 = _mm512_castsi512_ps(
+      _mm512_maskz_slli_epi32(kAllLanes, _mm512_sub_epi32(SplatI(0x7fU), k),
+                              23));
+  const __m512 if_mid = AddExponent(
+      _mm512_add_ps(_mm512_sub_ps(x, _mm512_add_ps(e, pow2)), SplatF(1.0F)),
+      k23);
+
+  const __mmask16 far = _mm512_cmple_epi32_mask(k, SplatI(0xfffffffeU)) |
+                        _mm512_cmpgt_epi32_mask(k, SplatI(56U));
+  __m512 r = _mm512_mask_mov_ps(
+      if_mid, _mm512_cmplt_epi32_mask(k, SplatI(23U)), if_lt23);
+  r = _mm512_mask_mov_ps(r, far, if_far);
+  r = _mm512_mask_mov_ps(r, _mm512_cmpeq_epi32_mask(k, SplatI(0xffffffffU)),
+                         if_km1);
+  r = _mm512_mask_mov_ps(r, _mm512_cmpeq_epi32_mask(k, _mm512_setzero_si512()),
+                         if_k0);
+  return _mm512_mask_mov_ps(r, tiny, x);
+}
+
+[[gnu::target("avx512f")]] __m512 TanhAvx512Lanes(__m512 x) {
+  const __m512i jx = _mm512_castps_si512(x);
+  const __m512i sign = _mm512_and_si512(jx, SplatI(0x80000000U));
+  const __m512i ix = _mm512_and_si512(jx, SplatI(0x7fffffffU));
+  const __mmask16 nonfinite = _mm512_cmpge_epi32_mask(ix, SplatI(0x7f800000U));
+  const __mmask16 tiny = _mm512_cmplt_epi32_mask(ix, SplatI(0x24000000U));
+  const __mmask16 saturated = _mm512_cmpge_epi32_mask(ix, SplatI(0x41b00000U));
+  const __mmask16 big = _mm512_cmpge_epi32_mask(ix, SplatI(0x3f800000U));
+  const auto expm1_lanes =
+      static_cast<__mmask16>(~(nonfinite | tiny | saturated));
+
+  const __m512 ax = _mm512_castsi512_ps(ix);
+  const __m512 arg = _mm512_mask_blend_ps(
+      big, _mm512_mul_ps(SplatF(-2.0F), ax), _mm512_mul_ps(SplatF(2.0F), ax));
+  const __m512 t = Expm1ForTanhAvx512(
+      _mm512_mask_mov_ps(SplatF(2.0F), expm1_lanes, arg));
+  // One divide serves both formulas: 2/(t+2) where |x| ≥ 1, −t/(t+2)
+  // below.
+  const __m512 neg_t = _mm512_castsi512_ps(
+      _mm512_xor_si512(_mm512_castps_si512(t), SplatI(0x80000000U)));
+  const __m512 q = _mm512_div_ps(_mm512_mask_blend_ps(big, neg_t, SplatF(2.0F)),
+                                 _mm512_add_ps(t, SplatF(2.0F)));
+  __m512 z = _mm512_mask_blend_ps(big, q, _mm512_sub_ps(SplatF(1.0F), q));
+  z = _mm512_mask_mov_ps(z, saturated, SplatF(1.0F));
+  z = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(z), sign));
+  z = _mm512_mask_mov_ps(
+      z, tiny, _mm512_mul_ps(x, _mm512_add_ps(SplatF(1.0F), x)));
+  if (nonfinite != 0) {
+    const __m512 inv = _mm512_div_ps(SplatF(1.0F), x);
+    const __mmask16 neg =
+        _mm512_cmpneq_epi32_mask(sign, _mm512_setzero_si512());
+    z = _mm512_mask_mov_ps(
+        z, nonfinite,
+        _mm512_mask_blend_ps(neg, _mm512_add_ps(inv, SplatF(1.0F)),
+                             _mm512_sub_ps(inv, SplatF(1.0F))));
+  }
+  return z;
+}
+
+[[gnu::target("avx512f")]] void TanhAvx512(const float* x, float* y,
+                                          std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(y + i, TanhAvx512Lanes(_mm512_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const auto tail = static_cast<__mmask16>((1U << (n - i)) - 1U);
+    _mm512_mask_storeu_ps(y + i, tail,
+                          TanhAvx512Lanes(_mm512_maskz_loadu_ps(tail, x + i)));
+  }
+}
+#endif
+
+void TanhOn(Isa isa, const float* x, float* y, std::int64_t n) {
+#if defined(PELICAN_WIDE_TIERS)
+  if (isa == Isa::kAvx512) {
+    TanhAvx512(x, y, n);
+    return;
+  }
+#endif
+  (void)isa;
+  TanhBase(x, y, n);
+}
+
 }  // namespace
 
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
@@ -646,6 +880,35 @@ void GemmInt8(std::int64_t m, std::int64_t n, std::int64_t k,
               std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
               bool accumulate) {
   GemmInt8On(Selected().int8, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+}
+
+float Tanh(float x) {
+  const std::uint32_t jx = BitsOf(x);
+  const std::uint32_t ix = jx & 0x7fffffffU;
+  const bool neg = (jx >> 31) != 0;
+  if (ix >= 0x7f800000U) return neg ? 1.0F / x - 1.0F : 1.0F / x + 1.0F;
+  if (ix < 0x24000000U) return x * (1.0F + x);  // |x| < 2^-55, ±0 included
+  float z = 1.0F;  // |x| ≥ 22; fdlibm's 1 − 1e-30 rounds to 1
+  if (ix < 0x41b00000U) {
+    if (ix >= 0x3f800000U) {  // |x| ≥ 1
+      const float t = Expm1ForTanh(2.0F * std::fabs(x));
+      z = 1.0F - 2.0F / (t + 2.0F);
+    } else {
+      const float t = Expm1ForTanh(-2.0F * std::fabs(x));
+      z = -t / (t + 2.0F);
+    }
+  }
+  return neg ? -z : z;
+}
+
+void Tanh(const float* x, float* y, std::int64_t n) {
+  TanhOn(Selected().fp32, x, y, n);
+}
+
+void TanhWith(Isa isa, const float* x, float* y, std::int64_t n) {
+  PELICAN_CHECK(HostRuns(isa, false), "tanh tier " + TierName(isa, false) +
+                                          " is not supported on this host");
+  TanhOn(isa, x, y, n);
 }
 
 std::string TierName(Isa isa, bool int8) {

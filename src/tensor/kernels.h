@@ -1,4 +1,5 @@
-// pelican::kernels — the compute layer every hot matmul routes through.
+// pelican::kernels — the compute layer: every hot matmul, and the tanh
+// that ends each GRU step, route through it.
 //
 // A register-blocked, cache-tiled GEMM in the BLIS/GotoBLAS style, fp32
 // and int8 (int32 sums). The micro-kernel tier is picked once, at first
@@ -20,6 +21,10 @@
 // exact. Results may differ from a naive ascending-k loop in last-bit
 // rounding (panel sums are formed in registers before being added to C),
 // which the gradient tests tolerate.
+//
+// Tanh follows the same contract: its base tier is a port of fdlibm's
+// tanhf, its AVX-512 tier runs the port's steps in 16 lanes, and both
+// write the port's bytes on any host, whatever its libm.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +96,16 @@ void GemmInt8(std::int64_t m, std::int64_t n, std::int64_t k,
               std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
               bool accumulate);
 
+// tanh(x) as fdlibm's tanhf computes it (over its 5-term expm1f, with
+// no fused multiply-add), so the bytes depend on no libm; glibc 2.36's
+// tanhf gives the same bytes for every float. NaN in gives NaN out.
+float Tanh(float x);
+
+// y[i] = Tanh(x[i]) for i in [0, n), on the fp32 tier (AVX-512F: 16
+// lanes at a time; otherwise the scalar port). y may be x (in place);
+// otherwise the two must not overlap.
+void Tanh(const float* x, float* y, std::int64_t n);
+
 // The tiers Gemm and GemmInt8 run on this host, e.g.
 // "fp32 avx512 8x32, int8 avx512-vnni 8x32".
 std::string IsaName();
@@ -100,7 +115,8 @@ std::string IsaName();
 std::string TierName(Isa isa, bool int8);
 
 // Test and bench seam, not a user option. The tiers this host can run,
-// narrowest first; the last one is what Gemm (int8: GemmInt8) runs.
+// narrowest first; the last one is what Gemm and Tanh (int8: GemmInt8)
+// run.
 std::vector<Isa> SupportedIsas(bool int8);
 
 // Gemm / GemmInt8 on a given tier, which must be in SupportedIsas.
@@ -112,5 +128,8 @@ void GemmInt8With(Isa isa, std::int64_t m, std::int64_t n, std::int64_t k,
                   const std::int8_t* a, std::int64_t lda,
                   const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
                   std::int64_t ldc, bool accumulate);
+
+// Tanh on a given tier, which must be in SupportedIsas(false).
+void TanhWith(Isa isa, const float* x, float* y, std::int64_t n);
 
 }  // namespace pelican::kernels

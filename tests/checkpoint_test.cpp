@@ -1,8 +1,9 @@
 // Crash-safety tests: CRC32 integrity, atomic writes, the
 // fault-injection harness, checksummed weight files (and their
 // rejection of non-finite weights), checkpoint/resume
-// (bit-for-bit equivalence with an uninterrupted run) and the
-// divergence guard's NaN-loss recovery.
+// (bit-for-bit equivalence with an uninterrupted run; a rejected
+// checkpoint writes nothing) and the divergence guard's NaN-loss
+// recovery.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,6 +24,7 @@
 #include "models/zoo.h"
 #include "nn/batchnorm.h"
 #include "nn/gru.h"
+#include "optim/optimizer.h"
 
 namespace pelican {
 namespace {
@@ -426,6 +428,73 @@ TEST(Checkpoint, ResumeWithEmptyDirStartsFresh) {
   const auto history = trainer.Fit(toy.x, toy.y);
   EXPECT_EQ(history.size(), 2U);
   EXPECT_EQ(history.front().epoch, 1);
+}
+
+// A checkpoint LoadLatest rejects must write nothing: before, a file
+// whose optimizer did not match had already overwritten the weights,
+// and Fit then "started fresh" from them.
+TEST(Checkpoint, RejectedOptimizerMismatchLeavesWeightsUntouched) {
+  const auto dir = MakeTempDir("reject_optimizer");
+  Rng rng_a(7);
+  auto net_a = models::BuildMlp(6, 3, rng_a, 16);
+  auto rmsprop = optim::MakeOptimizer("rmsprop", 1e-3F);
+  rmsprop->Attach(net_a->Params());
+  core::Checkpointer ckpt({.dir = dir});
+  core::CheckpointState saved;
+  saved.epoch = 3;
+  ckpt.Save(*net_a, *rmsprop, saved);
+
+  Rng rng_b(8);
+  auto net_b = models::BuildMlp(6, 3, rng_b, 16);
+  auto adam = optim::MakeOptimizer("adam", 1e-3F);
+  adam->Attach(net_b->Params());
+  const auto before = FlattenParams(*net_b);
+  ASSERT_NE(before, FlattenParams(*net_a));
+  core::CheckpointState state;
+  state.epoch = 42;
+
+  EXPECT_FALSE(ckpt.LoadLatest(*net_b, *adam, &state));
+  const auto after = FlattenParams(*net_b);
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                        before.size() * sizeof(float)),
+            0)
+      << "a rejected checkpoint overwrote the weights";
+  EXPECT_EQ(state.epoch, 42);
+  EXPECT_EQ(adam->ScalarState(), std::vector<std::int64_t>{0});
+}
+
+// A CRC-valid checkpoint holding a NaN weight is rejected as LoadWeights
+// rejects one, naming the tensor, and LoadLatest falls back to the
+// snapshot before it.
+TEST(Checkpoint, NonFiniteWeightRejectedAndOlderSnapshotLoaded) {
+  const auto dir = MakeTempDir("reject_nonfinite");
+  Rng rng(7);
+  nn::Sequential net;
+  net.Add(std::make_unique<nn::Gru>(4, 4, rng));
+  auto optimizer = optim::MakeOptimizer("rmsprop", 1e-3F);
+  optimizer->Attach(net.Params());
+  core::Checkpointer ckpt({.dir = dir});
+  core::CheckpointState state;
+  state.epoch = 1;
+  ckpt.Save(net, *optimizer, state);
+  const auto epoch1 = FlattenParams(net);
+  for (auto& p : net.Params()) p.value->Fill(0.25F);
+  state.epoch = 2;
+  const auto newest = ckpt.Save(net, *optimizer, state);
+  PoisonFirstFloat(newest, "gru.uz", std::numeric_limits<float>::quiet_NaN());
+
+  core::CheckpointState loaded;
+  try {
+    core::Checkpointer::LoadFile(newest, net, *optimizer, &loaded);
+    ADD_FAILURE() << "NaN in gru.uz was not rejected";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("gru.uz"), std::string::npos)
+        << "error does not name the tensor: " << e.what();
+  }
+  ASSERT_TRUE(ckpt.LoadLatest(net, *optimizer, &loaded));
+  EXPECT_EQ(loaded.epoch, 1);
+  EXPECT_EQ(FlattenParams(net), epoch1);
 }
 
 // ---- divergence guard ------------------------------------------------------

@@ -4,13 +4,18 @@
 // host runs with the SSE2 tier, bit-equality of the unpacked small-m
 // path with the packed one (fp32 and int8), the NaN-poisoning
 // regression for the removed zero-skip branches, bit-identical results
-// across thread counts through the GEMM-backed Conv1D/GRU layers, and
-// the thread-local Workspace arena.
+// across thread counts through the GEMM-backed Conv1D/GRU layers, every
+// tanh tier against the scalar fdlibm port (and the port against
+// std::tanh), and the thread-local Workspace arena.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <climits>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -476,6 +481,178 @@ TEST(Kernels, GruBitIdenticalForOneVsFourThreads) {
         return std::make_unique<nn::Gru>(8, 10, rng);
       },
       x);
+}
+
+// ---- tanh --------------------------------------------------------------
+
+std::uint32_t BitsOf(float x) { return std::bit_cast<std::uint32_t>(x); }
+float FloatOf(std::uint32_t u) { return std::bit_cast<float>(u); }
+
+// The base tanh tier loops the scalar port, which each test also calls
+// element by element as the reference.
+std::string TanhTierName(kernels::Isa isa) {
+  return isa == kernels::Isa::kSse2 ? "scalar port" : "avx512";
+}
+
+// The tanh tiers this host runs, printed as the GEMM tests print theirs.
+std::vector<kernels::Isa> TanhTiersOnThisHost() {
+  const auto tiers = kernels::SupportedIsas(/*int8=*/false);
+  std::string names;
+  for (const auto isa : tiers) names += " [" + TanhTierName(isa) + "]";
+  std::printf("tanh tiers run:%s\n", names.c_str());
+  return tiers;
+}
+
+// Every tier on xs must write the scalar port's bytes; a NaN input
+// must give NaN (its payload is not compared).
+void ExpectTanhTiersWritePortBytes(const std::vector<kernels::Isa>& tiers,
+                                   const std::vector<float>& xs) {
+  const auto n = static_cast<std::int64_t>(xs.size());
+  std::vector<float> got(xs.size());
+  for (const auto isa : tiers) {
+    kernels::TanhWith(isa, xs.data(), got.data(), n);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const float want = kernels::Tanh(xs[i]);
+      if (std::isnan(xs[i])) {
+        ASSERT_TRUE(std::isnan(want)) << std::hexfloat << xs[i];
+        ASSERT_TRUE(std::isnan(got[i]))
+            << TanhTierName(isa) << " " << std::hexfloat << xs[i];
+        continue;
+      }
+      ASSERT_EQ(BitsOf(got[i]), BitsOf(want))
+          << TanhTierName(isa) << " x=" << std::hexfloat << xs[i] << " got "
+          << got[i] << " want " << want;
+    }
+  }
+}
+
+// Distance in representable floats between two non-NaN values.
+std::int64_t UlpDistance(float a, float b) {
+  const auto ordered = [](float f) {
+    const auto i = static_cast<std::int64_t>(std::bit_cast<std::int32_t>(f));
+    return i < 0 ? std::int64_t{INT32_MIN} - i : i;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+// Every stride-th bit pattern of all 2^32, in chunks: every tier must
+// write the port's bytes, and the port must stay within 2 ulp of
+// std::tanh. The port is the algorithm glibc's tanhf runs, so glibc
+// 2.36 reads 0 ulp; the bound only admits a libm that rounds
+// differently.
+void SweepTanhBitPatterns(std::uint64_t stride) {
+  const auto tiers = TanhTiersOnThisHost();
+  constexpr std::size_t kChunk = 1 << 16;
+  constexpr std::uint64_t kEnd = std::uint64_t{1} << 32;
+  std::vector<float> xs;
+  xs.reserve(kChunk);
+  std::int64_t worst_ulp = 0;
+  for (std::uint64_t u = 0; u < kEnd; u += stride) {
+    xs.push_back(FloatOf(static_cast<std::uint32_t>(u)));
+    if (xs.size() == kChunk || u + stride >= kEnd) {
+      ExpectTanhTiersWritePortBytes(tiers, xs);
+      if (::testing::Test::HasFatalFailure()) return;
+      for (const float x : xs) {
+        if (std::isnan(x)) continue;
+        worst_ulp = std::max(
+            worst_ulp, UlpDistance(kernels::Tanh(x), std::tanh(x)));
+      }
+      xs.clear();
+    }
+  }
+  std::printf("tanh port vs std::tanh: worst %lld ulp\n",
+              static_cast<long long>(worst_ulp));
+  EXPECT_LE(worst_ulp, 2);
+}
+
+// Every 257th bit pattern (about 2^24 values: every exponent and sign,
+// with varied low mantissa bits), well under a second.
+TEST(KernelsTanh, EveryTierWritesPortBytesOnStridedSweep) {
+  SweepTanhBitPatterns(257);
+}
+
+// All 2^32 floats, about 3.5 minutes on one core, so out of the default
+// run: kernels_test --gtest_also_run_disabled_tests
+//   --gtest_filter='KernelsTanh.DISABLED_*'
+TEST(KernelsTanh, DISABLED_EveryTierWritesPortBytesOnAllFloats) {
+  SweepTanhBitPatterns(1);
+}
+
+// ±64 floats around every branch edge of the port, both signs: tanhf's
+// 2^-55, 1 and 22, and expm1f's, at half the argument tanhf passes it:
+// 2^-25, 0.5·ln2 and 1.5·ln2 (reduction), 27·ln2 (its large-argument
+// filter), and where k = trunc(x/ln2 ± 0.5) crosses −2/−3, 22/23 and
+// 56/57.
+TEST(KernelsTanh, EveryTierWritesPortBytesAtBranchEdges) {
+  const auto tiers = TanhTiersOnThisHost();
+  const float ln2 = 0.693147180559945F;
+  const float edges[] = {0x1p-55F,      0.5F * 0x1p-25F,    0.25F * ln2,
+                         0.75F * ln2,   1.0F,               1.25F * ln2,
+                         11.25F * ln2,  13.5F * ln2,        28.25F * ln2,
+                         22.0F,         0.5F * FloatOf(0x3eb17218U),
+                         0.5F * FloatOf(0x3f851592U),
+                         0.5F * FloatOf(0x4195b844U)};
+  std::vector<float> xs;
+  for (const float edge : edges) {
+    for (std::int32_t d = -64; d <= 64; ++d) {
+      const float x = FloatOf(BitsOf(edge) + static_cast<std::uint32_t>(d));
+      xs.push_back(x);
+      xs.push_back(-x);
+    }
+  }
+  ExpectTanhTiersWritePortBytes(tiers, xs);
+}
+
+TEST(KernelsTanh, EveryTierKeepsSignedZerosSubnormalsInfinitiesAndNaN) {
+  const auto tiers = TanhTiersOnThisHost();
+  const float denorm_min = std::numeric_limits<float>::denorm_min();
+  const float norm_min = std::numeric_limits<float>::min();
+  std::vector<float> xs = {0.0F,       -0.0F,     denorm_min, -denorm_min,
+                           FloatOf(0x00400000U),  FloatOf(0x807fffffU),
+                           norm_min,   -norm_min, kInf,       -kInf,
+                           kNaN,       -kNaN,     FloatOf(0x7f800001U),
+                           FloatOf(0xffc00123U),  22.0F,      -1e30F};
+  ExpectTanhTiersWritePortBytes(tiers, xs);
+  // What those bytes are: tanh keeps ±0 and subnormals, saturates at ±1.
+  for (const float x : {0.0F, -0.0F, denorm_min, -denorm_min, norm_min}) {
+    EXPECT_EQ(BitsOf(kernels::Tanh(x)), BitsOf(x)) << std::hexfloat << x;
+  }
+  EXPECT_EQ(kernels::Tanh(kInf), 1.0F);
+  EXPECT_EQ(kernels::Tanh(-kInf), -1.0F);
+  EXPECT_EQ(kernels::Tanh(22.0F), 1.0F);
+  EXPECT_TRUE(std::isnan(kernels::Tanh(kNaN)));
+}
+
+// Lengths 1–33 cover a masked tail after 0, 1 and 2 full vectors. Input
+// and output start one float into their buffers (unaligned), the
+// floats after y[n) must stay untouched, and y may alias x.
+TEST(KernelsTanh, EveryTierHandlesEveryLengthAndInPlace) {
+  const auto tiers = TanhTiersOnThisHost();
+  Rng rng(31);
+  const auto src = RandomVec(34, rng);
+  constexpr float kGuard = 12345.0F;
+  for (const auto isa : tiers) {
+    for (std::int64_t n = 1; n <= 33; ++n) {
+      const auto un = static_cast<std::size_t>(n);
+      std::vector<float> x_buf(src.begin(), src.begin() + 1 + n);
+      std::vector<float> y_buf(un + 9, kGuard);
+      float* x = x_buf.data() + 1;
+      float* y = y_buf.data() + 1;
+      kernels::TanhWith(isa, x, y, n);
+      for (std::size_t i = 0; i < un; ++i) {
+        ASSERT_EQ(BitsOf(y[i]), BitsOf(kernels::Tanh(x[i])))
+            << TanhTierName(isa) << " n=" << n << " i=" << i;
+      }
+      ASSERT_EQ(y_buf[0], kGuard) << TanhTierName(isa) << " wrote before y";
+      for (std::size_t i = un; i < un + 8; ++i) {
+        ASSERT_EQ(y[i], kGuard) << TanhTierName(isa) << " wrote past n=" << n;
+      }
+      kernels::TanhWith(isa, x, x, n);
+      ASSERT_EQ(std::memcmp(x, y, un * sizeof(float)), 0)
+          << TanhTierName(isa) << " in place, n=" << n;
+    }
+  }
 }
 
 TEST(Workspace, AllocationsAre64ByteAligned) {

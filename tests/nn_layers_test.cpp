@@ -6,9 +6,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "models/pelican.h"
 #include "nn/nn.h"
@@ -60,6 +62,44 @@ TEST(Activation, ReluForward) {
   EXPECT_EQ(y.At(1), 0.0F);
   EXPECT_EQ(y.At(2), 0.0F);
   EXPECT_EQ(y.At(3), 3.0F);
+}
+
+// The layer's maps give the bytes of the scalar formulas, on the
+// values where a vectorized ReLU could differ: NaN and -0 map to +0.
+// 33 elements run full vectors and a tail. Tanh runs kernels::Tanh
+// over the whole tensor, which must match the per-element port.
+TEST(Activation, ReluAndTanhBytesMatchScalarFormulas) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {nan, -nan, 0.0F, -0.0F, inf, -inf, sub,
+                            -sub, 1e-39F, -1e-39F, 1.0F, -1.0F};
+  std::vector<float> values;
+  for (int i = 0; i < 33; ++i) {
+    values.push_back(specials[static_cast<std::size_t>(i) %
+                              std::size(specials)]);
+  }
+  const auto x = Tensor::FromVector({3, 11}, values);
+
+  nn::ActivationLayer relu(nn::Activation::kRelu);
+  const Tensor y_relu = relu.Forward(x, false);
+  nn::ActivationLayer tanh_layer(nn::Activation::kTanh);
+  const Tensor y_tanh = tanh_layer.Forward(x, false);
+  for (std::int64_t i = 0; i < x.size(); ++i) {
+    const float got_relu = y_relu[i];
+    const float want_relu = x[i] > 0.0F ? x[i] : 0.0F;
+    EXPECT_EQ(std::memcmp(&got_relu, &want_relu, sizeof(float)), 0)
+        << "relu at " << i << " x=" << x[i];
+    const float got_tanh = y_tanh[i];
+    const float want_tanh = nn::TanhF(x[i]);
+    if (std::isnan(x[i])) {
+      EXPECT_TRUE(std::isnan(got_tanh)) << "tanh at " << i;
+    } else {
+      EXPECT_EQ(std::memcmp(&got_tanh, &want_tanh, sizeof(float)), 0)
+          << "tanh at " << i << " x=" << x[i];
+    }
+  }
+  EXPECT_TRUE(SameBytes(relu.Forward(x, true), y_relu));
 }
 
 TEST(Activation, HardSigmoidClips) {
@@ -139,6 +179,31 @@ TEST(MaxPool, BackwardRoutesToArgmaxOnly) {
   EXPECT_FLOAT_EQ(dx[1], 10.0F);
   EXPECT_FLOAT_EQ(dx[2], 20.0F);
   EXPECT_FLOAT_EQ(dx[3], 0.0F);
+}
+
+// Score takes row-wise maxima; the training pass keeps its argmax
+// loop. Both must give the same bytes, at L = 1 (a row copy), at a
+// whole window and with a dropped remainder, over ties (including -0
+// against +0) and NaNs in first and later rows.
+TEST(MaxPool, ScoreMatchesArgmaxTrainingPassWithTiesAndNaN) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float pool_values[] = {1.0F, 1.0F, 2.0F, -0.0F, 0.0F, nan, -1.0F};
+  for (const std::int64_t pool_size : {2, 3}) {
+    for (const std::int64_t len : {1, 2, 5}) {
+      const std::int64_t n = 2, c = 6;
+      std::vector<float> values;
+      for (std::int64_t i = 0; i < n * len * c; ++i) {
+        values.push_back(pool_values[static_cast<std::size_t>(i * 5 + 3) %
+                                     std::size(pool_values)]);
+      }
+      const auto x = Tensor::FromVector({n, len, c}, values);
+      nn::MaxPool1D pool(pool_size);
+      const Tensor trained = pool.Forward(x, true);
+      const Tensor scored = pool.Forward(x, false);
+      EXPECT_TRUE(SameBytes(scored, trained))
+          << "pool " << pool_size << " L=" << len;
+    }
+  }
 }
 
 TEST(AvgPool, AveragesWindows) {
