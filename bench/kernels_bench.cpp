@@ -257,11 +257,6 @@ void BenchGru(std::int64_t n, std::int64_t len, std::int64_t units,
   }
 }
 
-// The tanh tier names: the base tier runs the scalar fdlibm port.
-std::string TanhTierName(kernels::Isa isa) {
-  return isa == kernels::Isa::kSse2 ? "scalar port" : "avx512";
-}
-
 // kernels::Tanh on every tier this host runs against the libm loop it
 // replaced in the GRU, over n N(0,1) values (1 thread: Tanh does not
 // shard). The gflops column reads G values/s for these rows.
@@ -282,7 +277,8 @@ void BenchTanh(std::int64_t n, std::vector<bench::BenchRow>& rows) {
   }
   for (const kernels::Isa isa : kernels::SupportedIsas(false)) {
     const double ns = TimeNs([&] { kernels::TanhWith(isa, xp, yp, n); });
-    rows.push_back({"tanh", shape, 1, ns, values / ns, TanhTierName(isa)});
+    rows.push_back(
+        {"tanh", shape, 1, ns, values / ns, kernels::TanhTierName(isa)});
   }
 }
 
@@ -342,7 +338,7 @@ int main(int argc, char** argv) {
   // Single-thread speedup summary per shape (dispatched kernel vs naive).
   const std::string dispatched = DispatchedTier();
   const std::string dispatched_tanh =
-      TanhTierName(kernels::SupportedIsas(false).back());
+      kernels::TanhTierName(kernels::SupportedIsas(false).back());
   for (const auto& naive : rows) {
     if (naive.op.find("_naive") == std::string::npos) continue;
     const std::string fast_op =

@@ -4,6 +4,29 @@
 
 namespace pelican::nn {
 
+void ApplyMap(Activation a, const float* x, float* y, std::int64_t n) {
+  // The kind is switched on once, outside the element loops, so each
+  // loop is a plain map (at -O3, ReLU becomes a vector compare and mask
+  // with no branch per element).
+  const auto map = [&](auto f) {
+    for (std::int64_t i = 0; i < n; ++i) y[i] = f(x[i]);
+  };
+  switch (a) {
+    case Activation::kRelu:
+      map([](float v) { return ReluF(v); });
+      break;
+    case Activation::kSigmoid:
+      map([](float v) { return SigmoidF(v); });
+      break;
+    case Activation::kTanh:
+      kernels::Tanh(x, y, n);
+      break;
+    case Activation::kHardSigmoid:
+      map([](float v) { return HardSigmoidF(v); });
+      break;
+  }
+}
+
 Tensor ActivationLayer::TrainForward(const Tensor& x) {
   y_ = Score(x, InferenceContext::ThisThread());
   return y_;
@@ -12,29 +35,7 @@ Tensor ActivationLayer::TrainForward(const Tensor& x) {
 Tensor ActivationLayer::Score(const Tensor& x,
                               InferenceContext& /*ctx*/) const {
   Tensor y(x.shape());
-  const float* xp = x.data().data();
-  float* yp = y.data().data();
-  const auto n = static_cast<std::size_t>(x.size());
-  // The kind is switched on once, outside the element loops, so each
-  // loop is a plain map (at -O3, ReLU becomes a vector compare and mask
-  // with no branch per element).
-  const auto map = [&](auto f) {
-    for (std::size_t i = 0; i < n; ++i) yp[i] = f(xp[i]);
-  };
-  switch (kind_) {
-    case Activation::kRelu:
-      map([](float v) { return ReluF(v); });
-      break;
-    case Activation::kSigmoid:
-      map([](float v) { return SigmoidF(v); });
-      break;
-    case Activation::kTanh:
-      kernels::Tanh(xp, yp, static_cast<std::int64_t>(n));
-      break;
-    case Activation::kHardSigmoid:
-      map([](float v) { return HardSigmoidF(v); });
-      break;
-  }
+  ApplyMap(kind_, x.data().data(), y.data().data(), x.size());
   return y;
 }
 

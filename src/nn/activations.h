@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 
 #include "nn/layer.h"
 #include "tensor/kernels.h"
@@ -36,15 +37,8 @@ inline float HardSigmoidGradFromY(float y) {
 
 enum class Activation { kRelu, kSigmoid, kTanh, kHardSigmoid };
 
-inline float Apply(Activation a, float x) {
-  switch (a) {
-    case Activation::kRelu: return ReluF(x);
-    case Activation::kSigmoid: return SigmoidF(x);
-    case Activation::kTanh: return TanhF(x);
-    case Activation::kHardSigmoid: return HardSigmoidF(x);
-  }
-  return x;
-}
+// y[i] = f(x[i]) over n elements for the activation's f; y may be x.
+void ApplyMap(Activation a, const float* x, float* y, std::int64_t n);
 
 // Generic elementwise activation layer.
 class ActivationLayer final : public Layer {

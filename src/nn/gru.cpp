@@ -14,15 +14,17 @@
 namespace pelican::nn {
 
 namespace {
-// Runs fn(i) for each row i in [0, n) of a gate loop, sharded by rows
-// of about 2^14 elements (a function of the shape only). Rows are
+// Runs fn(i) for each row i in [0, n) of `width` elements, sharded by
+// rows of about 2^14 elements (a function of the shape only). Rows are
 // independent, so the split cannot change a byte.
 template <typename Fn>
 void ParallelRows(std::int64_t n, std::int64_t width, Fn&& fn) {
+  const std::int64_t grain =
+      std::max<std::int64_t>(1, (1 << 14) / std::max<std::int64_t>(1, width));
   ParallelFor(
       0, static_cast<std::size_t>(n),
       [&](std::size_t i) { fn(static_cast<std::int64_t>(i)); },
-      static_cast<std::size_t>(std::max<std::int64_t>(1, (1 << 14) / width)));
+      static_cast<std::size_t>(grain));
 }
 }  // namespace
 
@@ -174,19 +176,12 @@ Tensor Gru::TrainForward(const Tensor& x) {
 
   Tensor y({n, len, h});
   float* yp = y.data().data();
-  ParallelFor(
-      0, static_cast<std::size_t>(n),
-      [&](std::size_t ui) {
-        const auto i = static_cast<std::int64_t>(ui);
-        for (std::int64_t t = 0; t < len; ++t) {
-          const float* hp =
-              hs_[static_cast<std::size_t>(t + 1)].data().data();
-          std::copy(hp + i * h, hp + (i + 1) * h, yp + (i * len + t) * h);
-        }
-      },
-      static_cast<std::size_t>(
-          std::max<std::int64_t>(1, (1 << 14) / std::max<std::int64_t>(
-                                        1, len * h))));
+  ParallelRows(n, len * h, [&](std::int64_t i) {
+    for (std::int64_t t = 0; t < len; ++t) {
+      const float* hp = hs_[static_cast<std::size_t>(t + 1)].data().data();
+      std::copy(hp + i * h, hp + (i + 1) * h, yp + (i * len + t) * h);
+    }
+  });
   return y;
 }
 

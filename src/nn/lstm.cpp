@@ -56,7 +56,7 @@ Tensor Gate(const Tensor& xt, const Tensor& w, const Tensor& hprev,
   Tensor g = MatMul(xt, w);
   MatMulAccum(hprev, u, g);
   AddRowBias(g, b);
-  for (auto& v : g.data()) v = Apply(act, v);
+  ApplyMap(act, g.data().data(), g.data().data(), g.size());
   return g;
 }
 }  // namespace

@@ -30,45 +30,35 @@ Tensor MaxPool1D::Pool(const Tensor& x,
   const std::int64_t out_len = OutputLength(len);
   const std::int64_t window = (len < pool_) ? len : pool_;
   Tensor y({n, out_len, c});
+  std::int64_t* am = nullptr;
+  if (argmax != nullptr) {
+    argmax->assign(static_cast<std::size_t>(y.size()), 0);
+    am = argmax->data();
+  }
   const float* xp = x.data().data();
   float* yp = y.data().data();
-  if (argmax == nullptr) {
-    // Row-wise channel maxima: the window's first row, then each later
-    // row replaces a value only where it is strictly greater — the
-    // argmax loop's comparisons in another order, so the same bytes
-    // (NaN included). At L = 1 this is a row copy.
-    for (std::int64_t in = 0; in < n; ++in) {
-      for (std::int64_t t = 0; t < out_len; ++t) {
-        const float* src = xp + (in * len + t * window) * c;
-        float* dst = yp + (in * out_len + t) * c;
-        std::copy_n(src, c, dst);
-        for (std::int64_t k = 1; k < window; ++k) {
-          const float* row = src + k * c;
-          for (std::int64_t ch = 0; ch < c; ++ch) {
-            if (row[ch] > dst[ch]) dst[ch] = row[ch];
-          }
-        }
-      }
-    }
-    return y;
-  }
-  argmax->assign(static_cast<std::size_t>(y.size()), 0);
+  // Row-wise channel maxima: the window's first row, then each later
+  // row replaces a value (and its argmax) only where it is strictly
+  // greater, so ties keep the first row and a NaN never wins, nor loses
+  // once it is held. At L = 1 this is a row copy.
   for (std::int64_t in = 0; in < n; ++in) {
     for (std::int64_t t = 0; t < out_len; ++t) {
-      const std::int64_t start = t * window;
-      for (std::int64_t ch = 0; ch < c; ++ch) {
-        std::int64_t best = (in * len + start) * c + ch;
-        float best_v = xp[best];
-        for (std::int64_t k = 1; k < window; ++k) {
-          const std::int64_t idx = (in * len + start + k) * c + ch;
-          if (xp[idx] > best_v) {
-            best_v = xp[idx];
-            best = idx;
+      const std::int64_t first = (in * len + t * window) * c;
+      const std::int64_t out = (in * out_len + t) * c;
+      float* dst = yp + out;
+      std::copy_n(xp + first, c, dst);
+      if (am != nullptr) {
+        for (std::int64_t ch = 0; ch < c; ++ch) am[out + ch] = first + ch;
+      }
+      for (std::int64_t k = 1; k < window; ++k) {
+        const std::int64_t base = first + k * c;
+        const float* row = xp + base;
+        for (std::int64_t ch = 0; ch < c; ++ch) {
+          if (row[ch] > dst[ch]) {
+            dst[ch] = row[ch];
+            if (am != nullptr) am[out + ch] = base + ch;
           }
         }
-        const std::int64_t out_idx = (in * out_len + t) * c + ch;
-        yp[out_idx] = best_v;
-        (*argmax)[static_cast<std::size_t>(out_idx)] = best;
       }
     }
   }

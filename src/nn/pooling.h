@@ -25,9 +25,8 @@ class MaxPool1D final : public Layer {
   [[nodiscard]] std::int64_t OutputLength(std::int64_t input_length) const;
 
  private:
-  // The pooling of both passes. With `argmax` (the training pass) it
-  // records the flat source index of each output element; without it
-  // (Score) it takes row-wise maxima, which give the same bytes.
+  // The pooling loop of both passes; fills `argmax` (the flat source
+  // index per output element) when non-null.
   Tensor Pool(const Tensor& x, std::vector<std::int64_t>* argmax) const;
 
   std::int64_t pool_;

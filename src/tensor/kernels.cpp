@@ -906,7 +906,7 @@ void Tanh(const float* x, float* y, std::int64_t n) {
 }
 
 void TanhWith(Isa isa, const float* x, float* y, std::int64_t n) {
-  PELICAN_CHECK(HostRuns(isa, false), "tanh tier " + TierName(isa, false) +
+  PELICAN_CHECK(HostRuns(isa, false), "tanh tier " + TanhTierName(isa) +
                                           " is not supported on this host");
   TanhOn(isa, x, y, n);
 }
@@ -920,6 +920,10 @@ std::string TierName(Isa isa, bool int8) {
   if (isa == Isa::kAvx512) name = int8 ? "avx512-vnni" : "avx512";
   const Tile t = TileOf(isa);
   return name + " " + std::to_string(t.mr) + "x" + std::to_string(t.nr);
+}
+
+std::string TanhTierName(Isa isa) {
+  return isa == Isa::kAvx512 ? "avx512" : "scalar port";
 }
 
 std::string IsaName() {

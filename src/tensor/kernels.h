@@ -114,6 +114,10 @@ std::string IsaName();
 // is "avx512-vnni".
 std::string TierName(Isa isa, bool int8);
 
+// The name of Tanh's tier on `isa`: the base tier runs the scalar port
+// ("scalar port"), the AVX-512 tier is "avx512".
+std::string TanhTierName(Isa isa);
+
 // Test and bench seam, not a user option. The tiers this host can run,
 // narrowest first; the last one is what Gemm and Tanh (int8: GemmInt8)
 // run.

@@ -38,6 +38,7 @@ namespace {
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+using kernels::TanhTierName;
 using testing::TileEdgeDims;
 using testing::WideTiersOnThisHost;
 
@@ -487,12 +488,6 @@ TEST(Kernels, GruBitIdenticalForOneVsFourThreads) {
 
 std::uint32_t BitsOf(float x) { return std::bit_cast<std::uint32_t>(x); }
 float FloatOf(std::uint32_t u) { return std::bit_cast<float>(u); }
-
-// The base tanh tier loops the scalar port, which each test also calls
-// element by element as the reference.
-std::string TanhTierName(kernels::Isa isa) {
-  return isa == kernels::Isa::kSse2 ? "scalar port" : "avx512";
-}
 
 // The tanh tiers this host runs, printed as the GEMM tests print theirs.
 std::vector<kernels::Isa> TanhTiersOnThisHost() {

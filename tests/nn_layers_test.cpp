@@ -169,41 +169,54 @@ TEST(MaxPool, SelectsMaxPerChannel) {
   EXPECT_FLOAT_EQ(y.At(0, 1, 1), 9.0F);
 }
 
-TEST(MaxPool, BackwardRoutesToArgmaxOnly) {
-  nn::MaxPool1D pool(2);
-  auto x = Tensor::FromVector({1, 4, 1}, {1, 8, 5, 2});
-  pool.Forward(x, true);
-  auto dy = Tensor::FromVector({1, 2, 1}, {10, 20});
-  auto dx = pool.Backward(dy);
-  EXPECT_FLOAT_EQ(dx[0], 0.0F);
-  EXPECT_FLOAT_EQ(dx[1], 10.0F);
-  EXPECT_FLOAT_EQ(dx[2], 20.0F);
-  EXPECT_FLOAT_EQ(dx[3], 0.0F);
+// Scores and trains `x` through MaxPool1D(pool_size) and checks the
+// bytes of both outputs (NaN payload and the sign of 0 included)
+// against `want_y`, then that Backward(dy) routes each gradient to the
+// argmax row alone, giving `want_dx`.
+void ExpectMaxPool(std::int64_t pool_size, const Tensor& x,
+                   const Tensor& want_y, const Tensor& dy,
+                   const Tensor& want_dx) {
+  nn::MaxPool1D pool(pool_size);
+  EXPECT_TRUE(SameBytes(pool.Forward(x, false), want_y)) << "Score";
+  EXPECT_TRUE(SameBytes(pool.Forward(x, true), want_y)) << "training pass";
+  EXPECT_TRUE(SameBytes(pool.Backward(dy), want_dx)) << "Backward";
 }
 
-// Score takes row-wise maxima; the training pass keeps its argmax
-// loop. Both must give the same bytes, at L = 1 (a row copy), at a
-// whole window and with a dropped remainder, over ties (including -0
-// against +0) and NaNs in first and later rows.
-TEST(MaxPool, ScoreMatchesArgmaxTrainingPassWithTiesAndNaN) {
+TEST(MaxPool, BackwardRoutesToArgmaxOnly) {
+  ExpectMaxPool(2, Tensor::FromVector({1, 4, 1}, {1, 8, 5, 2}),
+                Tensor::FromVector({1, 2, 1}, {8, 5}),
+                Tensor::FromVector({1, 2, 1}, {10, 20}),
+                Tensor::FromVector({1, 4, 1}, {0, 10, 20, 0}));
+
+  // A tie keeps the window's first row (so -0 before +0 stays -0), a
+  // NaN in the first row is kept, and one in a later row never wins.
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  const float pool_values[] = {1.0F, 1.0F, 2.0F, -0.0F, 0.0F, nan, -1.0F};
-  for (const std::int64_t pool_size : {2, 3}) {
-    for (const std::int64_t len : {1, 2, 5}) {
-      const std::int64_t n = 2, c = 6;
-      std::vector<float> values;
-      for (std::int64_t i = 0; i < n * len * c; ++i) {
-        values.push_back(pool_values[static_cast<std::size_t>(i * 5 + 3) %
-                                     std::size(pool_values)]);
-      }
-      const auto x = Tensor::FromVector({n, len, c}, values);
-      nn::MaxPool1D pool(pool_size);
-      const Tensor trained = pool.Forward(x, true);
-      const Tensor scored = pool.Forward(x, false);
-      EXPECT_TRUE(SameBytes(scored, trained))
-          << "pool " << pool_size << " L=" << len;
-    }
-  }
+  const float inf = std::numeric_limits<float>::infinity();
+  // L = 5, pool 2: two windows of two rows; row 4 is dropped.
+  ExpectMaxPool(
+      2,
+      Tensor::FromVector({1, 5, 4}, {1, -0.0F, nan, 3,     //
+                                     1, 0.0F, 2, nan,      //
+                                     2, nan, -1, 0.0F,     //
+                                     2, 4, 5, -0.0F,       //
+                                     9, 9, 9, 9}),
+      Tensor::FromVector({1, 2, 4}, {1, -0.0F, nan, 3, 2, nan, 5, 0.0F}),
+      Tensor::FromVector({1, 2, 4}, {10, 20, 30, 40, 50, 60, 70, 80}),
+      Tensor::FromVector({1, 5, 4}, {10, 20, 30, 40,  //
+                                     0, 0, 0, 0,      //
+                                     50, 60, 0, 80,   //
+                                     0, 0, 70, 0,     //
+                                     0, 0, 0, 0}));
+  // L = 2 < pool 4: the whole sequence is one window.
+  ExpectMaxPool(4, Tensor::FromVector({1, 2, 2}, {nan, -0.0F, 7, 3}),
+                Tensor::FromVector({1, 1, 2}, {nan, 3}),
+                Tensor::FromVector({1, 1, 2}, {10, 20}),
+                Tensor::FromVector({1, 2, 2}, {10, 0, 0, 20}));
+  // L = 1: a row copy, and the gradient passes straight through.
+  const auto row =
+      Tensor::FromVector({2, 1, 3}, {-0.0F, nan, 1, 2, 0.0F, -inf});
+  const auto dy = Tensor::FromVector({2, 1, 3}, {1, 2, 3, 4, 5, 6});
+  ExpectMaxPool(2, row, row, dy, dy);
 }
 
 TEST(AvgPool, AveragesWindows) {
