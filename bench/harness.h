@@ -8,8 +8,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <vector>
 
+#include "common/check.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/core.h"
@@ -17,6 +20,7 @@
 #include "ml/ml.h"
 #include "models/pelican.h"
 #include "models/zoo.h"
+#include "obs/json.h"
 
 namespace pelican::bench {
 
@@ -169,11 +173,28 @@ inline TrackedRun RunTracked(const data::RawDataset& dataset,
   return run;
 }
 
-// ---- machine-readable kernel benchmarks ----------------------------------
+// ---- machine-readable bench output ----------------------------------------
+
+// Renders `rows` as a JSON array, one object per line.
+inline std::string JsonArray(const std::vector<obs::Json>& rows) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out += (i > 0 ? ",\n  " : "\n  ") + rows[i].Str();
+  }
+  return out + "\n]";
+}
+
+// Writes JsonArray(rows) to `path`; throws CheckError when it can't.
+inline void WriteJsonArray(const std::string& path,
+                           const std::vector<obs::Json>& rows) {
+  std::ofstream f(path);
+  PELICAN_CHECK(f.is_open(), "cannot write " + path);
+  f << JsonArray(rows) << '\n';
+}
+
 // Rows of BENCH_kernels.json, the perf-trajectory artifact emitted by
 // bench/kernels_bench: one entry per (op, shape, threads, GEMM tier)
 // with ns/iter and achieved GFLOP/s (GOP/s for int8).
-
 struct BenchRow {
   std::string op;     // "gemm_kernel", "gemm_naive", "conv1d_forward", …
   std::string shape;  // "m64_k196_n192", "n32_l1_c24_f24_k10", …
@@ -185,22 +206,18 @@ struct BenchRow {
 
 inline void WriteBenchJson(const std::string& path,
                            const std::vector<BenchRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "WriteBenchJson: cannot open %s\n", path.c_str());
-    return;
+  std::vector<obs::Json> out;
+  out.reserve(rows.size());
+  for (const BenchRow& r : rows) {
+    obs::Json& row = out.emplace_back();
+    row.Set("op", r.op)
+        .Set("shape", r.shape)
+        .Set("isa", r.isa)
+        .Set("threads", static_cast<std::uint64_t>(r.threads))
+        .Set("ns_per_iter", r.ns_per_iter)
+        .Set("gflops", r.gflops);
   }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& r = rows[i];
-    std::fprintf(f,
-                 "  {\"op\": \"%s\", \"shape\": \"%s\", \"isa\": \"%s\", "
-                 "\"threads\": %zu, \"ns_per_iter\": %.1f, \"gflops\": %.3f}%s\n",
-                 r.op.c_str(), r.shape.c_str(), r.isa.c_str(), r.threads,
-                 r.ns_per_iter, r.gflops, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
+  WriteJsonArray(path, out);
 }
 
 // Fixed-width table row printer (paper-style ASCII tables).

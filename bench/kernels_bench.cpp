@@ -2,6 +2,8 @@
 // Conv1D/GRU layers against the pre-PR scalar reference loops (preserved
 // here verbatim), at 1/2/4 threads, and writes the results to
 // BENCH_kernels.json so the repo's perf trajectory is machine-readable.
+// GRU and LSTM forward are also timed side by side at one shape: the
+// paper picks the GRU over the LSTM for its compute cost.
 // Every row names the GEMM tier that ran; the GEMM shapes are timed on
 // each tier this host runs (fp32 and int8) at 1 thread, and on the
 // dispatched tier at every thread count. kernels::Tanh is timed on each
@@ -25,6 +27,7 @@
 #include "harness.h"
 #include "nn/conv1d.h"
 #include "nn/gru.h"
+#include "nn/lstm.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
 
@@ -109,7 +112,7 @@ double TimeNs(Fn&& fn) {
   return best;
 }
 
-// RAII thread-count pin (mirrors the micro_layers ThreadGuard).
+// RAII thread-count pin.
 class ThreadGuard {
  public:
   explicit ThreadGuard(std::size_t n) : previous_(Threads()) { SetThreads(n); }
@@ -237,24 +240,41 @@ void BenchConv1D(std::int64_t n, std::int64_t len, std::int64_t channels,
   }
 }
 
-void BenchGru(std::int64_t n, std::int64_t len, std::int64_t units,
-              const std::vector<std::size_t>& threads,
-              std::vector<bench::BenchRow>& rows) {
+// Forward of a recurrent layer (nn::Gru or nn::Lstm): `gates` input
+// and `gates` recurrent GEMMs per step (GRU 3, LSTM 4).
+template <typename Recurrent>
+void BenchRecurrent(const char* op, int gates, std::int64_t n,
+                    std::int64_t len, std::int64_t units,
+                    const std::vector<std::size_t>& threads,
+                    std::vector<bench::BenchRow>& rows) {
   Rng rng(9);
-  nn::Gru gru(units, units, rng);
+  Recurrent layer(units, units, rng);
   const Tensor x = Tensor::RandomNormal({n, len, units}, rng, 0, 1);
   const std::string shape = "n" + std::to_string(n) + "_l" +
                             std::to_string(len) + "_h" +
                             std::to_string(units);
-  // 3 input + 3 recurrent GEMMs per step.
-  const double flops = 6.0 * static_cast<double>(n * len) *
+  const double flops = 2.0 * gates * static_cast<double>(n * len) *
                        static_cast<double>(units) *
                        static_cast<double>(units) * 2.0;
   for (std::size_t t : threads) {
     ThreadGuard guard(t);
-    const double ns = TimeNs([&] { gru.Forward(x, true); });
-    rows.push_back({"gru_forward", shape, t, ns, flops / ns, DispatchedTier()});
+    const double ns = TimeNs([&] { layer.Forward(x, true); });
+    rows.push_back({op, shape, t, ns, flops / ns, DispatchedTier()});
   }
+}
+
+void BenchGru(std::int64_t n, std::int64_t len, std::int64_t units,
+              const std::vector<std::size_t>& threads,
+              std::vector<bench::BenchRow>& rows) {
+  BenchRecurrent<nn::Gru>("gru_forward", 3, n, len, units, threads, rows);
+}
+
+// The GRU-vs-LSTM pair at one shape.
+void BenchGruVsLstm(std::int64_t n, std::int64_t len, std::int64_t units,
+                    const std::vector<std::size_t>& threads,
+                    std::vector<bench::BenchRow>& rows) {
+  BenchGru(n, len, units, threads, rows);
+  BenchRecurrent<nn::Lstm>("lstm_forward", 4, n, len, units, threads, rows);
 }
 
 // kernels::Tanh on every tier this host runs against the libm loop it
@@ -305,7 +325,7 @@ int main(int argc, char** argv) {
   if (smoke) {
     BenchGemm({16, 33, 17}, threads, rows);
     BenchConv1D(4, 3, 8, 5, threads, rows);
-    BenchGru(4, 2, 8, threads, rows);
+    BenchGruVsLstm(4, 2, 8, threads, rows);
     BenchTanh(37, rows);
   } else {
     // The ISSUE-3 acceptance shape, the paper's encoded widths, and a
@@ -313,12 +333,13 @@ int main(int argc, char** argv) {
     BenchGemm({64, 196, 192}, threads, rows);
     BenchGemm({64, 121, 363}, threads, rows);  // fused GRU panel, W=121
     BenchGemm({256, 256, 256}, threads, rows);
-    // micro_layers bench-default Conv1D shapes (N=32, L=1, K=10).
+    // Bench-default Conv1D shapes (N=32, L=1, K=10).
     BenchConv1D(32, 1, 24, 10, threads, rows);
     BenchConv1D(32, 1, 121, 10, threads, rows);
     BenchConv1D(64, 16, 64, 10, threads, rows);
     BenchGru(32, 1, 121, threads, rows);
     BenchGru(64, 8, 128, threads, rows);
+    BenchGruVsLstm(32, 4, 64, threads, rows);
     // One GRU step's candidate state at batch 64, NSL and UNSW widths.
     BenchTanh(64 * 121, rows);
     BenchTanh(64 * 196, rows);

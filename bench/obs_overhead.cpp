@@ -452,10 +452,10 @@ void WriteProfileJson(const std::string& path,
   out.Set("serve_plane_overhead_pct", plane.overhead_pct);
   out.Set("serve_plane_samples", plane.samples);
   out.Set("serve_verdicts_identical", plane.verdicts_identical);
-  std::string rows = "[";
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    const ProfilePoint& p = curve[i];
-    obs::Json row;
+  std::vector<obs::Json> rows;
+  rows.reserve(curve.size());
+  for (const ProfilePoint& p : curve) {
+    obs::Json& row = rows.emplace_back();
     row.Set("hz", p.hz);
     row.Set("overhead_pct", p.overhead_pct);
     row.Set("fit_cpu_seconds_off", p.cpu_off_seconds);
@@ -463,10 +463,8 @@ void WriteProfileJson(const std::string& path,
     row.Set("samples", p.samples);
     row.Set("dropped", p.dropped);
     row.Set("weights_identical", p.weights_identical);
-    rows += (i > 0 ? ", " : "") + row.Str();
   }
-  rows += "]";
-  out.SetRaw("curve", rows);
+  out.SetRaw("curve", JsonArray(rows));
   f << out.Str() << '\n';
 }
 
@@ -539,10 +537,7 @@ Measurement Measure(const Workload& w, const ServeFixture& sfx, int epochs,
                            !plane_off.replies.empty() &&
                            plane_off.replies == plane_on.replies;
   }
-  std::sort(pair_ratios.begin(), pair_ratios.end());
-  const double mid0 = pair_ratios[(pair_ratios.size() - 1) / 2];
-  const double mid1 = pair_ratios[pair_ratios.size() / 2];
-  m.plane_overhead_pct = 100.0 * ((mid0 + mid1) / 2.0 - 1.0);
+  m.plane_overhead_pct = 100.0 * (MedianRatio(pair_ratios) - 1.0);
   for (int r = 0; r < reps; ++r) {
     obs::ResetTrace();
     const FitResult off = FitOnce(w, epochs, false, run_log_path);

@@ -173,27 +173,23 @@ struct ServeRow {
 
 void WriteServeJson(const std::string& path,
                     const std::vector<ServeRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "WriteServeJson: cannot open %s\n", path.c_str());
-    return;
+  std::vector<obs::Json> out;
+  out.reserve(rows.size());
+  for (const ServeRow& r : rows) {
+    obs::Json& row = out.emplace_back();
+    row.Set("arm", r.arm)
+        .Set("clients", static_cast<std::uint64_t>(r.clients))
+        .Set("scorers", static_cast<std::uint64_t>(r.scorers))
+        .Set("profile_hz", r.profile_hz)
+        .Set("seconds", r.seconds)
+        .Set("flows_per_sec", r.flows_per_sec)
+        .Set("offered_per_sec", r.offered_per_sec)
+        .Set("p50_ms", r.p50_ms)
+        .Set("p99_ms", r.p99_ms)
+        .Set("shed_pct", r.shed_pct)
+        .Set("late_pct", r.late_pct);
   }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ServeRow& r = rows[i];
-    std::fprintf(f,
-                 "  {\"arm\": \"%s\", \"clients\": %zu, \"scorers\": %zu, "
-                 "\"profile_hz\": %d, \"seconds\": %.2f, "
-                 "\"flows_per_sec\": %.1f, \"offered_per_sec\": %.1f, "
-                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-                 "\"shed_pct\": %.2f, \"late_pct\": %.2f}%s\n",
-                 r.arm.c_str(), r.clients, r.scorers, r.profile_hz,
-                 r.seconds, r.flows_per_sec, r.offered_per_sec, r.p50_ms,
-                 r.p99_ms, r.shed_pct, r.late_pct,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
+  bench::WriteJsonArray(path, out);
 }
 
 double Quantile(std::vector<double>& values, double q) {

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
-#include <sstream>
+#include <string_view>
 
-#include "common/crc32.h"
 #include "common/file_io.h"
 #include "quant/quant_io.h"
 
@@ -14,19 +12,14 @@ namespace pelican::core {
 
 namespace {
 
-// `.pre` scaler sidecar, v1: magic + version header and a CRC32 footer
-// (same discipline as the PLCN v3 weight file). The original sidecar
-// was headerless raw bytes — a file truncated at a float boundary
-// loaded silently — so Load keeps a fallback parse for that legacy
-// layout but validates the statistics either way.
-constexpr char kPreMagic[4] = {'P', 'P', 'R', 'E'};
+// `.pre` scaler sidecar, v1, in the sealed envelope of common/file_io.h
+// (magic "PPRE"); payload: u64 width | f32 mean[width] |
+// f32 stddev[width]. The original sidecar was that payload alone,
+// headerless — a file truncated at a float boundary loaded silently —
+// so Load still reads that legacy layout, through the same reader
+// without the seal, and validates the size and statistics either way.
+constexpr std::string_view kPreMagic = "PPRE";
 constexpr std::uint32_t kPreVersion = 1;
-constexpr std::size_t kPreFooterSize = sizeof(std::uint32_t);
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
 
 // Fit guarantees finite statistics with stddev = √variance ≥ 0 (zero
 // for constant columns, which Transform maps to 0 via its epsilon
@@ -211,20 +204,12 @@ void PelicanIds::Save(const std::string& path) const {
 
   // Preprocessing statistics ride in a versioned, CRC-footered sidecar
   // written atomically — same durability discipline as the weights.
-  std::ostringstream out(std::ios::binary);
-  out.write(kPreMagic, sizeof(kPreMagic));
-  WritePod(out, kPreVersion);
   const auto d = static_cast<std::uint64_t>(scaler_.mean().size());
-  WritePod(out, d);
-  out.write(reinterpret_cast<const char*>(scaler_.mean().data().data()),
-            static_cast<std::streamsize>(d * sizeof(float)));
-  out.write(reinterpret_cast<const char*>(scaler_.stddev().data().data()),
-            static_cast<std::streamsize>(d * sizeof(float)));
-  PELICAN_CHECK(out.good(), "scaler serialization failed");
-  std::string bytes = std::move(out).str();
-  const std::uint32_t crc = Crc32Of(bytes);
-  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  AtomicWriteFile(path + ".pre", bytes);
+  ByteWriter out(kPreMagic, kPreVersion);
+  out.Put(d);
+  out.PutBytes(scaler_.mean().data().data(), d * sizeof(float));
+  out.PutBytes(scaler_.stddev().data().data(), d * sizeof(float));
+  out.Seal(path + ".pre");
 
   if (HasQuantizedParameters()) {
     std::vector<quant::LinearQuant*> ops;
@@ -240,57 +225,24 @@ void PelicanIds::Load(const std::string& path) {
 
   const std::string pre_path = path + ".pre";
   const std::string bytes = ReadFileBytes(pre_path);
-  const auto width = static_cast<std::uint64_t>(encoder_.EncodedWidth());
-  std::uint64_t d = 0;
-  Tensor mean({encoder_.EncodedWidth()});
-  Tensor stddev({encoder_.EncodedWidth()});
+  const std::string what = "scaler sidecar " + pre_path;
+  // A headerless legacy file is a v1 payload without the envelope.
+  const bool sealed = std::string_view(bytes).starts_with(kPreMagic);
+  Envelope file = sealed ? OpenSealed(bytes, kPreMagic, what)
+                         : Envelope{kPreVersion, ByteReader(bytes, what)};
+  ByteReader& in = file.payload;
+  PELICAN_CHECK(file.version == kPreVersion,
+                "unsupported scaler sidecar version");
+  const auto width = encoder_.EncodedWidth();
+  PELICAN_CHECK(in.Get<std::uint64_t>() == static_cast<std::uint64_t>(width),
+                "scaler width mismatch");
   const std::size_t stats_bytes = 2 * width * sizeof(float);
-  const bool versioned =
-      bytes.size() >= sizeof(kPreMagic) &&
-      std::memcmp(bytes.data(), kPreMagic, sizeof(kPreMagic)) == 0;
-  if (versioned) {
-    constexpr std::size_t kHeader =
-        sizeof(kPreMagic) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
-    PELICAN_CHECK(bytes.size() >= kHeader + kPreFooterSize,
-                  "truncated scaler sidecar: " + pre_path);
-    std::uint32_t stored = 0;
-    std::memcpy(&stored, bytes.data() + bytes.size() - kPreFooterSize,
-                kPreFooterSize);
-    const std::uint32_t actual =
-        Crc32Of(bytes.data(), bytes.size() - kPreFooterSize);
-    PELICAN_CHECK(stored == actual,
-                  "scaler sidecar checksum mismatch (corrupt or "
-                  "truncated): " + pre_path);
-    std::uint32_t version = 0;
-    std::memcpy(&version, bytes.data() + sizeof(kPreMagic), sizeof(version));
-    PELICAN_CHECK(version == kPreVersion,
-                  "unsupported scaler sidecar version");
-    std::memcpy(&d, bytes.data() + sizeof(kPreMagic) + sizeof(version),
-                sizeof(d));
-    PELICAN_CHECK(d == width, "scaler width mismatch");
-    PELICAN_CHECK(bytes.size() == kHeader + stats_bytes + kPreFooterSize,
-                  "scaler sidecar size mismatch: " + pre_path);
-    std::memcpy(mean.data().data(), bytes.data() + kHeader,
-                width * sizeof(float));
-    std::memcpy(stddev.data().data(),
-                bytes.data() + kHeader + width * sizeof(float),
-                width * sizeof(float));
-  } else {
-    // Legacy headerless layout: u64 width, then mean and stddev floats
-    // back to back. No checksum — size and statistics validation are
-    // the only guards.
-    PELICAN_CHECK(bytes.size() >= sizeof(std::uint64_t),
-                  "truncated scaler file: " + pre_path);
-    std::memcpy(&d, bytes.data(), sizeof(d));
-    PELICAN_CHECK(d == width, "scaler width mismatch");
-    PELICAN_CHECK(bytes.size() == sizeof(std::uint64_t) + stats_bytes,
-                  "truncated scaler file: " + pre_path);
-    std::memcpy(mean.data().data(), bytes.data() + sizeof(std::uint64_t),
-                width * sizeof(float));
-    std::memcpy(stddev.data().data(),
-                bytes.data() + sizeof(std::uint64_t) + width * sizeof(float),
-                width * sizeof(float));
-  }
+  PELICAN_CHECK(in.remaining() == stats_bytes,
+                "scaler sidecar size mismatch: " + pre_path);
+  Tensor mean({width});
+  Tensor stddev({width});
+  in.GetBytes(mean.data().data(), stats_bytes / 2);
+  in.GetBytes(stddev.data().data(), stats_bytes / 2);
   ValidateScalerStats(mean, stddev, pre_path);
   scaler_.SetStatistics(std::move(mean), std::move(stddev));
 

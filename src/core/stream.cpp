@@ -92,9 +92,7 @@ bool IsMalformedRecord(const data::Schema& schema,
     const double v = raw_record[i];
     if (!std::isfinite(v)) return true;
     const auto& col = schema.Column(i);
-    if (col.kind == data::ColumnKind::kCategorical &&
-        (v != std::floor(v) || v < 0.0 ||
-         v >= static_cast<double>(col.categories.size()))) {
+    if (col.kind == data::ColumnKind::kCategorical && !col.InVocabulary(v)) {
       return true;
     }
   }
@@ -219,8 +217,7 @@ StreamDetector::StreamDetector(const PelicanIds& ids, StreamConfig config)
 
 std::optional<Alert> StreamDetector::Ingest(
     std::span<const double> raw_record, std::optional<int> truth_label) {
-  if (!config_.observe ||
-      (!obs::MetricsEnabled() && !obs::TracingEnabled())) {
+  if (!obs::MetricsEnabled() && !obs::TracingEnabled()) {
     return IngestImpl(raw_record, truth_label);
   }
   obs::TraceSpan span("stream_ingest", "stream");
@@ -255,14 +252,12 @@ void StreamDetector::PublishQualityGauges() {
 
 std::optional<Alert> StreamDetector::IngestImpl(
     std::span<const double> raw_record, std::optional<int> truth_label) {
-  if (config_.quarantine_malformed) {
-    if (IsMalformedRecord(ids_->schema(), raw_record)) {
-      // Count it against the stream position but keep the detector on
-      // the wire: no verdict, no window entry, no quality update.
-      ++processed_;
-      ++quarantined_;
-      return std::nullopt;
-    }
+  if (IsMalformedRecord(ids_->schema(), raw_record)) {
+    // Count it against the stream position but keep the detector on
+    // the wire: no verdict, no window entry, no quality update.
+    ++processed_;
+    ++quarantined_;
+    return std::nullopt;
   }
   if (truth_label.has_value()) {
     PELICAN_CHECK(*truth_label >= 0 &&

@@ -58,9 +58,8 @@ std::string StreamStatsJson(const StreamStats& stats);
 // The shared rejection predicate behind every ingest quarantine
 // (StreamDetector::Ingest and the serve:: wire protocol): a raw record
 // is malformed when its width disagrees with the schema, any cell is
-// non-finite, or a categorical cell is not an integral index into its
-// column's vocabulary (an out-of-vocab index would send the one-hot
-// encoder out of bounds).
+// non-finite, or a categorical cell is outside its column's domain
+// (data::ColumnSpec::InVocabulary; the one-hot encoder throws on one).
 [[nodiscard]] bool IsMalformedRecord(const data::Schema& schema,
                                      std::span<const double> raw_record);
 
@@ -71,16 +70,6 @@ struct StreamConfig {
   // alerts are marked suppressed (delivered but flagged, so a DoS can't
   // bury the console). 1.0 disables.
   double max_window_alert_rate = 1.0;
-  // Quarantine: malformed records (wrong width, non-finite values) are
-  // counted in StreamStats::quarantined and skipped, so one bad record
-  // can't take the detector off the wire mid-stream. Set false for the
-  // strict behaviour (Ingest throws CheckError instead).
-  bool quarantine_malformed = true;
-  // Per-record observability (ingest trace span, record/alert/
-  // quarantine counters, latency histogram, quality/drift gauges).
-  // Only active when the process-wide obs switches are also on; set
-  // false to keep a hot detector out of the trace even then.
-  bool observe = true;
   // A feature counts as drifted when the z-score of its windowed mean
   // exceeds this (see QualityMonitor). 122 standardized features give
   // a max-|z| around 3 by chance on in-distribution traffic, so the
@@ -157,8 +146,12 @@ class StreamDetector {
   StreamDetector(const PelicanIds& ids, StreamConfig config = {});
 
   // Classifies one record; returns an Alert for attack verdicts.
-  // Malformed records are quarantined (counted + skipped) rather than
-  // aborting the stream — see StreamConfig::quarantine_malformed.
+  // A malformed record (IsMalformedRecord) is quarantined: counted in
+  // StreamStats::quarantined and skipped, so one bad record can't take
+  // the detector off the wire mid-stream. Per-record observability
+  // (ingest trace span, record/alert/quarantine counters, latency
+  // histogram, quality/drift gauges) follows the process-wide obs
+  // switches.
   // `truth_label`, when provided (labeled replay, delayed ground truth
   // from an analyst), feeds the rolling DR/ACC/FAR quality window.
   std::optional<Alert> Ingest(std::span<const double> raw_record,

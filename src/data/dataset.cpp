@@ -1,7 +1,5 @@
 #include "data/dataset.h"
 
-#include <cmath>
-
 namespace pelican::data {
 
 void RawDataset::Add(std::vector<double> cells, int label) {
@@ -12,12 +10,9 @@ void RawDataset::Add(std::vector<double> cells, int label) {
                 "label out of range");
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const auto& col = schema_.Column(c);
-    if (col.kind == ColumnKind::kCategorical) {
-      const double v = cells[c];
-      PELICAN_CHECK(v == std::floor(v) && v >= 0 &&
-                        v < static_cast<double>(col.CategoryCount()),
-                    "categorical cell out of vocabulary: " + col.name);
-    }
+    PELICAN_CHECK(col.kind != ColumnKind::kCategorical ||
+                      col.InVocabulary(cells[c]),
+                  "categorical cell out of vocabulary: " + col.name);
   }
   cells_.insert(cells_.end(), cells.begin(), cells.end());
   labels_.push_back(label);

@@ -34,8 +34,9 @@ void OneHotEncoder::EncodeRow(std::span<const double> row,
     if (col.kind == ColumnKind::kNumeric) {
       out[static_cast<std::size_t>(base)] = static_cast<float>(row[c]);
     } else {
+      PELICAN_CHECK(col.InVocabulary(row[c]),
+                    "categorical cell out of vocabulary: " + col.name);
       const auto idx = static_cast<std::int64_t>(row[c]);
-      PELICAN_DCHECK(idx >= 0 && idx < col.CategoryCount());
       out[static_cast<std::size_t>(base + idx)] = 1.0F;
     }
   }

@@ -4,6 +4,7 @@
 // categorical columns (protocol, service, flag/state).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -25,6 +26,13 @@ struct ColumnSpec {
 
   [[nodiscard]] std::int64_t CategoryCount() const {
     return static_cast<std::int64_t>(categories.size());
+  }
+
+  // The domain of a categorical cell: an integral index into
+  // `categories`. NaN and ±inf fail.
+  [[nodiscard]] bool InVocabulary(double cell) const {
+    return cell == std::floor(cell) && cell >= 0.0 &&
+           cell < static_cast<double>(categories.size());
   }
 };
 

@@ -1,124 +1,76 @@
 #include "quant/quant_io.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <sstream>
+#include <string_view>
 
 #include "common/check.h"
-#include "common/crc32.h"
 #include "common/file_io.h"
 
 namespace pelican::quant {
 
 namespace {
 
-constexpr char kMagic[4] = {'P', 'Q', 'N', 'T'};
+constexpr std::string_view kMagic = "PQNT";
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kFooterSize = sizeof(std::uint32_t);
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T ReadPod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  PELICAN_CHECK(in.good(), "truncated quantized sidecar");
-  return value;
-}
 
 }  // namespace
 
 void SaveQuantSidecar(const std::string& path,
                       const std::vector<const LinearQuant*>& ops) {
-  std::ostringstream out(std::ios::binary);
-  out.write(kMagic, sizeof(kMagic));
-  WritePod(out, kVersion);
-  WritePod(out, static_cast<std::uint64_t>(ops.size()));
+  ByteWriter out(kMagic, kVersion);
+  out.Put(static_cast<std::uint64_t>(ops.size()));
   for (const LinearQuant* op : ops) {
     PELICAN_CHECK(op != nullptr && op->Ready(),
                   "cannot serialize unfrozen quantized op");
-    WritePod(out, static_cast<std::uint32_t>(op->name.size()));
-    out.write(op->name.data(),
-              static_cast<std::streamsize>(op->name.size()));
-    WritePod(out, static_cast<std::uint64_t>(op->k));
-    WritePod(out, static_cast<std::uint64_t>(op->n));
-    WritePod(out, op->act_scale);
-    out.write(reinterpret_cast<const char*>(op->scales.data()),
-              static_cast<std::streamsize>(op->scales.size() *
-                                           sizeof(float)));
-    out.write(reinterpret_cast<const char*>(op->data.data()),
-              static_cast<std::streamsize>(op->data.size()));
+    out.PutString(op->name);
+    out.Put(static_cast<std::uint64_t>(op->k));
+    out.Put(static_cast<std::uint64_t>(op->n));
+    out.Put(op->act_scale);
+    out.PutBytes(op->scales.data(), op->scales.size() * sizeof(float));
+    out.PutBytes(op->data.data(), op->data.size());
   }
-  PELICAN_CHECK(out.good(), "quantized sidecar serialization failed: " + path);
-
-  std::string bytes = std::move(out).str();
-  const std::uint32_t crc = Crc32Of(bytes);
-  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  AtomicWriteFile(path, bytes);
+  out.Seal(path);
 }
 
 void LoadQuantSidecar(const std::string& path,
                       const std::vector<LinearQuant*>& ops) {
   const std::string bytes = ReadFileBytes(path);
-  PELICAN_CHECK(
-      bytes.size() >= sizeof(kMagic) + sizeof(std::uint32_t) + kFooterSize,
-      "not a Pelican quantized sidecar (too short): " + path);
-  PELICAN_CHECK(
-      std::equal(bytes.begin(), bytes.begin() + sizeof(kMagic), kMagic),
-      "not a Pelican quantized sidecar: " + path);
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, bytes.data() + bytes.size() - kFooterSize,
-              kFooterSize);
-  const std::uint32_t actual =
-      Crc32Of(bytes.data(), bytes.size() - kFooterSize);
-  PELICAN_CHECK(stored == actual,
-                "quantized sidecar checksum mismatch (corrupt or "
-                "truncated): " + path);
-
-  std::istringstream in(bytes, std::ios::binary);
-  in.ignore(sizeof(kMagic));
-  const auto version = ReadPod<std::uint32_t>(in);
+  auto [version, in] =
+      OpenSealed(bytes, kMagic, "quantized sidecar " + path);
   PELICAN_CHECK(version == kVersion, "unsupported quantized sidecar version");
-  const auto op_count = ReadPod<std::uint64_t>(in);
+  const auto op_count = in.Get<std::uint64_t>();
   PELICAN_CHECK(op_count == ops.size(),
                 "quantized op count mismatch: sidecar has " +
                     std::to_string(op_count) + ", network has " +
                     std::to_string(ops.size()));
   for (LinearQuant* op : ops) {
-    const auto name_len = ReadPod<std::uint32_t>(in);
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    PELICAN_CHECK(in.good() && name == op->name,
-                  "quantized op name mismatch: expected " + op->name +
-                      ", got " + name);
-    const auto k = static_cast<std::int64_t>(ReadPod<std::uint64_t>(in));
-    const auto n = static_cast<std::int64_t>(ReadPod<std::uint64_t>(in));
-    PELICAN_CHECK(k > 0 && n > 0 && k < (std::int64_t{1} << 32) &&
-                      n < (std::int64_t{1} << 32),
+    const std::string_view name = in.GetString();
+    PELICAN_CHECK(name == op->name, "quantized op name mismatch: expected " +
+                                        op->name + ", got " +
+                                        std::string(name));
+    const auto k = in.Get<std::uint64_t>();
+    const auto n = in.Get<std::uint64_t>();
+    PELICAN_CHECK(k > 0 && n > 0 && k < (std::uint64_t{1} << 32) &&
+                      n < (std::uint64_t{1} << 32),
                   "implausible quantized shape for " + op->name);
-    const auto act_scale = ReadPod<float>(in);
+    const auto act_scale = in.Get<float>();
     PELICAN_CHECK(std::isfinite(act_scale) && act_scale > 0.0F,
                   "invalid activation scale for " + op->name);
-    op->k = k;
-    op->n = n;
+    // Both counts are checked against the bytes left before anything is
+    // allocated; k·n is bounded by them, so it cannot overflow.
+    const std::size_t n_scales = in.CheckCount(n, sizeof(float));
+    op->k = static_cast<std::int64_t>(k);
+    op->n = static_cast<std::int64_t>(n);
     op->act_scale = act_scale;
-    op->scales.assign(static_cast<std::size_t>(n), 0.0F);
-    in.read(reinterpret_cast<char*>(op->scales.data()),
-            static_cast<std::streamsize>(op->scales.size() * sizeof(float)));
-    PELICAN_CHECK(in.good(), "truncated scales for " + op->name);
+    op->scales.resize(n_scales);
+    in.GetBytes(op->scales.data(), n_scales * sizeof(float));
     for (float s : op->scales) {
       PELICAN_CHECK(std::isfinite(s) && s > 0.0F,
                     "invalid weight scale for " + op->name);
     }
-    op->data.assign(static_cast<std::size_t>(k * n), 0);
-    in.read(reinterpret_cast<char*>(op->data.data()),
-            static_cast<std::streamsize>(op->data.size()));
-    PELICAN_CHECK(in.good(), "truncated weights for " + op->name);
+    op->data.resize(in.CheckCount(k, n_scales) * n_scales);
+    in.GetBytes(op->data.data(), op->data.size());
   }
 }
 

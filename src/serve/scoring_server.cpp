@@ -411,7 +411,7 @@ void ScoringServer::HandleConnection(int fd) {
                  config_.max_pipeline);
   };
 
-  const bool metrics_on = config_.observe && obs::MetricsEnabled();
+  const bool metrics_on = obs::MetricsEnabled();
   for (;;) {
     ChunkResult chunk;
     read_chunk(chunk);
@@ -602,7 +602,7 @@ void ScoringServer::ScorerLoop(std::size_t scorer_index) {
   // Scorer threads run the GEMM-backed PredictAll hot path — the
   // acceptance target for "serve batch > serve score" attribution.
   obs::ProfiledThreadScope profiled;
-  const bool metrics_on = config_.observe && obs::MetricsEnabled();
+  const bool metrics_on = obs::MetricsEnabled();
   const auto linger = std::chrono::milliseconds(config_.batch_linger_ms);
   obs::Gauge busy_gauge;
   if (metrics_on) {

@@ -79,7 +79,6 @@ struct ScoringServerConfig {
   int score_deadline_ms = 2000;        // older queued work → late
   int write_timeout_ms = 5000;         // slow reader → drop + close
   std::size_t scorers = 0;             // scorer threads; 0 = min(4, cores)
-  bool observe = true;                 // publish pelican_serve_* metrics
   std::size_t slow_top_k = 32;         // /slow slowest-record slots
   std::uint64_t sample_every = 0;      // 1-in-N access sampling; 0 = off
   std::string access_log_path;         // JSONL access-log sink; "" = off

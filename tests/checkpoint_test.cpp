@@ -1,6 +1,7 @@
-// Crash-safety tests: CRC32 integrity, atomic writes, the
-// fault-injection harness, checksummed weight files (and their
-// rejection of non-finite weights), checkpoint/resume
+// Crash-safety tests: CRC32 integrity, atomic writes, the binary
+// codec, the fault-injection harness, checksummed weight files (and
+// their rejection of non-finite weights and lying length fields),
+// save → load → save byte identity of every format, checkpoint/resume
 // (bit-for-bit equivalence with an uninterrupted run; a rejected
 // checkpoint writes nothing) and the divergence guard's NaN-loss
 // recovery.
@@ -113,6 +114,78 @@ TEST(FileIo, ReadMissingFileThrows) {
   EXPECT_THROW((void)ReadFileBytes("/no/such/pelican/file"), CheckError);
 }
 
+// ---- the binary codec --------------------------------------------------------
+
+// Rewrites a sealed file through `edit` and recomputes its CRC32
+// footer, so only the format's own checks can reject the result.
+template <typename Edit>
+void EditSealed(const std::string& path, Edit edit) {
+  std::string bytes = ReadFileBytes(path);
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  edit(bytes);
+  const std::uint32_t crc = Crc32Of(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
+  AtomicWriteFile(path, bytes);
+}
+
+template <typename T>
+void PokeAt(std::string& bytes, std::size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+}
+
+TEST(Codec, ReaderRejectsEveryReadPastTheEnd) {
+  ByteWriter out;
+  out.Put(std::uint16_t{7});
+  out.PutString("abc");
+  ByteReader in(out.bytes(), "test bytes");
+  EXPECT_EQ(in.Get<std::uint16_t>(), 7);
+  EXPECT_EQ(in.GetString(), "abc");
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_THROW((void)in.Get<std::uint8_t>(), CheckError);
+
+  ByteWriter lying;
+  lying.Put(std::uint32_t{4});  // a string length with 3 bytes behind it
+  lying.PutBytes("abc", 3);
+  ByteReader short_string(lying.bytes(), "test bytes");
+  EXPECT_THROW((void)short_string.GetString(), CheckError);
+
+  ByteReader counts(lying.bytes(), "test bytes");
+  EXPECT_EQ(counts.CheckCount(1, 7), 1u);
+  EXPECT_THROW((void)counts.CheckCount(2, 4), CheckError);
+  // count · size would wrap around 2^64 if it were multiplied.
+  EXPECT_THROW((void)counts.CheckCount(std::uint64_t{1} << 62, 8),
+               CheckError);
+}
+
+TEST(Codec, SealedFileRoundTripsAndRejectsCorruption) {
+  const auto dir = MakeTempDir("codec_sealed");
+  const auto path = dir + "/f.bin";
+  ByteWriter out("TEST", 7);
+  out.Put(std::int64_t{-3});
+  EXPECT_EQ(out.Seal(path), 4 + 4 + 8 + 4u);
+
+  const std::string bytes = ReadFileBytes(path);
+  auto [version, in] = OpenSealed(bytes, "TEST", "test file");
+  EXPECT_EQ(version, 7u);
+  EXPECT_EQ(in.Get<std::int64_t>(), -3);
+  EXPECT_EQ(in.remaining(), 0u);
+
+  EXPECT_THROW((void)OpenSealed(bytes, "XXXX", "test file"), CheckError);
+  EXPECT_THROW((void)OpenSealed(std::string_view(bytes).substr(0, 7), "TEST",
+                                "test file"),
+               CheckError);
+  std::string flipped = bytes;
+  flipped[10] ^= 0x01;
+  EXPECT_THROW((void)OpenSealed(flipped, "TEST", "test file"), CheckError);
+  // A version below first_sealed_version predates the footer: its
+  // payload (footer bytes included) is read unchecked.
+  auto [old_version, old_in] =
+      OpenSealed(flipped, "TEST", "test file", /*first_sealed_version=*/8);
+  EXPECT_EQ(old_version, 7u);
+  EXPECT_EQ(old_in.remaining(), 12u);
+}
+
 // ---- fault-injection harness ----------------------------------------------
 
 TEST(FaultInjection, WriteFailureSetsBadbit) {
@@ -167,6 +240,9 @@ TEST(WeightFiles, RoundTripRestoresParamsBitForBit) {
   auto net_b = models::BuildMlp(6, 3, rng_b, 16);
   core::LoadWeights(*net_b, dir + "/w.bin");
   EXPECT_EQ(FlattenParams(*net_a), FlattenParams(*net_b));
+  // Save → load → save rewrites the file byte for byte.
+  core::SaveWeights(*net_b, dir + "/w2.bin");
+  EXPECT_EQ(ReadFileBytes(dir + "/w2.bin"), ReadFileBytes(dir + "/w.bin"));
 }
 
 TEST(WeightFiles, AnySingleBitFlipRejected) {
@@ -215,19 +291,16 @@ TEST(WeightFiles, LegacyV2WithoutFooterStillLoads) {
   Rng rng(7);
   auto net = models::BuildMlp(6, 3, rng, 16);
 
-  std::ostringstream out(std::ios::binary);
-  out.write("PLCN", 4);
-  const std::uint32_t version = 2;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  ByteWriter out;
+  out.PutBytes("PLCN", 4);
+  out.Put(std::uint32_t{2});
   const auto params = net->Params();
   const auto buffers = net->Buffers();
-  const std::uint64_t n_params = params.size();
-  const std::uint64_t n_buffers = buffers.size();
-  out.write(reinterpret_cast<const char*>(&n_params), sizeof(n_params));
-  out.write(reinterpret_cast<const char*>(&n_buffers), sizeof(n_buffers));
+  out.Put(static_cast<std::uint64_t>(params.size()));
+  out.Put(static_cast<std::uint64_t>(buffers.size()));
   for (const auto& p : params) core::io::WriteTensorEntry(out, p.name, *p.value);
   for (const auto& b : buffers) core::io::WriteTensorEntry(out, b.name, *b.value);
-  AtomicWriteFile(dir + "/legacy.bin", out.str());
+  AtomicWriteFile(dir + "/legacy.bin", out.bytes());
 
   Rng rng_b(8);
   auto net_b = models::BuildMlp(6, 3, rng_b, 16);
@@ -236,15 +309,15 @@ TEST(WeightFiles, LegacyV2WithoutFooterStillLoads) {
 }
 
 TEST(WeightFiles, TensorEntryPayloadTruncationRejected) {
-  // Regression: a stream that ends mid-payload (after the name and dims
+  // Regression: bytes that end mid-payload (after the name and dims
   // parse cleanly) must throw, not leave the tensor half-filled.
   Rng rng(7);
   Tensor t = Tensor::RandomNormal({4, 4}, rng, 0, 1);
-  std::ostringstream out(std::ios::binary);
+  ByteWriter out;
   core::io::WriteTensorEntry(out, "w", t);
-  const std::string full = out.str();
+  const std::string& full = out.bytes();
 
-  std::istringstream in(full.substr(0, full.size() - 8), std::ios::binary);
+  ByteReader in(std::string_view(full).substr(0, full.size() - 8), "entry");
   Tensor dst({4, 4});
   EXPECT_THROW(core::io::ReadTensorEntry(in, "w", dst), CheckError);
 }
@@ -254,19 +327,16 @@ TEST(WeightFiles, TensorEntryPayloadTruncationRejected) {
 // reject the result.
 void PoisonFirstFloat(const std::string& path, const std::string& name,
                       float value) {
-  std::string bytes = ReadFileBytes(path);
-  // Entry layout: u32 name_len | name | u32 rank | i64 dims… | f32 data…
-  const std::size_t at = bytes.find(name);
-  ASSERT_NE(at, std::string::npos) << name;
-  std::uint32_t rank = 0;
-  std::memcpy(&rank, bytes.data() + at + name.size(), sizeof(rank));
-  const std::size_t data =
-      at + name.size() + sizeof(rank) + rank * sizeof(std::int64_t);
-  std::memcpy(bytes.data() + data, &value, sizeof(value));
-  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
-  const std::uint32_t crc = Crc32Of(bytes.data(), body);
-  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
-  AtomicWriteFile(path, bytes);
+  EditSealed(path, [&](std::string& bytes) {
+    // Entry layout: u32 name_len | name | u32 rank | i64 dims… | f32 data…
+    const std::size_t at = bytes.find(name);
+    ASSERT_NE(at, std::string::npos) << name;
+    std::uint32_t rank = 0;
+    std::memcpy(&rank, bytes.data() + at + name.size(), sizeof(rank));
+    PokeAt(bytes,
+           at + name.size() + sizeof(rank) + rank * sizeof(std::int64_t),
+           value);
+  });
 }
 
 TEST(WeightFiles, NonFiniteWeightsRejectedDespiteValidChecksum) {
@@ -299,6 +369,19 @@ TEST(WeightFiles, NonFiniteWeightsRejectedDespiteValidChecksum) {
     }
   }
   EXPECT_NO_THROW(core::LoadWeights(net, clean));
+}
+
+TEST(WeightFiles, TensorNameLengthPastEndRejected) {
+  const auto dir = MakeTempDir("weights_name_len");
+  Rng rng(7);
+  auto net = models::BuildMlp(6, 3, rng, 16);
+  const auto path = dir + "/w.bin";
+  core::SaveWeights(*net, path);
+  // magic | version | u64 param_count | u64 buffer_count | u32 name_len
+  EditSealed(path, [](std::string& bytes) {
+    PokeAt(bytes, 24, std::uint32_t{0x7FFFFFFF});
+  });
+  EXPECT_THROW(core::LoadWeights(*net, path), CheckError);
 }
 
 // ---- checkpoint / resume ---------------------------------------------------
@@ -497,6 +580,57 @@ TEST(Checkpoint, NonFiniteWeightRejectedAndOlderSnapshotLoaded) {
   EXPECT_EQ(FlattenParams(net), epoch1);
 }
 
+// A checkpoint written by a trained run, restored into a fresh network
+// and optimizer, and saved again.
+TEST(Checkpoint, SaveLoadSaveGivesIdenticalBytes) {
+  const auto toy = MakeToy();
+  const auto dir = MakeTempDir("ckpt_resave");
+  Rng rng(7);
+  auto net = models::BuildMlp(6, 3, rng, 16);
+  auto cfg = ToyConfig(2);
+  cfg.checkpoint_dir = dir + "/a";
+  core::Trainer trainer(*net, cfg);
+  trainer.Fit(toy.x, toy.y);
+  const auto saved = core::Checkpointer({.dir = dir + "/a"}).List().back();
+
+  Rng rng_b(8);
+  auto loaded = models::BuildMlp(6, 3, rng_b, 16);
+  auto adam = optim::MakeOptimizer("adam", 1e-3F);
+  adam->Attach(loaded->Params());
+  core::CheckpointState state;
+  core::Checkpointer::LoadFile(saved, *loaded, *adam, &state);
+  const auto resaved =
+      core::Checkpointer({.dir = dir + "/b"}).Save(*loaded, *adam, state);
+  EXPECT_EQ(ReadFileBytes(resaved), ReadFileBytes(saved));
+}
+
+// A CRC-valid checkpoint whose tensor-name or optimizer-name length
+// claims more bytes than are left is rejected before it allocates.
+TEST(Checkpoint, NameLengthsPastEndRejected) {
+  const auto dir = MakeTempDir("ckpt_name_len");
+  Rng rng(7);
+  auto net = models::BuildMlp(6, 3, rng, 16);
+  auto rmsprop = optim::MakeOptimizer("rmsprop", 1e-3F);
+  rmsprop->Attach(net->Params());
+  core::Checkpointer ckpt({.dir = dir});
+  const auto clean = ckpt.Save(*net, *rmsprop, core::CheckpointState{});
+  const std::string first_tensor = net->Params().front().name;
+
+  for (const std::string& name : {first_tensor, rmsprop->Name()}) {
+    const auto corrupt = dir + "/lying.ckpt";
+    fs::copy_file(clean, corrupt, fs::copy_options::overwrite_existing);
+    EditSealed(corrupt, [&name](std::string& bytes) {
+      const std::size_t at = bytes.find(name);
+      ASSERT_NE(at, std::string::npos) << name;
+      PokeAt(bytes, at - sizeof(std::uint32_t), std::uint32_t{0xFFFFFFF0});
+    });
+    core::CheckpointState state;
+    EXPECT_THROW(core::Checkpointer::LoadFile(corrupt, *net, *rmsprop, &state),
+                 CheckError)
+        << "length of " << name;
+  }
+}
+
 // ---- divergence guard ------------------------------------------------------
 
 TEST(DivergenceGuard, RecoversFromInjectedNanLoss) {
@@ -611,6 +745,16 @@ TEST(PreSidecar, VersionedRoundTripRestoresPredictions) {
   auto restored = fx.Fresh();
   restored.Load(fx.model);
   EXPECT_EQ(restored.Classify(fx.data), fx.ids.Classify(fx.data));
+
+  // Save → load → save rewrites the weights and both sidecars byte for
+  // byte.
+  ASSERT_TRUE(fx.ids.HasQuantizedParameters());
+  const auto resaved = fx.dir + "/resaved.bin";
+  restored.Save(resaved);
+  for (const std::string ext : {"", ".pre", ".quant"}) {
+    EXPECT_EQ(ReadFileBytes(resaved + ext), ReadFileBytes(fx.model + ext))
+        << "model.bin" << ext;
+  }
 }
 
 TEST(PreSidecar, AnySingleBitFlipRejected) {
@@ -711,6 +855,49 @@ TEST(PreSidecar, InvalidScalerStatisticsRejected) {
     auto victim = fx.Fresh();
     EXPECT_THROW(victim.Load(fx.dir + "/poison"), CheckError)
         << p.what << " was not rejected";
+  }
+}
+
+// ---- `.quant` length fields -------------------------------------------------
+
+// A CRC-valid `.quant` whose op-name length, n or k claims more bytes
+// than are left is rejected before anything is allocated for it.
+TEST(QuantSidecarFile, LengthFieldsPastEndRejected) {
+  PreFixture fx;
+  // magic | version | u64 op_count | u32 name_len | name | u64 k | u64 n
+  const std::string clean = ReadFileBytes(fx.model + ".quant");
+  std::uint32_t name_len = 0;
+  std::memcpy(&name_len, clean.data() + 16, sizeof(name_len));
+  const std::size_t k_at = 20 + name_len;
+  const std::size_t n_at = k_at + sizeof(std::uint64_t);
+  struct Lie {
+    std::size_t offset;
+    std::uint64_t value;
+    bool is_u32;
+    const char* what;
+  };
+  const Lie lies[] = {
+      {16, 0xFFFFFFF0, true, "op-name length"},
+      {n_at, std::uint64_t{1} << 31, false, "n = 2^31"},
+      {k_at, std::uint64_t{1} << 31, false, "k = 2^31"},
+      {k_at, (std::uint64_t{1} << 32) - 1, false, "k = 2^32 - 1"},
+  };
+  for (const Lie& lie : lies) {
+    const auto stem = fx.dir + "/lying";
+    fs::copy_file(fx.model, stem, fs::copy_options::overwrite_existing);
+    fs::copy_file(fx.model + ".pre", stem + ".pre",
+                  fs::copy_options::overwrite_existing);
+    fs::copy_file(fx.model + ".quant", stem + ".quant",
+                  fs::copy_options::overwrite_existing);
+    EditSealed(stem + ".quant", [&lie](std::string& bytes) {
+      if (lie.is_u32) {
+        PokeAt(bytes, lie.offset, static_cast<std::uint32_t>(lie.value));
+      } else {
+        PokeAt(bytes, lie.offset, lie.value);
+      }
+    });
+    auto victim = fx.Fresh();
+    EXPECT_THROW(victim.Load(stem), CheckError) << lie.what;
   }
 }
 

@@ -359,8 +359,9 @@ core::IdsConfig SmallConfig() {
 // Shared harness: train on `train`, evaluate fp32 vs int8 on `test`,
 // assert the quantization accuracy contract (≤ 0.5% ACC delta).
 void ExpectQuantizedAccuracyClose(const data::RawDataset& train_set,
-                                  const data::RawDataset& test_set) {
-  core::PelicanIds ids(train_set.schema(), SmallConfig());
+                                  const data::RawDataset& test_set,
+                                  const core::IdsConfig& config = SmallConfig()) {
+  core::PelicanIds ids(train_set.schema(), config);
   ids.Train(train_set);
   ASSERT_TRUE(ids.HasQuantizedParameters());
 
@@ -390,6 +391,19 @@ TEST(QuantEndToEnd, AccuracyWithinHalfPercentOnUnswNb15) {
   const auto train_set = data::GenerateUnswNb15(500, rng);
   const auto test_set = data::GenerateUnswNb15(200, rng);
   ExpectQuantizedAccuracyClose(train_set, test_set);
+}
+
+// The bench-width case: 2 blocks × 24 channels at batch 64.
+TEST(QuantEndToEnd, AccuracyWithinHalfPercentOnNslKddAtWidth24) {
+  Rng rng(2020);
+  const auto train_set = data::GenerateNslKdd(400, rng);
+  const auto test_set = data::GenerateNslKdd(200, rng);
+  core::IdsConfig config;
+  config.n_blocks = 2;
+  config.channels = 24;
+  config.train.epochs = 4;
+  config.train.batch_size = 64;
+  ExpectQuantizedAccuracyClose(train_set, test_set, config);
 }
 
 TEST(QuantEndToEnd, QuantizedPredictionsBitIdenticalAcrossThreadCounts) {

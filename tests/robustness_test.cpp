@@ -4,6 +4,7 @@
 // gracefully; never crash, never emit NaN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -232,6 +233,35 @@ TEST(StreamRobustness, WrongWidthRecordRejected) {
   EXPECT_THROW(ids.Inspect(short_record), CheckError);
 }
 
+// Inspect takes raw rows from its caller. A categorical cell outside
+// its column's vocabulary once passed a debug-only check and wrote past
+// the one-hot row (NaN made the index cast undefined); each must throw.
+TEST(StreamRobustness, OutOfVocabularyCategoricalRejectedByInspect) {
+  Rng rng(10);
+  auto train_set = data::GenerateNslKdd(200, rng);
+  core::IdsConfig config;
+  config.n_blocks = 1;
+  config.channels = 8;
+  config.train.epochs = 1;
+  core::PelicanIds ids(train_set.schema(), config);
+  ids.Train(train_set);
+  const auto& columns = train_set.schema().Columns();
+  const auto categorical = static_cast<std::size_t>(
+      std::find_if(columns.begin(), columns.end(),
+                   [](const data::ColumnSpec& c) {
+                     return c.kind == data::ColumnKind::kCategorical;
+                   }) -
+      columns.begin());
+  ASSERT_LT(categorical, columns.size());
+  const auto good = train_set.Row(0);
+  EXPECT_NO_THROW((void)ids.Inspect(good));
+  for (const double bad : {1000.0, -1.0, 0.5, std::nan("")}) {
+    std::vector<double> row(good.begin(), good.end());
+    row[categorical] = bad;
+    EXPECT_THROW((void)ids.Inspect(row), CheckError) << "cell " << bad;
+  }
+}
+
 TEST(StreamRobustness, MalformedRecordsQuarantinedNotFatal) {
   Rng rng(12);
   auto train_set = data::GenerateNslKdd(200, rng);
@@ -256,22 +286,6 @@ TEST(StreamRobustness, MalformedRecordsQuarantinedNotFatal) {
   const auto stats = detector.Stats();
   EXPECT_EQ(stats.processed, 3u);
   EXPECT_EQ(stats.quarantined, 2u);
-}
-
-TEST(StreamRobustness, StrictModeStillThrowsOnMalformedRecord) {
-  Rng rng(13);
-  auto train_set = data::GenerateNslKdd(200, rng);
-  core::IdsConfig config;
-  config.n_blocks = 1;
-  config.channels = 8;
-  config.train.epochs = 1;
-  core::PelicanIds ids(train_set.schema(), config);
-  ids.Train(train_set);
-
-  core::StreamConfig sc;
-  sc.quarantine_malformed = false;
-  core::StreamDetector detector(ids, sc);
-  EXPECT_THROW(detector.Ingest(std::vector<double>(5, 0.0)), CheckError);
 }
 
 TEST(GeneratorRobustness, ZeroRecordsGivesEmptyDataset) {
