@@ -6,7 +6,9 @@
 // paper picks the GRU over the LSTM for its compute cost.
 // Every row names the GEMM tier that ran; the GEMM shapes are timed on
 // each tier this host runs (fp32 and int8) at 1 thread, and on the
-// dispatched tier at every thread count. kernels::Tanh is timed on each
+// dispatched tier at every thread count; quant::QuantizedMatMul (the
+// int8 GEMM with its quantize and dequantize ends) on each int8 tier at
+// the paper-width GRU and Conv1D shapes. kernels::Tanh is timed on each
 // tier against a std::tanh loop.
 //
 //   kernels_bench [--smoke] [--json=PATH]
@@ -28,6 +30,7 @@
 #include "nn/conv1d.h"
 #include "nn/gru.h"
 #include "nn/lstm.h"
+#include "quant/quantize.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
 
@@ -189,6 +192,35 @@ void BenchGemm(const GemmShape& s, const std::vector<std::size_t>& threads,
   }
 }
 
+// quant::QuantizedMatMul as a whole (quantize, int8 GEMM, dequantize)
+// on each int8 tier at 1 thread, beside the gemm_int8_kernel rows of the
+// same shape: the difference is what the float ends cost. The weight
+// and activation scales are frozen from N(0,1) data, as calibration
+// would.
+void BenchQuantizedMatMul(const GemmShape& s,
+                          std::vector<bench::BenchRow>& rows) {
+  Rng rng(43);
+  const Tensor x = Tensor::RandomNormal({s.m, s.k}, rng, 0, 1);
+  const Tensor w = Tensor::RandomNormal({s.k, s.n}, rng, 0, 1);
+  quant::LinearQuant q;
+  q.name = "bench.w";
+  quant::QuantizeWeightsPerChannel(q, w.data().data(), s.k, s.n);
+  q.observer.Observe(x.data().data(), x.size());
+  quant::FreezeActivationScale(q);
+  Tensor y({s.m, s.n});
+  const double flops = 2.0 * static_cast<double>(s.m) *
+                       static_cast<double>(s.k) * static_cast<double>(s.n);
+  ThreadGuard guard(1);
+  for (const kernels::Isa isa : kernels::SupportedIsas(true)) {
+    const double ns = TimeNs([&] {
+      quant::QuantizedMatMulWith(isa, x.data().data(), s.m, s.k, q, 0,
+                                 y.data().data(), s.n);
+    });
+    rows.push_back({"quantized_matmul", ShapeName(s), 1, ns, flops / ns,
+                    kernels::TierName(isa, true)});
+  }
+}
+
 void BenchConv1D(std::int64_t n, std::int64_t len, std::int64_t channels,
                  std::int64_t kernel, const std::vector<std::size_t>& threads,
                  std::vector<bench::BenchRow>& rows) {
@@ -324,6 +356,7 @@ int main(int argc, char** argv) {
 
   if (smoke) {
     BenchGemm({16, 33, 17}, threads, rows);
+    BenchQuantizedMatMul({16, 33, 17}, rows);
     BenchConv1D(4, 3, 8, 5, threads, rows);
     BenchGruVsLstm(4, 2, 8, threads, rows);
     BenchTanh(37, rows);
@@ -332,6 +365,9 @@ int main(int argc, char** argv) {
     // square reference point.
     BenchGemm({64, 196, 192}, threads, rows);
     BenchGemm({64, 121, 363}, threads, rows);  // fused GRU panel, W=121
+    BenchQuantizedMatMul({64, 121, 363}, rows);
+    BenchGemm({64, 121, 121}, threads, rows);  // Conv1D's one tap, W=121
+    BenchQuantizedMatMul({64, 121, 121}, rows);
     BenchGemm({256, 256, 256}, threads, rows);
     // Bench-default Conv1D shapes (N=32, L=1, K=10).
     BenchConv1D(32, 1, 24, 10, threads, rows);

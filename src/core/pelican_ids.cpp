@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <string_view>
+#include <utility>
 
 #include "common/file_io.h"
 #include "quant/quant_io.h"
@@ -36,6 +37,32 @@ void ValidateScalerStats(const Tensor& mean, const Tensor& stddev,
   }
 }
 
+// Reads and checks a `.pre` sidecar of `width` columns (sealed, or the
+// legacy headerless payload); returns (mean, stddev).
+std::pair<Tensor, Tensor> ReadScalerStats(const std::string& pre_path,
+                                          std::int64_t width) {
+  const std::string bytes = ReadFileBytes(pre_path);
+  const std::string what = "scaler sidecar " + pre_path;
+  // A headerless legacy file is a v1 payload without the envelope.
+  const bool sealed = std::string_view(bytes).starts_with(kPreMagic);
+  Envelope file = sealed ? OpenSealed(bytes, kPreMagic, what)
+                         : Envelope{kPreVersion, ByteReader(bytes, what)};
+  ByteReader& in = file.payload;
+  PELICAN_CHECK(file.version == kPreVersion,
+                "unsupported scaler sidecar version");
+  PELICAN_CHECK(in.Get<std::uint64_t>() == static_cast<std::uint64_t>(width),
+                "scaler width mismatch");
+  const std::size_t stats_bytes = 2 * width * sizeof(float);
+  PELICAN_CHECK(in.remaining() == stats_bytes,
+                "scaler sidecar size mismatch: " + pre_path);
+  Tensor mean({width});
+  Tensor stddev({width});
+  in.GetBytes(mean.data().data(), stats_bytes / 2);
+  in.GetBytes(stddev.data().data(), stats_bytes / 2);
+  ValidateScalerStats(mean, stddev, pre_path);
+  return {std::move(mean), std::move(stddev)};
+}
+
 }  // namespace
 
 PelicanIds::PelicanIds(data::Schema schema, IdsConfig config)
@@ -48,7 +75,7 @@ PelicanIds::PelicanIds(data::Schema schema, IdsConfig config)
                 "normal_label out of range");
 }
 
-void PelicanIds::BuildNetwork() {
+std::unique_ptr<nn::Sequential> PelicanIds::MakeNetwork() const {
   models::NetworkConfig net;
   net.features = encoder_.EncodedWidth();
   net.n_classes = static_cast<std::int64_t>(schema_.LabelCount());
@@ -56,7 +83,7 @@ void PelicanIds::BuildNetwork() {
   net.residual = config_.residual;
   net.channels = config_.channels;
   Rng rng(config_.train.seed ^ 0x1d5c0ffeeULL);
-  network_ = models::BuildNetwork(net, rng);
+  return models::BuildNetwork(net, rng);
 }
 
 TrainHistory PelicanIds::Train(const data::RawDataset& train_set,
@@ -66,7 +93,7 @@ TrainHistory PelicanIds::Train(const data::RawDataset& train_set,
   scaler_.Fit(x);
   scaler_.Transform(x);
 
-  BuildNetwork();
+  network_ = MakeNetwork();
   trainer_ = std::make_unique<Trainer>(*network_, config_.train);
 
   TrainHistory history;
@@ -219,41 +246,31 @@ void PelicanIds::Save(const std::string& path) const {
   }
 }
 
+// Staged like Checkpointer::LoadFile: the network, the scaler
+// statistics and the quantized parameters are built and checked in
+// locals, and the detector takes them only once all three files have
+// passed. A failed Load (a missing, corrupt or mismatched weight file,
+// `.pre` or `.quant`) so leaves the detector as it was: untrained, or
+// answering from the model it had.
 void PelicanIds::Load(const std::string& path) {
-  BuildNetwork();
-  LoadWeights(*network_, path);
-
-  const std::string pre_path = path + ".pre";
-  const std::string bytes = ReadFileBytes(pre_path);
-  const std::string what = "scaler sidecar " + pre_path;
-  // A headerless legacy file is a v1 payload without the envelope.
-  const bool sealed = std::string_view(bytes).starts_with(kPreMagic);
-  Envelope file = sealed ? OpenSealed(bytes, kPreMagic, what)
-                         : Envelope{kPreVersion, ByteReader(bytes, what)};
-  ByteReader& in = file.payload;
-  PELICAN_CHECK(file.version == kPreVersion,
-                "unsupported scaler sidecar version");
-  const auto width = encoder_.EncodedWidth();
-  PELICAN_CHECK(in.Get<std::uint64_t>() == static_cast<std::uint64_t>(width),
-                "scaler width mismatch");
-  const std::size_t stats_bytes = 2 * width * sizeof(float);
-  PELICAN_CHECK(in.remaining() == stats_bytes,
-                "scaler sidecar size mismatch: " + pre_path);
-  Tensor mean({width});
-  Tensor stddev({width});
-  in.GetBytes(mean.data().data(), stats_bytes / 2);
-  in.GetBytes(stddev.data().data(), stats_bytes / 2);
-  ValidateScalerStats(mean, stddev, pre_path);
-  scaler_.SetStatistics(std::move(mean), std::move(stddev));
-
-  trainer_ = std::make_unique<Trainer>(*network_, config_.train);
-
+  std::unique_ptr<nn::Sequential> network = MakeNetwork();
+  LoadWeights(*network, path);
+  auto [mean, stddev] =
+      ReadScalerStats(path + ".pre", encoder_.EncodedWidth());
   const std::string quant_path = path + ".quant";
   if (std::filesystem::exists(quant_path)) {
     std::vector<quant::LinearQuant*> ops;
-    network_->CollectQuantOps(ops);
+    network->CollectQuantOps(ops);
     quant::LoadQuantSidecar(quant_path, ops);
   }
+  auto trainer = std::make_unique<Trainer>(*network, config_.train);
+
+  // Commit. The old trainer goes before the network it borrows; the new
+  // network scores in fp32 until EnableQuantized(true).
+  scaler_.SetStatistics(std::move(mean), std::move(stddev));
+  trainer_ = std::move(trainer);
+  network_ = std::move(network);
+  quantized_ = false;
 }
 
 }  // namespace pelican::core

@@ -71,7 +71,10 @@ class PelicanIds {
       const data::RawDataset& records) const;
 
   // Persists / restores network weights + scaler statistics (and, when
-  // present, the int8 parameters as a `.quant` sidecar).
+  // present, the int8 parameters as a `.quant` sidecar). Load replaces
+  // the model only once every file has passed its checks; on a throw
+  // the detector is left as it was. A loaded model scores in fp32
+  // until EnableQuantized(true).
   void Save(const std::string& path) const;
   void Load(const std::string& path);
 
@@ -97,7 +100,8 @@ class PelicanIds {
 
  private:
   [[nodiscard]] Tensor EncodeAndScale(const data::RawDataset& records) const;
-  void BuildNetwork();
+  // A freshly initialized network of the configured shape.
+  [[nodiscard]] std::unique_ptr<nn::Sequential> MakeNetwork() const;
   // Calibration Score over (a stride sample of) the scaled rows, then
   // freeze. Inference only: fp32 weights and the trainer RNG are
   // untouched, so the saved model bytes don't change.

@@ -270,11 +270,16 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
                     uh_.data().data(), h, pt + 2 * h, ld,
                     /*accumulate=*/true);
     } else {
+      // A branch-free OR over the row rather than std::any_of, whose
+      // early exit keeps GCC from vectorizing the scan.
       const float* rhp = rh.data().data();
       for (std::int64_t i = 0; i < n; ++i) {
         const float* rh_row = rhp + i * h;
-        if (std::any_of(rh_row, rh_row + h,
-                        [](float v) { return std::isnan(v); })) {
+        int row_has_nan = 0;
+        for (std::int64_t j = 0; j < h; ++j) {
+          row_has_nan |= static_cast<int>(std::isnan(rh_row[j]));
+        }
+        if (row_has_nan != 0) {
           std::fill_n(pt + i * ld + 2 * h, h,
                       std::numeric_limits<float>::quiet_NaN());
         }

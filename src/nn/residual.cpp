@@ -23,10 +23,15 @@ Tensor ResidualWrap::TrainForward(const Tensor& x) {
   return post_ ? post_->TrainForward(v) : v;
 }
 
+// The body and an identity shortcut read the block input (or the pre
+// layer's output) in place: no copy of it is made, and the sum is the
+// same v += u as TrainForward's.
 Tensor ResidualWrap::Score(const Tensor& x, InferenceContext& ctx) const {
-  Tensor u = pre_ ? pre_->Score(x, ctx) : x;
+  const Tensor pre_out = pre_ ? pre_->Score(x, ctx) : Tensor();
+  const Tensor& u = pre_ ? pre_out : x;
   Tensor v = body_->Score(u, ctx);
-  Tensor s = shortcut_ ? shortcut_->Score(u, ctx) : u;
+  const Tensor shortcut_out = shortcut_ ? shortcut_->Score(u, ctx) : Tensor();
+  const Tensor& s = shortcut_ ? shortcut_out : u;
   PELICAN_CHECK(v.SameShape(s),
                 "residual add shape mismatch: body " + v.ShapeString() +
                     " vs shortcut " + s.ShapeString() +

@@ -94,10 +94,14 @@ Tensor Sequential::TrainForward(const Tensor& x) {
 // entirely: EnsureObs() mutates lazily-built state, which would race
 // across scorer threads, and the serving plane has its own end-to-end
 // latency metrics. The chain itself is TrainForward's uninstrumented
-// fast path.
+// fast path, except that the input is not copied: the first layer reads
+// it in place.
 Tensor Sequential::Score(const Tensor& x, InferenceContext& ctx) const {
-  Tensor y = x;
-  for (const auto& layer : layers_) y = layer->Score(y, ctx);
+  if (layers_.empty()) return x;
+  Tensor y = layers_.front()->Score(x, ctx);
+  for (auto it = layers_.begin() + 1; it != layers_.end(); ++it) {
+    y = (*it)->Score(y, ctx);
+  }
   return y;
 }
 

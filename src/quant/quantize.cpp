@@ -86,9 +86,18 @@ void FreezeActivationScale(LinearQuant& q) {
   q.act_scale = std::max(q.observer.max_abs(), 1e-8F) / 127.0F;
 }
 
-void QuantizedMatMul(const float* x, std::int64_t m, std::int64_t k,
-                     const LinearQuant& q, std::int64_t row_offset, float* y,
-                     std::int64_t ldy) {
+namespace {
+
+// QuantizedMatMul over a given int8 GEMM: quantize x, one int32 GEMM,
+// then dequantize y = (act_scale · scale_j) · acc. The per-column
+// products are formed once per call; each is the same rounded float the
+// left-to-right `act_scale * scale_j * acc` forms first, so y keeps
+// that expression's bytes, and the loop over j vectorizes (this file
+// builds at -O3; no -ffast-math, no contraction).
+template <typename GemmInt8Fn>
+void QuantizedMatMulOn(GemmInt8Fn&& gemm, const float* x, std::int64_t m,
+                       std::int64_t k, const LinearQuant& q,
+                       std::int64_t row_offset, float* y, std::int64_t ldy) {
   PELICAN_CHECK(q.Ready(), "quantized matmul on unfrozen op " + q.name);
   PELICAN_CHECK(row_offset >= 0 && row_offset + k <= q.k,
                 "quantized matmul row window out of range for " + q.name);
@@ -102,16 +111,35 @@ void QuantizedMatMul(const float* x, std::int64_t m, std::int64_t k,
   QuantizeSymmetric(x, m * k, 1.0F / q.act_scale, xq);
   auto* acc = reinterpret_cast<std::int32_t*>(
       ws.Alloc(static_cast<std::size_t>(m * n)));
-  kernels::GemmInt8(m, n, k, xq, k, q.data.data() + row_offset * n, n, acc,
-                    n, false);
+  gemm(m, n, k, xq, k, q.data.data() + row_offset * n, n, acc, n, false);
+  float* col_scale = ws.Alloc(static_cast<std::size_t>(n));
+  const float act_scale = q.act_scale;
+  const float* scales = q.scales.data();
+  for (std::int64_t j = 0; j < n; ++j) col_scale[j] = act_scale * scales[j];
   for (std::int64_t i = 0; i < m; ++i) {
     const std::int32_t* arow = acc + i * n;
     float* yrow = y + i * ldy;
     for (std::int64_t j = 0; j < n; ++j) {
-      yrow[j] = q.act_scale * q.scales[static_cast<std::size_t>(j)] *
-                static_cast<float>(arow[j]);
+      yrow[j] = col_scale[j] * static_cast<float>(arow[j]);
     }
   }
+}
+
+}  // namespace
+
+void QuantizedMatMul(const float* x, std::int64_t m, std::int64_t k,
+                     const LinearQuant& q, std::int64_t row_offset, float* y,
+                     std::int64_t ldy) {
+  QuantizedMatMulOn(kernels::GemmInt8, x, m, k, q, row_offset, y, ldy);
+}
+
+void QuantizedMatMulWith(kernels::Isa isa, const float* x, std::int64_t m,
+                         std::int64_t k, const LinearQuant& q,
+                         std::int64_t row_offset, float* y,
+                         std::int64_t ldy) {
+  QuantizedMatMulOn(
+      [isa](auto... args) { kernels::GemmInt8With(isa, args...); }, x, m, k,
+      q, row_offset, y, ldy);
 }
 
 }  // namespace pelican::quant

@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "tensor/kernels.h"
+
 namespace pelican::quant {
 
 // Layer-side quantization state.
@@ -88,5 +90,12 @@ void FreezeActivationScale(LinearQuant& q);
 void QuantizedMatMul(const float* x, std::int64_t m, std::int64_t k,
                      const LinearQuant& q, std::int64_t row_offset, float* y,
                      std::int64_t ldy);
+
+// Test and bench seam, not a user option: QuantizedMatMul with its
+// integer GEMM on a given tier, which must be in
+// kernels::SupportedIsas(true). Every tier writes the same bytes.
+void QuantizedMatMulWith(kernels::Isa isa, const float* x, std::int64_t m,
+                         std::int64_t k, const LinearQuant& q,
+                         std::int64_t row_offset, float* y, std::int64_t ldy);
 
 }  // namespace pelican::quant

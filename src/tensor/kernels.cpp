@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -348,7 +349,9 @@ void GemmOn(Isa isa, bool trans_a, bool trans_b, std::int64_t m,
 
 // B sliver layout per pair p: 2·Nr int16 lanes [j0·k₂ₚ, j0·k₂ₚ₊₁, j1·k₂ₚ,
 // …] — two vector loads per pair cover all Nr columns, pre-widened so
-// the kernel skips the unpack/shift dance.
+// the kernel skips the unpack/shift dance. The SSE2 tier packs with
+// this loop; the AVX-512 tier with PackBI8Avx512, which writes the same
+// bytes.
 template <std::int64_t Nr>
 void PackBI8(const std::int8_t* b, std::int64_t ldb, std::int64_t p0,
              std::int64_t j0, std::int64_t kc, std::int64_t nc,
@@ -370,6 +373,61 @@ void PackBI8(const std::int8_t* b, std::int64_t ldb, std::int64_t p0,
     }
   }
 }
+
+#if defined(PELICAN_WIDE_TIERS)
+// Word indices for a two-source permute that interleaves 32 int16
+// lanes of k₂ₚ (source a, 0–31) with 32 of k₂ₚ₊₁ (source b, 32–63):
+// entries 0–31 give columns 0–15 of the pair, 32–63 columns 16–31.
+constexpr auto kPairInterleave = [] {
+  std::array<std::int16_t, 64> idx{};
+  for (std::size_t e = 0; e < idx.size(); ++e) {
+    idx[e] = static_cast<std::int16_t>((e % 2 == 0 ? 0 : 32) + e / 2);
+  }
+  return idx;
+}();
+
+// The `live` bytes of one row, sign-extended to int16 lanes; bytes
+// outside the mask are not read and load as 0. The low 256 bits are
+// taken by a maskz extract over all four lanes: GCC 12's
+// _mm512_castsi512_si256 passes an uninitialized source and warns.
+[[gnu::target("avx512f,avx512bw")]] inline __m512i WidenRowI8(
+    __mmask64 live, const std::int8_t* row) {
+  const __m512i bytes = _mm512_maskz_loadu_epi8(live, row);
+  return _mm512_cvtepi8_epi16(
+      _mm512_maskz_extracti64x4_epi64(0xf, bytes, 0));
+}
+
+// PackBI8 for the AVX-512 tier (Nr = 32), one k-pair of a sliver per
+// step: each of the two rows is loaded masked to the sliver's live
+// width, sign-extended to int16 and interleaved by the permute above.
+// The second row of an odd kc's last pair is zero. Those are the
+// scalar packer's bytes, lane for lane. AVX-512F/BW only, which the
+// int8 tier's CPUID check covers.
+[[gnu::target("avx512f,avx512bw")]] void PackBI8Avx512(
+    const std::int8_t* b, std::int64_t ldb, std::int64_t p0, std::int64_t j0,
+    std::int64_t kc, std::int64_t nc, std::int16_t* dst) {
+  constexpr std::int64_t kNr = TileOf(Isa::kAvx512).nr;
+  static_assert(2 * kNr == kPairInterleave.size());
+  const __m512i lo_idx = _mm512_loadu_si512(kPairInterleave.data());
+  const __m512i hi_idx = _mm512_loadu_si512(kPairInterleave.data() + kNr);
+  const std::int64_t kc2 = (kc + 1) / 2;
+  for (std::int64_t js = 0; js < nc; js += kNr) {
+    const std::int64_t w = std::min(kNr, nc - js);
+    const __mmask64 live = (__mmask64{1} << w) - 1;
+    const std::int8_t* col = b + p0 * ldb + j0 + js;
+    for (std::int64_t p = 0; p < kc2; ++p) {
+      const std::int8_t* row0 = col + 2 * p * ldb;
+      const __m512i k0 = WidenRowI8(live, row0);
+      const __m512i k1 = 2 * p + 1 < kc ? WidenRowI8(live, row0 + ldb)
+                                        : _mm512_setzero_si512();
+      _mm512_storeu_si512(dst, _mm512_permutex2var_epi16(k0, lo_idx, k1));
+      _mm512_storeu_si512(dst + kNr,
+                          _mm512_permutex2var_epi16(k0, hi_idx, k1));
+      dst += 2 * kNr;
+    }
+  }
+}
+#endif
 
 // Two consecutive-k values of one A row, widened to int16 and packed
 // into the int32 word pmaddwd expects ([k₂ₚ | k₂ₚ₊₁ << 16]).
@@ -541,8 +599,11 @@ std::int32_t* AllocI32(Workspace& ws, std::size_t count) {
 
 using MicroKernelI8Fn = void (*)(std::int64_t, const std::int32_t*,
                                  const std::int16_t*, std::int32_t*);
+using PackBI8Fn = void (*)(const std::int8_t*, std::int64_t, std::int64_t,
+                           std::int64_t, std::int64_t, std::int64_t,
+                           std::int16_t*);
 
-template <Isa kIsa, MicroKernelI8Fn kKernel>
+template <Isa kIsa, MicroKernelI8Fn kKernel, PackBI8Fn kPackB>
 void GemmInt8Packed(std::int64_t m, std::int64_t n, std::int64_t k,
                     const std::int8_t* a, std::int64_t lda,
                     const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
@@ -559,7 +620,7 @@ void GemmInt8Packed(std::int64_t m, std::int64_t n, std::int64_t k,
       Workspace::Scope panel_scope;
       std::int16_t* bpanel = AllocI16(
           caller_ws, static_cast<std::size_t>(n_slivers * t.nr * 2 * kc2));
-      PackBI8<t.nr>(b, ldb, pc, jc, kc, nc, bpanel);
+      kPackB(b, ldb, pc, jc, kc, nc, bpanel);
 
       const auto row_blocks = static_cast<std::size_t>((m + kMc - 1) / kMc);
       const std::int64_t per_block_work = kMc * kc * nc;
@@ -601,10 +662,12 @@ PackedGemmInt8Fn PackedGemmInt8For(Isa isa) {
   switch (isa) {
 #if defined(PELICAN_WIDE_TIERS)
     case Isa::kAvx512:
-      return GemmInt8Packed<Isa::kAvx512, MicroKernelI8Avx512>;
+      return GemmInt8Packed<Isa::kAvx512, MicroKernelI8Avx512,
+                            PackBI8Avx512>;
 #endif
     default:
-      return GemmInt8Packed<Isa::kSse2, MicroKernelI8Sse2>;
+      return GemmInt8Packed<Isa::kSse2, MicroKernelI8Sse2,
+                            PackBI8<TileOf(Isa::kSse2).nr>>;
   }
 }
 

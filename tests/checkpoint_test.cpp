@@ -87,6 +87,43 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc.Value(), 0xCBF43926U);
 }
 
+// The reference the slicing-by-8 Update must match: the bytewise
+// algorithm, bit by bit from the polynomial, written out here.
+std::uint32_t BytewiseCrc32(const unsigned char* p, std::size_t size) {
+  std::uint32_t state = 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < size; ++i) {
+    state ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state & 1U) != 0 ? 0xEDB88320U ^ (state >> 1) : state >> 1;
+    }
+  }
+  return state ^ 0xFFFFFFFFU;
+}
+
+// Every length 0–1,100, from every start offset mod 8 (so both the
+// 8-byte steps and the byte tail see every alignment), and split into
+// two Update calls at assorted points.
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthOffsetAndSplit) {
+  Rng rng(8);
+  std::vector<unsigned char> buf(1100 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Int(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      const std::uint32_t want = BytewiseCrc32(p, len);
+      ASSERT_EQ(Crc32Of(p, len), want)
+          << "offset " << offset << " len " << len;
+      for (const std::size_t split : {len / 3, len / 2, len - len / 8}) {
+        Crc32 crc;
+        crc.Update(p, split);
+        crc.Update(p + split, len - split);
+        ASSERT_EQ(crc.Value(), want)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
 TEST(Crc32, SingleBitFlipChangesValue) {
   std::string bytes(64, '\x5a');
   const auto clean = Crc32Of(bytes);
@@ -855,6 +892,73 @@ TEST(PreSidecar, InvalidScalerStatisticsRejected) {
     auto victim = fx.Fresh();
     EXPECT_THROW(victim.Load(fx.dir + "/poison"), CheckError)
         << p.what << " was not rejected";
+  }
+}
+
+// ---- a failed PelicanIds::Load ---------------------------------------------
+
+// InspectAll's verdicts as bytes: label, class name, is_attack and the
+// confidence's bits, per record.
+std::string VerdictBytes(const core::PelicanIds& ids,
+                         const data::RawDataset& records) {
+  std::string out;
+  for (const auto& v : ids.InspectAll(records)) {
+    out += std::to_string(v.label) + ' ' + v.class_name + ' ' +
+           (v.is_attack ? '1' : '0');
+    out.append(reinterpret_cast<const char*>(&v.confidence),
+               sizeof(v.confidence));
+    out += '\n';
+  }
+  return out;
+}
+
+// Load stages the network, the scaler statistics and the quantized
+// parameters and commits only when all three files pass. So a corrupt
+// model leaves a fresh detector untrained, and a loaded one answering
+// with the bytes it gave before (fp32 and int8), its network intact.
+// The two corruptions fail at either end of Load: a model.bin with one
+// bit flipped (the first file read), and a re-sealed `.quant` claiming
+// n = 2^31 (the last).
+TEST(PelicanIdsLoad, FailedLoadLeavesDetectorAsItWas) {
+  PreFixture fx;
+  const auto stage = [&fx](const std::string& stem) {
+    for (const std::string ext : {"", ".pre", ".quant"}) {
+      fs::copy_file(fx.model + ext, stem + ext,
+                    fs::copy_options::overwrite_existing);
+    }
+  };
+  const auto flipped_bin = fx.dir + "/flipped_bin";
+  stage(flipped_bin);
+  common::CorruptFile(flipped_bin,
+                      {.flip_offset = fs::file_size(flipped_bin) / 2,
+                       .flip_mask = 0x10});
+  const auto lying_quant = fx.dir + "/lying_quant";
+  stage(lying_quant);
+  EditSealed(lying_quant + ".quant", [](std::string& bytes) {
+    std::uint32_t name_len = 0;
+    std::memcpy(&name_len, bytes.data() + 16, sizeof(name_len));
+    PokeAt(bytes, 20 + name_len + sizeof(std::uint64_t),
+           std::uint64_t{1} << 31);
+  });
+
+  for (const std::string& bad : {flipped_bin, lying_quant}) {
+    SCOPED_TRACE(bad);
+    auto fresh = fx.Fresh();
+    EXPECT_THROW(fresh.Load(bad), CheckError);
+    EXPECT_FALSE(fresh.Trained());
+    EXPECT_FALSE(fresh.HasQuantizedParameters());
+
+    for (const bool int8 : {false, true}) {
+      auto loaded = fx.Fresh();
+      loaded.Load(fx.model);
+      loaded.EnableQuantized(int8);
+      const std::string before = VerdictBytes(loaded, fx.data);
+      EXPECT_THROW(loaded.Load(bad), CheckError);
+      ASSERT_TRUE(loaded.Trained());
+      EXPECT_EQ(loaded.quantized(), int8);
+      EXPECT_TRUE(loaded.HasQuantizedParameters());
+      EXPECT_EQ(VerdictBytes(loaded, fx.data), before) << "int8=" << int8;
+    }
   }
 }
 

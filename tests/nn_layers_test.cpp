@@ -8,6 +8,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "nn/nn.h"
 #include "optim/optimizer.h"
 #include "score_oracle.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace pelican {
@@ -27,6 +29,42 @@ bool SameBytes(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data().data(), b.data().data(),
                      static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Float bytes, except that any NaN matches any NaN (which NaN an
+// operation returns is not part of the contract).
+bool SameFloat(float got, float want) {
+  if (std::isnan(want)) return std::isnan(got);
+  return std::memcmp(&got, &want, sizeof(float)) == 0;
+}
+
+// The i-th (cycling) of the values at which a vectorized elementwise
+// loop could part from its scalar formula: NaN, ±inf, ±0, subnormals,
+// the hard-sigmoid clip edges ±2.5 and their float neighbours, and
+// values near overflow.
+float ElementwiseSpecial(std::int64_t i) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            inf,
+                            -inf,
+                            0.0F,
+                            -0.0F,
+                            sub,
+                            -sub,
+                            1e-39F,
+                            -1e-39F,
+                            2.5F,
+                            -2.5F,
+                            std::nextafter(2.5F, 0.0F),
+                            std::nextafter(2.5F, 3.0F),
+                            std::nextafter(-2.5F, 0.0F),
+                            std::nextafter(-2.5F, -3.0F),
+                            1.0F,
+                            -0.75F,
+                            3e38F,
+                            -3e38F};
+  return specials[static_cast<std::size_t>(i) % std::size(specials)];
 }
 
 TEST(Dense, OutputShapeAndBias) {
@@ -292,6 +330,53 @@ TEST(BatchNorm, InferenceUsesRunningStats) {
   auto x = Tensor::Full({4, 1}, bn.running_mean().At(0));
   auto y = bn.Forward(x, false);
   for (std::int64_t i = 0; i < y.size(); ++i) EXPECT_NEAR(y[i], 0.0F, 1e-3F);
+}
+
+// Score's affine map against the test's own scalar formula,
+// γ·((x − μ)·(1/√(σ² + ε))) + β, with the specials in x and in every
+// statistic. 37 channels run vector bodies and a tail; rank 2 and 3.
+TEST(BatchNorm, ScoreBytesMatchScalarFormula) {
+  constexpr std::int64_t kChannels = 37;
+  nn::BatchNorm bn(kChannels);
+  Rng rng(7);
+  for (auto& p : bn.Params()) {
+    for (std::int64_t j = 0; j < kChannels; ++j) {
+      const std::int64_t shift = p.name == "bn.beta" ? 4 : 0;
+      p.value->At(j) = j % 3 == 0 ? ElementwiseSpecial(j + shift)
+                                  : rng.UniformF(-2.0F, 2.0F);
+    }
+  }
+  for (auto& b : bn.Buffers()) {
+    const bool var = b.name == "bn.running_var";
+    for (std::int64_t j = 0; j < kChannels; ++j) {
+      const float v = ElementwiseSpecial(j + (var ? 7 : 2));
+      b.value->At(j) = j % 2 == 0 ? (var ? std::fabs(v) : v)
+                                  : rng.UniformF(var ? 0.1F : -1.0F, 1.0F);
+    }
+  }
+  const float* gamma = bn.Params()[0].value->data().data();
+  const float* beta = bn.Params()[1].value->data().data();
+  const float* mean = bn.running_mean().data().data();
+  const float* var = bn.running_var().data().data();
+  for (const Tensor::Shape& shape :
+       {Tensor::Shape{5, kChannels}, Tensor::Shape{2, 3, kChannels}}) {
+    Tensor x(shape);
+    for (std::int64_t i = 0; i < x.size(); ++i) {
+      x[i] = i % 2 == 0 ? ElementwiseSpecial(i / 2)
+                        : rng.UniformF(-4.0F, 4.0F);
+    }
+    nn::InferenceContext ctx;
+    const Tensor y = bn.Score(x, ctx);
+    ASSERT_EQ(y.shape(), shape);
+    for (std::int64_t i = 0; i < x.size(); ++i) {
+      const std::int64_t j = i % kChannels;
+      const float inv_std = 1.0F / std::sqrt(var[j] + bn.epsilon());
+      const float want = gamma[j] * ((x[i] - mean[j]) * inv_std) + beta[j];
+      EXPECT_TRUE(SameFloat(y[i], want))
+          << "element " << i << " x=" << x[i] << ": got " << y[i]
+          << " want " << want;
+    }
+  }
 }
 
 TEST(BatchNorm, ChannelLayout3D) {
@@ -858,6 +943,88 @@ TEST(Gru, ScoreKeepsNaNFromResetGateAtFirstStep) {
   for (std::int64_t i = 0; i < got.size(); ++i) {
     EXPECT_TRUE(std::isnan(want[i]));
     EXPECT_TRUE(std::isnan(got[i])) << "flat index " << i;
+  }
+}
+
+// The test's own scalar hard-sigmoid, out of line so it stays one
+// scalar evaluation per call.
+[[gnu::noinline]] float ScalarHardSigmoid(float x) {
+  const float y = 0.2F * x + 0.5F;
+  return y < 0.0F ? 0.0F : (y > 1.0F ? 1.0F : y);
+}
+
+// At L = 1, Score's bytes equal the GRU's formulas written out here as
+// scalar code over kernels::Gemm's per-gate projection: z and r are
+// hard sigmoids of their pre-activations, pre_h gains (r ⊙ h₀)·Uh
+// (h₀ = 0), the candidate is the scalar tanh port, and
+// h₁ = z·h₀ + (1 − z)·tanh(pre_h). Built at -O3, Score's gate loops,
+// bias add, NaN scan and combine are vectorized; this test shares none
+// of that code. The biases put the specials into the pre-activations
+// (every third unit has zero input weights, so there the
+// pre-activation is exactly +0 + bias); an input NaN turns row 2's r
+// NaN, and ±3e38 inputs overflow row 4's projections. The reset gate's
+// biases carry no NaN: one there would spread NaN into every row.
+TEST(Gru, ScoreGateBytesMatchScalarFormulas) {
+  constexpr std::int64_t kIn = 12, kUnits = 37, kBatch = 7;
+  for (const bool return_sequences : {false, true}) {
+    Rng rng(44);
+    nn::Gru gru(kIn, kUnits, rng, return_sequences);
+    std::map<std::string, Tensor*> param;
+    for (auto& p : gru.Params()) param[p.name] = p.value;
+    for (const char* w : {"gru.wz", "gru.wr", "gru.wh"}) {
+      for (std::int64_t c = 0; c < kIn; ++c) {
+        for (std::int64_t j = 0; j < kUnits; j += 3) param[w]->At(c, j) = 0;
+      }
+    }
+    for (std::int64_t j = 0; j < kUnits; ++j) {
+      param["gru.bz"]->At(j) = ElementwiseSpecial(j);
+      param["gru.bh"]->At(j) = ElementwiseSpecial(j + 5);
+      const float r = ElementwiseSpecial(j + 2);
+      param["gru.br"]->At(j) = std::isnan(r) ? 0.5F : r;
+    }
+    Tensor x = Tensor::RandomNormal({kBatch, 1, kIn}, rng, 0, 1);
+    x.At(2, 0, 3) = std::numeric_limits<float>::quiet_NaN();
+    for (std::int64_t c = 0; c < kIn; ++c) {
+      x.At(4, 0, c) = c % 2 == 0 ? 3e38F : -3e38F;
+    }
+
+    const auto projection = [&](const char* w, const char* b) {
+      std::vector<float> pre(static_cast<std::size_t>(kBatch * kUnits));
+      kernels::Gemm(false, false, kBatch, kUnits, kIn, x.data().data(), kIn,
+                    param[w]->data().data(), kUnits, pre.data(), kUnits,
+                    /*accumulate=*/false);
+      for (std::int64_t i = 0; i < kBatch; ++i) {
+        for (std::int64_t j = 0; j < kUnits; ++j) {
+          pre[i * kUnits + j] += param[b]->At(j);
+        }
+      }
+      return pre;
+    };
+    const auto pre_z = projection("gru.wz", "gru.bz");
+    const auto pre_r = projection("gru.wr", "gru.br");
+    const auto pre_h = projection("gru.wh", "gru.bh");
+
+    nn::InferenceContext ctx;
+    const Tensor y = gru.Score(x, ctx);
+    ASSERT_EQ(y.size(), kBatch * kUnits);
+    const float h0 = 0.0F;
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      for (std::int64_t j = 0; j < kUnits; ++j) {
+        float recurrent = 0.0F;  // (r ⊙ h₀)·Uh, k ascending
+        for (std::int64_t k = 0; k < kUnits; ++k) {
+          const float r = ScalarHardSigmoid(pre_r[i * kUnits + k]);
+          recurrent += (r * h0) * param["gru.uh"]->At(k, j);
+        }
+        const float z = ScalarHardSigmoid(pre_z[i * kUnits + j]);
+        const float cand = kernels::Tanh(pre_h[i * kUnits + j] + recurrent);
+        const float want = z * h0 + (1.0F - z) * cand;
+        EXPECT_TRUE(SameFloat(y[i * kUnits + j], want))
+            << "return_sequences=" << return_sequences << " row " << i
+            << " unit " << j << ": pre_z=" << pre_z[i * kUnits + j]
+            << " pre_h=" << pre_h[i * kUnits + j] << " got "
+            << y[i * kUnits + j] << " want " << want;
+      }
+    }
   }
 }
 

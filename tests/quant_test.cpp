@@ -126,8 +126,9 @@ TEST(QuantKernels, Int8GemmRespectsLeadingDimensionGutters) {
 
 // Every wider int8 tier must write the SSE2 tier's bytes over the whole
 // C buffer (padded gutters stay untouched), for shapes straddling each
-// tier's mr and nr, and kMc, kKc and kNc, odd and even k, accumulating
-// and overwriting, with operands spanning the full int8 range.
+// tier's mr and nr, and kMc, kKc and kNc, odd and even k, every width
+// of the last B sliver, accumulating and overwriting, with operands
+// spanning the full int8 range.
 TEST(QuantKernels, EveryInt8TierWritesSse2Bytes) {
   const auto tiers = testing::WideTiersOnThisHost(/*int8=*/true);
   const auto edges = testing::TileStraddleDims();
@@ -144,6 +145,16 @@ TEST(QuantKernels, EveryInt8TierWritesSse2Bytes) {
   for (std::int64_t n : {nc - 1, nc + 1, 2 * nc + 3}) {
     shapes.push_back({9, n, 70});
     shapes.push_back({33, n, 3});
+  }
+  // Every live width of the AVX-512 tier's last B sliver (n mod 32 in
+  // 1..31, after a full sliver), at odd and even k pairings on either
+  // side of kKc; 121 is the paper's NSL width.
+  const std::int64_t wide_nr = kernels::TileOf(kernels::Isa::kAvx512).nr;
+  for (std::int64_t r = 1; r < wide_nr; ++r) {
+    for (std::int64_t k : {std::int64_t{1}, std::int64_t{3},
+                           std::int64_t{121}, kc - 1, kc + 1}) {
+      shapes.push_back({9, wide_nr + r, k});
+    }
   }
   Rng rng(2026);
   const auto full_range = [&rng](std::size_t count) {
@@ -271,6 +282,81 @@ TEST(Quantize, MatMulMatchesDequantizedReference) {
       }
       const float want = q.act_scale * q.scales[j] * static_cast<float>(acc);
       EXPECT_FLOAT_EQ(y.At(i, j), want) << "(" << i << "," << j << ")";
+    }
+  }
+}
+
+// The dequantize step, y = act_scale · scale_j · acc, on every tier
+// against the test's own scalar formula, at values where a vectorized
+// loop could round or order differently: products of act_scale and
+// scale_j that overflow to inf (inf · 0 = NaN, inf · negative = -inf),
+// fall to subnormals or to 0 (so y is ±0), and FLT_MAX; and inputs
+// that are NaN (quantized to -127), ±inf, ±0 and subnormal. The
+// integer sums come from the test's own quantization (inputs are exact
+// multiples of act_scale, or saturate) and a naive dot product. 37
+// columns run vector bodies and a tail.
+TEST(Quantize, DequantizeBytesMatchScalarFormulaOnEveryTier) {
+  const auto tiers = kernels::SupportedIsas(/*int8=*/true);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float fmax = std::numeric_limits<float>::max();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const float scales[] = {1.0F,   fmax,  sub,    1e-30F, 3e-39F,
+                          0.125F, 2.5F,  1e30F,  7e-20F, 1.5e-38F,
+                          fmax / 4, 0.3F, 6.0e-8F};
+  const std::int64_t m = 6, k = 21, n = 37;
+  Rng rng(63);
+  for (const float act_scale : {1.0F, 0x1p-10F, 0x1p100F, 0x1p-120F}) {
+    quant::LinearQuant q;
+    q.name = "test.dequant";
+    q.k = k;
+    q.n = n;
+    q.act_scale = act_scale;
+    for (std::int64_t j = 0; j < n; ++j) {
+      q.scales.push_back(
+          scales[static_cast<std::size_t>(j) % std::size(scales)]);
+    }
+    // Column 5 of the weight is zero, so its sums are exactly 0.
+    for (std::int64_t p = 0; p < k; ++p) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        q.data.push_back(j == 5 ? std::int8_t{0}
+                                : static_cast<std::int8_t>(rng.Int(-127, 127)));
+      }
+    }
+    std::vector<float> x(static_cast<std::size_t>(m * k));
+    for (auto& v : x) v = static_cast<float>(rng.Int(-127, 127)) * act_scale;
+    const float specials[] = {nan, inf, -inf, 0.0F, -0.0F, sub, -sub};
+    for (std::size_t s = 0; s < std::size(specials); ++s) {
+      x[s * 4] = specials[s];  // rows 0 and 1
+    }
+    std::fill_n(x.begin() + 4 * k, k, 0.0F);  // row 4: every sum is 0
+
+    const float inv_scale = 1.0F / act_scale;
+    std::vector<float> want(static_cast<std::size_t>(m * n));
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        std::int32_t acc = 0;
+        for (std::int64_t p = 0; p < k; ++p) {
+          const float v = std::min(
+              127.0F, std::max(-127.0F, x[i * k + p] * inv_scale));
+          acc += static_cast<std::int32_t>(std::lrintf(v)) *
+                 static_cast<std::int32_t>(q.data[p * n + j]);
+        }
+        want[i * n + j] = act_scale * q.scales[j] * static_cast<float>(acc);
+      }
+    }
+    for (const auto isa : tiers) {
+      std::vector<float> got(static_cast<std::size_t>(m * n), -1.0F);
+      quant::QuantizedMatMulWith(isa, x.data(), m, k, q, 0, got.data(), n);
+      for (std::size_t e = 0; e < got.size(); ++e) {
+        if (std::isnan(want[e])) {
+          EXPECT_TRUE(std::isnan(got[e])) << e;
+        } else {
+          EXPECT_EQ(std::memcmp(&got[e], &want[e], sizeof(float)), 0)
+              << kernels::TierName(isa, true) << " act_scale=" << act_scale
+              << " element " << e << ": got " << got[e] << " want " << want[e];
+        }
+      }
     }
   }
 }
