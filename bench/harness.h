@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -21,6 +22,7 @@
 #include "models/pelican.h"
 #include "models/zoo.h"
 #include "obs/json.h"
+#include "obs/run_log.h"
 
 namespace pelican::bench {
 
@@ -192,9 +194,44 @@ inline void WriteJsonArray(const std::string& path,
   f << JsonArray(rows) << '\n';
 }
 
+// The host a bench ran on: core count, CPU model, the ISA extensions
+// the kernels could use, compiler, build type and the measured commit
+// (`git`, as the caller was told it; "unknown" if not).
+inline obs::Json HostManifest(const std::string& git) {
+  std::string cpu;
+  std::string flags;
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const auto colon = line.find(':');
+    if (colon == std::string::npos || colon + 2 > line.size()) continue;
+    if (cpu.empty() && line.rfind("model name", 0) == 0) {
+      cpu = line.substr(colon + 2);
+    } else if (flags.empty() && line.rfind("flags", 0) == 0) {
+      flags = " " + line.substr(colon + 2) + " ";
+    }
+  }
+  std::string isa;
+  for (const char* want :
+       {"sse4_2", "pclmulqdq", "avx", "avx2", "fma", "avx512f", "avx512bw",
+        "avx512vl", "avx512_vnni", "vpclmulqdq", "avx_vnni", "amx_int8"}) {
+    if (flags.find(" " + std::string(want) + " ") != std::string::npos) {
+      isa += (isa.empty() ? "" : " ") + std::string(want);
+    }
+  }
+  obs::Json j;
+  j.Set("nproc",
+        static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+      .Set("cpu", cpu)
+      .Set("isa", isa)
+      .Set("compiler", obs::BuildCompiler())
+      .Set("build_type", PELICAN_BUILD_TYPE)
+      .Set("git", git);
+  return j;
+}
+
 // Rows of BENCH_kernels.json, the perf-trajectory artifact emitted by
-// bench/kernels_bench: one entry per (op, shape, threads, GEMM tier)
-// with ns/iter and achieved GFLOP/s (GOP/s for int8).
+// bench/kernels_bench: one entry per (op, shape, threads, tier) with
+// ns/iter and achieved GFLOP/s (GOP/s for int8, GB/s for crc32).
 struct BenchRow {
   std::string op;     // "gemm_kernel", "gemm_naive", "conv1d_forward", …
   std::string shape;  // "m64_k196_n192", "n32_l1_c24_f24_k10", …
@@ -204,7 +241,8 @@ struct BenchRow {
   std::string isa;    // GEMM tier that ran ("avx512 8x32", …) or "scalar"
 };
 
-inline void WriteBenchJson(const std::string& path,
+// Writes {"manifest": manifest, "rows": [one object per row]} to `path`.
+inline void WriteBenchJson(const std::string& path, const obs::Json& manifest,
                            const std::vector<BenchRow>& rows) {
   std::vector<obs::Json> out;
   out.reserve(rows.size());
@@ -217,7 +255,10 @@ inline void WriteBenchJson(const std::string& path,
         .Set("ns_per_iter", r.ns_per_iter)
         .Set("gflops", r.gflops);
   }
-  WriteJsonArray(path, out);
+  std::ofstream f(path);
+  PELICAN_CHECK(f.is_open(), "cannot write " + path);
+  f << "{\"manifest\": " << manifest.Str() << ",\n\"rows\": " << JsonArray(out)
+    << "}\n";
 }
 
 // Fixed-width table row printer (paper-style ASCII tables).

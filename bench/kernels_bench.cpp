@@ -9,13 +9,16 @@
 // dispatched tier at every thread count; quant::QuantizedMatMul (the
 // int8 GEMM with its quantize and dequantize ends) on each int8 tier at
 // the paper-width GRU and Conv1D shapes. kernels::Tanh is timed on each
-// tier against a std::tanh loop.
+// tier against a std::tanh loop, and the CRC32 that seals and checks
+// every file on each of its tiers.
 //
-//   kernels_bench [--smoke] [--json=PATH]
+//   kernels_bench [--smoke] [--json=PATH] [--git=REV]
 //
 // --smoke shrinks shapes and timing budgets so the ctest target stays
 // fast; the full run measures the ISSUE-3 acceptance shapes (GEMM
 // m=64 k=196 n=192 and Conv1D forward at the bench-default widths).
+// The JSON's manifest names the host, the build, the tiers dispatched
+// and the commit given as --git (e.g. `git describe --always --dirty`).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -23,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -334,18 +338,40 @@ void BenchTanh(std::int64_t n, std::vector<bench::BenchRow>& rows) {
   }
 }
 
+// Crc32::Update on every tier this host runs over n random bytes (1
+// thread). The gflops column reads GB/s for these rows.
+void BenchCrc32(std::size_t n, std::vector<bench::BenchRow>& rows) {
+  Rng rng(12);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.Int(0, 255));
+  const std::string shape = "n" + std::to_string(n);
+  ThreadGuard guard(1);
+  for (const Crc32Tier tier : SupportedCrc32Tiers()) {
+    const double ns = TimeNs([&] {
+      Crc32 crc;
+      crc.UpdateWith(tier, bytes.data(), n);
+    });
+    rows.push_back({"crc32", shape, 1, ns, static_cast<double>(n) / ns,
+                    Crc32TierName(tier)});
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path = "BENCH_kernels.json";
+  std::string git = "unknown";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
+    } else if (std::strncmp(argv[i], "--git=", 6) == 0) {
+      git = argv[i] + 6;
     } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--json=PATH]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke] [--json=PATH] [--git=REV]\n",
+                   argv[0]);
       return 2;
     }
   }
@@ -360,6 +386,7 @@ int main(int argc, char** argv) {
     BenchConv1D(4, 3, 8, 5, threads, rows);
     BenchGruVsLstm(4, 2, 8, threads, rows);
     BenchTanh(37, rows);
+    BenchCrc32(1000, rows);
   } else {
     // The ISSUE-3 acceptance shape, the paper's encoded widths, and a
     // square reference point.
@@ -379,11 +406,18 @@ int main(int argc, char** argv) {
     // One GRU step's candidate state at batch 64, NSL and UNSW widths.
     BenchTanh(64 * 121, rows);
     BenchTanh(64 * 196, rows);
+    // 4 KiB, and the size of the full-width (121) NSL weight file.
+    BenchCrc32(4096, rows);
+    BenchCrc32(9'436'102, rows);
   }
 
-  bench::WriteBenchJson(json_path, rows);
+  const std::string crc_tier = Crc32TierName(SupportedCrc32Tiers().back());
+  obs::Json manifest = bench::HostManifest(git);
+  manifest.Set("gemm", kernels::IsaName()).Set("crc32", crc_tier);
+  bench::WriteBenchJson(json_path, manifest, rows);
 
-  std::printf("gemm: %s\n", kernels::IsaName().c_str());
+  std::printf("gemm: %s\ncrc32: %s\n", kernels::IsaName().c_str(),
+              crc_tier.c_str());
   std::printf("%-22s %-18s %-18s %8s %14s %10s\n", "op", "shape", "isa",
               "threads", "ns/iter", "GFLOP/s");
   for (const auto& r : rows) {

@@ -1,7 +1,6 @@
 #include "core/model_io.h"
 
-#include <algorithm>
-#include <cmath>
+#include <bit>
 #include <cstdint>
 #include <string_view>
 
@@ -26,13 +25,20 @@ namespace io {
 // file is corruption. Rejecting it is also what lets inference treat
 // 0 · w as +0: Gru::Score skips the h₀ = 0 recurrent GEMMs, which a NaN
 // or Inf in U would have poisoned.
+//
+// The scan ORs together, over every value, whether its exponent bits
+// are all ones (NaN or ±Inf), so it has no early exit and no branch per
+// value and vectorizes; a tensor is scanned once, at load.
 void CheckFinite(const std::string& name, std::size_t index,
                  const Tensor& value, const std::string& path) {
-  const auto data = value.data();
-  PELICAN_CHECK(std::all_of(data.begin(), data.end(),
-                            [](float v) { return std::isfinite(v); }),
-                "non-finite value in " + name + " (tensor " +
-                    std::to_string(index) + "): " + path);
+  constexpr std::uint32_t kExponent = 0x7F800000U;
+  std::uint32_t nonfinite = 0;
+  for (const float v : value.data()) {
+    nonfinite |= static_cast<std::uint32_t>(
+        (std::bit_cast<std::uint32_t>(v) & kExponent) == kExponent);
+  }
+  PELICAN_CHECK(nonfinite == 0, "non-finite value in " + name + " (tensor " +
+                                    std::to_string(index) + "): " + path);
 }
 
 void WriteTensorBody(ByteWriter& out, const Tensor& value) {

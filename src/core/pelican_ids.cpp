@@ -75,15 +75,14 @@ PelicanIds::PelicanIds(data::Schema schema, IdsConfig config)
                 "normal_label out of range");
 }
 
-std::unique_ptr<nn::Sequential> PelicanIds::MakeNetwork() const {
+std::unique_ptr<nn::Sequential> PelicanIds::MakeNetwork(nn::Init init) const {
   models::NetworkConfig net;
   net.features = encoder_.EncodedWidth();
   net.n_classes = static_cast<std::int64_t>(schema_.LabelCount());
   net.n_blocks = config_.n_blocks;
   net.residual = config_.residual;
   net.channels = config_.channels;
-  Rng rng(config_.train.seed ^ 0x1d5c0ffeeULL);
-  return models::BuildNetwork(net, rng);
+  return models::BuildNetwork(net, init);
 }
 
 TrainHistory PelicanIds::Train(const data::RawDataset& train_set,
@@ -93,7 +92,8 @@ TrainHistory PelicanIds::Train(const data::RawDataset& train_set,
   scaler_.Fit(x);
   scaler_.Transform(x);
 
-  network_ = MakeNetwork();
+  Rng rng(config_.train.seed ^ 0x1d5c0ffeeULL);
+  network_ = MakeNetwork(rng);
   trainer_ = std::make_unique<Trainer>(*network_, config_.train);
 
   TrainHistory history;
@@ -252,8 +252,12 @@ void PelicanIds::Save(const std::string& path) const {
 // passed. A failed Load (a missing, corrupt or mismatched weight file,
 // `.pre` or `.quant`) so leaves the detector as it was: untrained, or
 // answering from the model it had.
+//
+// The network is built without drawing a weight: LoadWeights fills
+// every parameter and buffer, each checked for name, shape and
+// finiteness under the file's CRC, or throws before the commit below.
 void PelicanIds::Load(const std::string& path) {
-  std::unique_ptr<nn::Sequential> network = MakeNetwork();
+  std::unique_ptr<nn::Sequential> network = MakeNetwork(nn::Init::kNoDraw);
   LoadWeights(*network, path);
   auto [mean, stddev] =
       ReadScalerStats(path + ".pre", encoder_.EncodedWidth());

@@ -100,8 +100,11 @@ class PelicanIds {
 
  private:
   [[nodiscard]] Tensor EncodeAndScale(const data::RawDataset& records) const;
-  // A freshly initialized network of the configured shape.
-  [[nodiscard]] std::unique_ptr<nn::Sequential> MakeNetwork() const;
+  // A network of the configured shape: Train draws its weights from an
+  // Rng seeded from the config, Load leaves them zero
+  // (nn::Init::kNoDraw) for the weight file to fill.
+  [[nodiscard]] std::unique_ptr<nn::Sequential> MakeNetwork(
+      nn::Init init) const;
   // Calibration Score over (a stride sample of) the scaled rows, then
   // freeze. Inference only: fp32 weights and the trainer RNG are
   // untouched, so the saved model bytes don't change.

@@ -14,11 +14,11 @@ void CheckConfig(const BlockConfig& config) {
 // The Conv→…→Dropout chain shared by both block kinds. Starts *after*
 // the leading BN. The final ReLU of the plain block lives here; the
 // residual block instead applies ReLU after the add (post layer).
-std::unique_ptr<nn::Sequential> MakeBody(const BlockConfig& config, Rng& rng,
-                                         bool relu_after_conv) {
+std::unique_ptr<nn::Sequential> MakeBody(const BlockConfig& config,
+                                         nn::Init init, bool relu_after_conv) {
   auto body = std::make_unique<nn::Sequential>();
   body->Add(std::make_unique<nn::Conv1D>(config.channels, config.channels,
-                                         config.kernel_size, rng));
+                                         config.kernel_size, init));
   if (relu_after_conv) body->Add(nn::Relu());
   if (config.pool == PoolKind::kMax) {
     body->Add(std::make_unique<nn::MaxPool1D>(config.pool_size));
@@ -28,11 +28,11 @@ std::unique_ptr<nn::Sequential> MakeBody(const BlockConfig& config, Rng& rng,
   body->Add(std::make_unique<nn::BatchNorm>(config.channels));
   const std::int64_t out_len = BlockOutputLength(config);
   if (config.recurrent == RecurrentKind::kGru) {
-    body->Add(std::make_unique<nn::Gru>(config.channels, config.channels, rng,
+    body->Add(std::make_unique<nn::Gru>(config.channels, config.channels, init,
                                         /*return_sequences=*/true));
   } else {
     body->Add(std::make_unique<nn::Lstm>(config.channels, config.channels,
-                                         rng, /*return_sequences=*/true));
+                                         init, /*return_sequences=*/true));
   }
   body->Add(std::make_unique<nn::Reshape>(
       Tensor::Shape{out_len, config.channels}));
@@ -47,22 +47,22 @@ std::int64_t BlockOutputLength(const BlockConfig& config) {
   return pool.OutputLength(config.input_len);
 }
 
-nn::LayerPtr MakePlainBlock(const BlockConfig& config, Rng& rng) {
+nn::LayerPtr MakePlainBlock(const BlockConfig& config, nn::Init init) {
   CheckConfig(config);
   auto block = std::make_unique<nn::Sequential>();
   block->Add(std::make_unique<nn::BatchNorm>(config.channels));
-  auto body = MakeBody(config, rng, /*relu_after_conv=*/true);
+  auto body = MakeBody(config, init, /*relu_after_conv=*/true);
   // Inline the body layers so summaries read flat, matching Fig. 4(a).
   block->Add(std::move(body));
   return block;
 }
 
-nn::LayerPtr MakeResidualBlock(const BlockConfig& config, Rng& rng,
+nn::LayerPtr MakeResidualBlock(const BlockConfig& config, nn::Init init,
                                ShortcutKind shortcut, ShortcutTap tap) {
   CheckConfig(config);
   // ReLU after conv stays inside the body (the paper keeps it); the
   // block's *final* ReLU moves after the add.
-  auto body = MakeBody(config, rng, /*relu_after_conv=*/true);
+  auto body = MakeBody(config, init, /*relu_after_conv=*/true);
 
   nn::LayerPtr shortcut_layer;
   const std::int64_t out_len = BlockOutputLength(config);
@@ -77,7 +77,7 @@ nn::LayerPtr MakeResidualBlock(const BlockConfig& config, Rng& rng,
     }
     projection->Add(
         std::make_unique<nn::Conv1D>(config.channels, config.channels,
-                                     /*kernel_size=*/1, rng));
+                                     /*kernel_size=*/1, init));
     shortcut_layer = std::move(projection);
   }
 

@@ -39,11 +39,11 @@ struct BlockConfig {
 std::int64_t BlockOutputLength(const BlockConfig& config);
 
 // Fig. 4 (a).
-nn::LayerPtr MakePlainBlock(const BlockConfig& config, Rng& rng);
+nn::LayerPtr MakePlainBlock(const BlockConfig& config, nn::Init init);
 
 // Fig. 4 (b). With kIdentity the block must preserve the sample shape
 // (input_len < pool_size), as in the paper's configuration.
-nn::LayerPtr MakeResidualBlock(const BlockConfig& config, Rng& rng,
+nn::LayerPtr MakeResidualBlock(const BlockConfig& config, nn::Init init,
                                ShortcutKind shortcut = ShortcutKind::kIdentity,
                                ShortcutTap tap = ShortcutTap::kAfterBn);
 

@@ -3,7 +3,7 @@
 namespace pelican::models {
 
 std::unique_ptr<nn::Sequential> BuildNetwork(const NetworkConfig& config,
-                                             Rng& rng) {
+                                             nn::Init init) {
   PELICAN_CHECK(config.features > 0 && config.n_classes >= 2);
   PELICAN_CHECK(config.n_blocks >= 1);
   PELICAN_CHECK(config.sequence_length >= 1);
@@ -19,7 +19,7 @@ std::unique_ptr<nn::Sequential> BuildNetwork(const NetworkConfig& config,
   if (channels != config.features) {
     // Width-reduction stem for CPU-scaled runs.
     net->Add(std::make_unique<nn::Conv1D>(config.features, channels,
-                                          /*kernel_size=*/1, rng));
+                                          /*kernel_size=*/1, init));
   }
 
   BlockConfig block;
@@ -38,15 +38,15 @@ std::unique_ptr<nn::Sequential> BuildNetwork(const NetworkConfig& config,
       const ShortcutKind shortcut = out_len == length
                                         ? config.shortcut
                                         : ShortcutKind::kProjection;
-      net->Add(MakeResidualBlock(block, rng, shortcut, config.tap));
+      net->Add(MakeResidualBlock(block, init, shortcut, config.tap));
     } else {
-      net->Add(MakePlainBlock(block, rng));
+      net->Add(MakePlainBlock(block, init));
     }
     length = out_len;
   }
 
   net->Add(std::make_unique<nn::GlobalAvgPool1D>());
-  net->Add(std::make_unique<nn::Dense>(channels, config.n_classes, rng));
+  net->Add(std::make_unique<nn::Dense>(channels, config.n_classes, init));
   return net;
 }
 

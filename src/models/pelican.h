@@ -40,9 +40,11 @@ struct NetworkConfig {
   std::int64_t sequence_length = 1;
 };
 
-// Builds blocks + GlobalAvgPool + Dense per the config.
+// Builds blocks + GlobalAvgPool + Dense per the config, its weights
+// drawn from the Rng that `init` holds, or left zero for a weight file
+// to fill (nn::Init::kNoDraw).
 std::unique_ptr<nn::Sequential> BuildNetwork(const NetworkConfig& config,
-                                             Rng& rng);
+                                             nn::Init init);
 
 // The four networks of Tables II–IV.
 std::unique_ptr<nn::Sequential> BuildPlain21(std::int64_t features,

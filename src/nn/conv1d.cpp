@@ -55,13 +55,13 @@ void Im2Col(const float* x, std::int64_t n, std::int64_t len,
 }  // namespace
 
 Conv1D::Conv1D(std::int64_t in_channels, std::int64_t filters,
-               std::int64_t kernel_size, Rng& rng)
+               std::int64_t kernel_size, Init init)
     : in_channels_(in_channels),
       filters_(filters),
       kernel_(kernel_size),
       pad_left_((kernel_size - 1) / 2),
       w_(GlorotUniform({kernel_size, in_channels, filters},
-                       kernel_size * in_channels, filters, rng)),
+                       kernel_size * in_channels, filters, init)),
       b_({filters}),
       dw_({kernel_size, in_channels, filters}),
       db_({filters}) {

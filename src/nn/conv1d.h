@@ -9,6 +9,7 @@
 // place the final ReLU after the shortcut add.
 #pragma once
 
+#include "nn/initializers.h"
 #include "nn/layer.h"
 
 namespace pelican::nn {
@@ -16,7 +17,7 @@ namespace pelican::nn {
 class Conv1D final : public Layer {
  public:
   Conv1D(std::int64_t in_channels, std::int64_t filters,
-         std::int64_t kernel_size, Rng& rng);
+         std::int64_t kernel_size, Init init);
 
   Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;

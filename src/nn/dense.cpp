@@ -5,11 +5,11 @@
 
 namespace pelican::nn {
 
-Dense::Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng)
+Dense::Dense(std::int64_t in_features, std::int64_t out_features, Init init)
     : in_(in_features),
       out_(out_features),
       w_(GlorotUniform({in_features, out_features}, in_features,
-                       out_features, rng)),
+                       out_features, init)),
       b_({out_features}),
       dw_({in_features, out_features}),
       db_({out_features}) {

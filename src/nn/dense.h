@@ -1,6 +1,7 @@
 // Fully-connected layer: y = x·W + b, x (N, D_in) → y (N, D_out).
 #pragma once
 
+#include "nn/initializers.h"
 #include "nn/layer.h"
 
 namespace pelican::nn {
@@ -8,7 +9,7 @@ namespace pelican::nn {
 class Dense final : public Layer {
  public:
   // Weights are Glorot-uniform, bias zero.
-  Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng);
+  Dense(std::int64_t in_features, std::int64_t out_features, Init init);
 
   Tensor TrainForward(const Tensor& x) override;
   Tensor Backward(const Tensor& dy) override;

@@ -28,17 +28,17 @@ void ParallelRows(std::int64_t n, std::int64_t width, Fn&& fn) {
 }
 }  // namespace
 
-Gru::Gru(std::int64_t input_size, std::int64_t units, Rng& rng,
+Gru::Gru(std::int64_t input_size, std::int64_t units, Init init,
          bool return_sequences)
     : input_size_(input_size),
       units_(units),
       return_sequences_(return_sequences),
-      wz_(GlorotUniform({input_size, units}, input_size, units, rng)),
-      wr_(GlorotUniform({input_size, units}, input_size, units, rng)),
-      wh_(GlorotUniform({input_size, units}, input_size, units, rng)),
-      uz_(Orthogonal(units, units, rng)),
-      ur_(Orthogonal(units, units, rng)),
-      uh_(Orthogonal(units, units, rng)),
+      wz_(GlorotUniform({input_size, units}, input_size, units, init)),
+      wr_(GlorotUniform({input_size, units}, input_size, units, init)),
+      wh_(GlorotUniform({input_size, units}, input_size, units, init)),
+      uz_(Orthogonal(units, units, init)),
+      ur_(Orthogonal(units, units, init)),
+      uh_(Orthogonal(units, units, init)),
       bz_({units}),
       br_({units}),
       bh_({units}),

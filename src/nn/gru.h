@@ -11,13 +11,14 @@
 // return_sequences, else (N, H) (last step).
 #pragma once
 
+#include "nn/initializers.h"
 #include "nn/layer.h"
 
 namespace pelican::nn {
 
 class Gru final : public Layer {
  public:
-  Gru(std::int64_t input_size, std::int64_t units, Rng& rng,
+  Gru(std::int64_t input_size, std::int64_t units, Init init,
       bool return_sequences = true);
 
   Tensor TrainForward(const Tensor& x) override;

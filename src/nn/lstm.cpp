@@ -6,19 +6,19 @@
 
 namespace pelican::nn {
 
-Lstm::Lstm(std::int64_t input_size, std::int64_t units, Rng& rng,
+Lstm::Lstm(std::int64_t input_size, std::int64_t units, Init init,
            bool return_sequences)
     : input_size_(input_size),
       units_(units),
       return_sequences_(return_sequences),
-      wi_(GlorotUniform({input_size, units}, input_size, units, rng)),
-      wf_(GlorotUniform({input_size, units}, input_size, units, rng)),
-      wg_(GlorotUniform({input_size, units}, input_size, units, rng)),
-      wo_(GlorotUniform({input_size, units}, input_size, units, rng)),
-      ui_(Orthogonal(units, units, rng)),
-      uf_(Orthogonal(units, units, rng)),
-      ug_(Orthogonal(units, units, rng)),
-      uo_(Orthogonal(units, units, rng)),
+      wi_(GlorotUniform({input_size, units}, input_size, units, init)),
+      wf_(GlorotUniform({input_size, units}, input_size, units, init)),
+      wg_(GlorotUniform({input_size, units}, input_size, units, init)),
+      wo_(GlorotUniform({input_size, units}, input_size, units, init)),
+      ui_(Orthogonal(units, units, init)),
+      uf_(Orthogonal(units, units, init)),
+      ug_(Orthogonal(units, units, init)),
+      uo_(Orthogonal(units, units, init)),
       bi_({units}),
       bf_(Tensor::Full({units}, 1.0F)),
       bg_({units}),

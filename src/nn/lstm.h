@@ -11,13 +11,14 @@
 // initialized to 1 (Keras unit_forget_bias).
 #pragma once
 
+#include "nn/initializers.h"
 #include "nn/layer.h"
 
 namespace pelican::nn {
 
 class Lstm final : public Layer {
  public:
-  Lstm(std::int64_t input_size, std::int64_t units, Rng& rng,
+  Lstm(std::int64_t input_size, std::int64_t units, Init init,
        bool return_sequences = true);
 
   Tensor TrainForward(const Tensor& x) override;

@@ -7,9 +7,11 @@
 // recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -24,6 +26,7 @@
 #include "data/nslkdd.h"
 #include "models/zoo.h"
 #include "nn/batchnorm.h"
+#include "nn/dense.h"
 #include "nn/gru.h"
 #include "optim/optimizer.h"
 
@@ -71,8 +74,35 @@ core::TrainConfig ToyConfig(int epochs) {
 
 // ---- CRC32 -----------------------------------------------------------------
 
+// Every tier this host runs, printed so the test log shows which ran.
+std::vector<Crc32Tier> Crc32TiersOnThisHost() {
+  const std::vector<Crc32Tier> tiers = SupportedCrc32Tiers();
+  std::string names;
+  for (const auto tier : tiers) names += " [" + Crc32TierName(tier) + "]";
+  std::printf("crc32 tiers run:%s\n", names.c_str());
+  return tiers;
+}
+
+// Crc32Of(p, size) computed on `tier`.
+std::uint32_t Crc32OfWith(Crc32Tier tier, const void* p, std::size_t size) {
+  Crc32 crc;
+  crc.UpdateWith(tier, p, size);
+  return crc.Value();
+}
+
 TEST(Crc32, KnownAnswerVector) {
-  // The standard CRC-32/IEEE check value.
+  // The standard CRC-32/IEEE check value, and the CRC of 64 copies of
+  // its input (576 bytes, long enough for every tier's fold), as zlib's
+  // crc32 gives it.
+  std::string check64;
+  for (int i = 0; i < 64; ++i) check64 += "123456789";
+  for (const auto tier : Crc32TiersOnThisHost()) {
+    SCOPED_TRACE(Crc32TierName(tier));
+    EXPECT_EQ(Crc32OfWith(tier, "123456789", 9), 0xCBF43926U);
+    EXPECT_EQ(Crc32OfWith(tier, "", 0), 0x00000000U);
+    EXPECT_EQ(Crc32OfWith(tier, check64.data(), check64.size()),
+              0x448F0D2CU);
+  }
   EXPECT_EQ(Crc32Of("123456789"), 0xCBF43926U);
   EXPECT_EQ(Crc32Of(""), 0x00000000U);
 }
@@ -87,7 +117,7 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc.Value(), 0xCBF43926U);
 }
 
-// The reference the slicing-by-8 Update must match: the bytewise
+// The reference every tier's Update must match: the bytewise
 // algorithm, bit by bit from the polynomial, written out here.
 std::uint32_t BytewiseCrc32(const unsigned char* p, std::size_t size) {
   std::uint32_t state = 0xFFFFFFFFU;
@@ -100,27 +130,66 @@ std::uint32_t BytewiseCrc32(const unsigned char* p, std::size_t size) {
   return state ^ 0xFFFFFFFFU;
 }
 
-// Every length 0–1,100, from every start offset mod 8 (so both the
-// 8-byte steps and the byte tail see every alignment), and split into
-// two Update calls at assorted points.
-TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthOffsetAndSplit) {
-  Rng rng(8);
-  std::vector<unsigned char> buf(1100 + 8);
-  for (auto& b : buf) b = static_cast<unsigned char>(rng.Int(0, 255));
+// Checks `tier` at every length in `lens`, from every start offset mod 8
+// (so the 8-byte steps, the byte tail and the fold's 16-byte loads see
+// every alignment), one-shot and split into two Update calls at
+// assorted points.
+void ExpectBytewiseAt(Crc32Tier tier, const std::vector<unsigned char>& buf,
+                      const std::vector<std::size_t>& lens) {
   for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 1100; ++len) {
+    for (const std::size_t len : lens) {
+      ASSERT_LE(offset + len, buf.size());
       const unsigned char* p = buf.data() + offset;
       const std::uint32_t want = BytewiseCrc32(p, len);
-      ASSERT_EQ(Crc32Of(p, len), want)
+      ASSERT_EQ(Crc32OfWith(tier, p, len), want)
           << "offset " << offset << " len " << len;
-      for (const std::size_t split : {len / 3, len / 2, len - len / 8}) {
+      const std::size_t last65 = len - std::min<std::size_t>(len, 65);
+      for (const std::size_t split :
+           {len / 3, len / 2, len - len / 8, last65}) {
         Crc32 crc;
-        crc.Update(p, split);
-        crc.Update(p + split, len - split);
+        crc.UpdateWith(tier, p, split);
+        crc.UpdateWith(tier, p + split, len - split);
         ASSERT_EQ(crc.Value(), want)
             << "offset " << offset << " len " << len << " split " << split;
       }
     }
+  }
+}
+
+// Every length 0–1,100, then lengths either side of the fold's 64-byte
+// blocks and 16-byte steps up to 4 KiB, then a 3 MB buffer, one-shot
+// and fed in pieces that start and end at odd offsets; on every tier.
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthOffsetAndSplit) {
+  Rng rng(8);
+  // Room for the longest length, 4096 + 64 + 17, at offset 7.
+  std::vector<unsigned char> buf(4096 + 128);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Int(0, 255));
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 0; len <= 1100; ++len) lens.push_back(len);
+  for (std::size_t edge = 1152; edge <= 4096 + 64; edge += 64) {
+    for (const std::size_t below : {17, 16, 15, 1}) {
+      lens.push_back(edge - below);
+    }
+    for (const std::size_t above : {0, 1, 15, 16, 17}) {
+      lens.push_back(edge + above);
+    }
+  }
+  std::vector<unsigned char> big((std::size_t{3} << 20) + 13);
+  for (auto& b : big) b = static_cast<unsigned char>(rng.Int(0, 255));
+  const std::uint32_t big_want = BytewiseCrc32(big.data(), big.size());
+
+  for (const auto tier : Crc32TiersOnThisHost()) {
+    SCOPED_TRACE(Crc32TierName(tier));
+    ExpectBytewiseAt(tier, buf, lens);
+    EXPECT_EQ(Crc32OfWith(tier, big.data(), big.size()), big_want);
+    Crc32 crc;
+    std::size_t at = 0;
+    for (const std::size_t piece : {1, 63, 65, 4097, 999'999, 17, 1'048'577}) {
+      crc.UpdateWith(tier, big.data() + at, piece);
+      at += piece;
+    }
+    crc.UpdateWith(tier, big.data() + at, big.size() - at);
+    EXPECT_EQ(crc.Value(), big_want);
   }
 }
 
@@ -359,44 +428,61 @@ TEST(WeightFiles, TensorEntryPayloadTruncationRejected) {
   EXPECT_THROW(core::io::ReadTensorEntry(in, "w", dst), CheckError);
 }
 
-// Overwrites the first float of tensor entry `name` in a v3 weight file
-// and recomputes the CRC footer, so only the finiteness check can
-// reject the result.
-void PoisonFirstFloat(const std::string& path, const std::string& name,
-                      float value) {
+// Overwrites the first float (or, with `last`, the last one) of the
+// first tensor entry named `name` in a v3 weight file and recomputes the
+// CRC footer, so only the finiteness check can reject the result.
+void PoisonFloat(const std::string& path, const std::string& name,
+                 float value, bool last = false) {
   EditSealed(path, [&](std::string& bytes) {
     // Entry layout: u32 name_len | name | u32 rank | i64 dims… | f32 data…
     const std::size_t at = bytes.find(name);
     ASSERT_NE(at, std::string::npos) << name;
     std::uint32_t rank = 0;
     std::memcpy(&rank, bytes.data() + at + name.size(), sizeof(rank));
-    PokeAt(bytes,
-           at + name.size() + sizeof(rank) + rank * sizeof(std::int64_t),
-           value);
+    const std::size_t dims_at = at + name.size() + sizeof(rank);
+    std::int64_t count = 1;
+    for (std::uint32_t d = 0; d < rank; ++d) {
+      std::int64_t dim = 0;
+      std::memcpy(&dim, bytes.data() + dims_at + d * sizeof(dim), sizeof(dim));
+      count *= dim;
+    }
+    const std::size_t element = last ? static_cast<std::size_t>(count - 1) : 0;
+    const std::size_t data_at = dims_at + rank * sizeof(std::int64_t);
+    PokeAt(bytes, data_at + element * sizeof(float), value);
   });
 }
 
+// The scan has no early exit, so a bad value is caught wherever it sits:
+// first in a tensor, or last in one whose 15 values (dense.w, 3 × 5) are
+// no multiple of any vector width, so the last lies past every full
+// vector. Extreme finite values (±FLT_MAX, subnormals) still load, bit
+// for bit.
 TEST(WeightFiles, NonFiniteWeightsRejectedDespiteValidChecksum) {
   const auto dir = MakeTempDir("weights_nonfinite");
   Rng rng(7);
   nn::Sequential net;
   net.Add(std::make_unique<nn::BatchNorm>(4));
   net.Add(std::make_unique<nn::Gru>(4, 4, rng));
+  net.Add(std::make_unique<nn::Dense>(3, 5, rng));
   const auto clean = dir + "/w.bin";
   core::SaveWeights(net, clean);
 
   struct Poison {
     const char* tensor;
     float value;
+    bool last;
   };
+  constexpr float kInf = std::numeric_limits<float>::infinity();
   const Poison poisons[] = {
-      {"gru.uz", std::numeric_limits<float>::quiet_NaN()},
-      {"bn.running_var", std::numeric_limits<float>::infinity()},
+      {"gru.uz", std::numeric_limits<float>::quiet_NaN(), false},
+      {"bn.running_var", kInf, false},
+      {"dense.w", std::numeric_limits<float>::quiet_NaN(), true},
+      {"dense.w", -kInf, true},
   };
   for (const auto& p : poisons) {
     const auto corrupt = dir + "/w_poison.bin";
     fs::copy_file(clean, corrupt, fs::copy_options::overwrite_existing);
-    PoisonFirstFloat(corrupt, p.tensor, p.value);
+    PoisonFloat(corrupt, p.tensor, p.value, p.last);
     try {
       core::LoadWeights(net, corrupt);
       ADD_FAILURE() << p.value << " in " << p.tensor << " was not rejected";
@@ -406,6 +492,20 @@ TEST(WeightFiles, NonFiniteWeightsRejectedDespiteValidChecksum) {
     }
   }
   EXPECT_NO_THROW(core::LoadWeights(net, clean));
+
+  const Poison finite[] = {
+      {"dense.w", std::numeric_limits<float>::max(), true},
+      {"dense.w", -std::numeric_limits<float>::max(), false},
+      {"dense.b", std::numeric_limits<float>::denorm_min(), true},
+      {"gru.uz", -std::numeric_limits<float>::denorm_min(), true},
+      {"bn.running_var", std::numeric_limits<float>::min() / 2, false},
+  };
+  const auto extreme = dir + "/w_extreme.bin";
+  fs::copy_file(clean, extreme, fs::copy_options::overwrite_existing);
+  for (const auto& f : finite) PoisonFloat(extreme, f.tensor, f.value, f.last);
+  ASSERT_NO_THROW(core::LoadWeights(net, extreme));
+  core::SaveWeights(net, dir + "/w_resaved.bin");
+  EXPECT_EQ(ReadFileBytes(dir + "/w_resaved.bin"), ReadFileBytes(extreme));
 }
 
 TEST(WeightFiles, TensorNameLengthPastEndRejected) {
@@ -602,7 +702,7 @@ TEST(Checkpoint, NonFiniteWeightRejectedAndOlderSnapshotLoaded) {
   for (auto& p : net.Params()) p.value->Fill(0.25F);
   state.epoch = 2;
   const auto newest = ckpt.Save(net, *optimizer, state);
-  PoisonFirstFloat(newest, "gru.uz", std::numeric_limits<float>::quiet_NaN());
+  PoisonFloat(newest, "gru.uz", std::numeric_limits<float>::quiet_NaN());
 
   core::CheckpointState loaded;
   try {

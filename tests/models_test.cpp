@@ -1,8 +1,18 @@
 // Model-builder tests: block topology, the paper's parameter-layer
 // arithmetic (5 blocks → 21, 10 blocks → 41), end-to-end shapes for all
-// Table V architectures, trainability smoke checks.
+// Table V architectures, trainability smoke checks, and the no-draw
+// build that Load fills from a weight file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "core/model_io.h"
 #include "models/pelican.h"
 #include "models/zoo.h"
 
@@ -196,6 +206,119 @@ TEST(Networks, PelicanBackpropagatesThroughAllBlocks) {
     } else {
       EXPECT_GT(p.grad->AbsMax(), 0.0F) << p.name;
     }
+  }
+}
+
+// ---- the no-draw build ------------------------------------------------------
+
+// The paper-shape networks a weight file may fill: GRU and LSTM,
+// residual and plain, one flow and a window of three, at the scaled
+// width 24 and at full width (NSL's 121 features).
+std::vector<NetworkConfig> NoDrawConfigs() {
+  std::vector<NetworkConfig> configs;
+  for (const auto recurrent : {RecurrentKind::kGru, RecurrentKind::kLstm}) {
+    for (const bool residual : {true, false}) {
+      for (const std::int64_t seq : {1, 3}) {
+        for (const std::int64_t channels : {24, 0}) {
+          NetworkConfig c;
+          c.features = 121;
+          c.n_classes = 5;
+          c.residual = residual;
+          c.channels = channels;
+          c.recurrent = recurrent;
+          c.sequence_length = seq;
+          configs.push_back(c);
+        }
+      }
+    }
+  }
+  return configs;
+}
+
+std::string ConfigName(const NetworkConfig& c) {
+  return std::string(c.recurrent == RecurrentKind::kGru ? "gru" : "lstm") +
+         (c.residual ? " residual" : " plain") + " seq " +
+         std::to_string(c.sequence_length) + " width " +
+         std::to_string(c.channels > 0 ? c.channels : c.features);
+}
+
+bool AllZero(const Tensor& t) {
+  for (const float v : t.data()) {
+    if (std::bit_cast<std::uint32_t>(v) != 0) return false;
+  }
+  return true;
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) ==
+             0;
+}
+
+// Checks the no-draw network's tensors `none` (its Params() or
+// Buffers()) against those of two networks seeded differently, `a` and
+// `b`, as the test below says; returns how many of them a seed draws.
+template <typename Refs>
+std::size_t CheckNoDraw(const Refs& a, const Refs& b, const Refs& none) {
+  EXPECT_EQ(none.size(), a.size());
+  std::size_t drawn = 0;
+  for (std::size_t i = 0; i < std::min(none.size(), a.size()); ++i) {
+    EXPECT_EQ(none[i].name, a[i].name) << i;
+    EXPECT_EQ(none[i].value->shape(), a[i].value->shape()) << none[i].name;
+    if (SameBytes(*a[i].value, *b[i].value)) {
+      EXPECT_TRUE(SameBytes(*none[i].value, *a[i].value)) << none[i].name;
+    } else {
+      ++drawn;
+      EXPECT_TRUE(AllZero(*none[i].value)) << none[i].name;
+    }
+  }
+  return drawn;
+}
+
+// Every parameter and buffer of the no-draw network has the seeded
+// network's name and shape. Each one a seed draws (it differs between
+// two seeds) is +0.0 throughout; the rest, constants of the architecture
+// such as BatchNorm's γ = 1 or the LSTM's forget bias, equal the seeded
+// network's.
+TEST(NoDrawBuild, ZeroWhereDrawnSameNamesAndShapes) {
+  for (const auto& config : NoDrawConfigs()) {
+    SCOPED_TRACE(ConfigName(config));
+    Rng rng_a(1), rng_b(2);
+    const auto a = BuildNetwork(config, rng_a);
+    const auto b = BuildNetwork(config, rng_b);
+    const auto none = BuildNetwork(config, nn::Init::kNoDraw);
+    // Every Conv1D, recurrent and Dense kernel is drawn; no buffer is.
+    EXPECT_GT(CheckNoDraw(a->Params(), b->Params(), none->Params()), 0U);
+    EXPECT_EQ(CheckNoDraw(a->Buffers(), b->Buffers(), none->Buffers()), 0U);
+  }
+}
+
+// One weight file loaded into a seeded network and into a no-draw one
+// gives the same Score, byte for byte: every tensor that reaches a
+// verdict comes from the file.
+TEST(NoDrawBuild, LoadedScoresMatchSeededNetworkByteForByte) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "pelican_nodraw.bin")
+          .string();
+  for (const auto& config : NoDrawConfigs()) {
+    SCOPED_TRACE(ConfigName(config));
+    Rng rng_file(3), rng_seeded(4), rng_x(5);
+    const auto source = BuildNetwork(config, rng_file);
+    // Non-trivial running statistics, so the buffers are read too.
+    for (auto& buffer : source->Buffers()) {
+      for (float& v : buffer.value->data()) v += 0.25F;
+    }
+    core::SaveWeights(*source, path);
+    const auto seeded = BuildNetwork(config, rng_seeded);
+    const auto none = BuildNetwork(config, nn::Init::kNoDraw);
+    core::LoadWeights(*seeded, path);
+    core::LoadWeights(*none, path);
+    const Tensor x = Tensor::RandomNormal(
+        {7, config.sequence_length * config.features}, rng_x, 0.0F, 1.0F);
+    const Tensor want = seeded->Forward(x, /*training=*/false);
+    EXPECT_TRUE(SameBytes(none->Forward(x, /*training=*/false), want));
+    EXPECT_TRUE(SameBytes(source->Forward(x, /*training=*/false), want));
   }
 }
 

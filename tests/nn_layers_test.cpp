@@ -1071,6 +1071,63 @@ TEST(Initializers, GlorotBounds) {
   EXPECT_NEAR(w.Mean(), 0.0F, 0.01F);
 }
 
+// The textbook modified Gram–Schmidt that nn::Orthogonal must match
+// byte for byte: the same standard-normal draw, then, vector by vector,
+// float products summed in double with the index ascending, the float
+// update, and the double norm.
+Tensor TextbookOrthogonal(std::int64_t rows, std::int64_t cols, Rng& rng) {
+  Tensor m = Tensor::RandomNormal({rows, cols}, rng, 0.0F, 1.0F);
+  float* mp = m.data().data();
+  // Vector v's element t: columns when rows >= cols, otherwise rows.
+  const bool by_cols = rows >= cols;
+  const std::int64_t count = by_cols ? cols : rows;
+  const std::int64_t len = by_cols ? rows : cols;
+  const auto at = [&](std::int64_t v, std::int64_t t) -> float& {
+    return by_cols ? mp[t * cols + v] : mp[v * cols + t];
+  };
+  for (std::int64_t v = 0; v < count; ++v) {
+    for (std::int64_t p = 0; p < v; ++p) {
+      double dot = 0.0;
+      for (std::int64_t t = 0; t < len; ++t) dot += at(v, t) * at(p, t);
+      for (std::int64_t t = 0; t < len; ++t) {
+        at(v, t) -= static_cast<float>(dot) * at(p, t);
+      }
+    }
+    double norm = 0.0;
+    for (std::int64_t t = 0; t < len; ++t) {
+      norm += static_cast<double>(at(v, t)) * at(v, t);
+    }
+    norm = std::sqrt(norm);
+    const float inv = norm > 1e-12 ? static_cast<float>(1.0 / norm) : 0.0F;
+    for (std::int64_t t = 0; t < len; ++t) at(v, t) *= inv;
+  }
+  return m;
+}
+
+// Both branches (rows >= cols orthonormalizes columns, rows < cols
+// rows), 1×1, square sizes on and off the eight-vector block, and tall
+// and wide shapes, at three seeds each.
+TEST(Initializers, OrthogonalMatchesTextbookGramSchmidtByteForByte) {
+  const std::int64_t shapes[][2] = {
+      {1, 1},   {3, 1},   {1, 3},                            // tiny
+      {7, 7},   {8, 8},   {9, 9},  {37, 37}, {64, 64}, {121, 121},
+      {50, 7},  {200, 17}, {16, 15},                         // tall
+      {7, 50},  {17, 200}, {15, 16}};                        // wide
+  for (const auto& s : shapes) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      Rng want_rng(seed), got_rng(seed);
+      const Tensor want = TextbookOrthogonal(s[0], s[1], want_rng);
+      const Tensor got = nn::Orthogonal(s[0], s[1], got_rng);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                            static_cast<std::size_t>(want.size()) *
+                                sizeof(float)),
+                0)
+          << s[0] << "x" << s[1] << " seed " << seed;
+    }
+  }
+}
+
 TEST(Initializers, OrthogonalColumnsAreOrthonormal) {
   Rng rng(24);
   auto q = nn::Orthogonal(8, 8, rng);
