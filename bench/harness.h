@@ -186,14 +186,6 @@ inline std::string JsonArray(const std::vector<obs::Json>& rows) {
   return out + "\n]";
 }
 
-// Writes JsonArray(rows) to `path`; throws CheckError when it can't.
-inline void WriteJsonArray(const std::string& path,
-                           const std::vector<obs::Json>& rows) {
-  std::ofstream f(path);
-  PELICAN_CHECK(f.is_open(), "cannot write " + path);
-  f << JsonArray(rows) << '\n';
-}
-
 // The host a bench ran on: core count, CPU model, the ISA extensions
 // the kernels could use, compiler, build type and the measured commit
 // (`git`, as the caller was told it; "unknown" if not).

@@ -1,33 +1,21 @@
-// Observability overhead tracker — emits BENCH_obs.json.
+// Observability overhead report: writes BENCH_obs.json.
 //
-// Measures the wall-clock cost of running Trainer::Fit with the full
-// observability stack on (metrics + tracing + run log) against the
-// identical run with everything off, and verifies the two runs produce
-// bit-identical weights. A third arm additionally runs the live
-// introspection server with a 10 Hz /metrics scraper hammering it, so
-// the "<2% overhead" contract covers an operator actually watching the
-// run. A fourth arm drives a closed-loop client through a live
-// serve::ScoringServer with lifecycle tracing on (stage histograms +
-// flow events + 1-in-16 access sampling) vs fully off, asserting the
-// verdict streams stay byte-identical. Runs are alternated per arm and
-// the minimum per arm is compared, which cancels machine noise the way
-// min-of-N does for microbenchmarks.
+//   obs_overhead [--json=BENCH_obs.json]
 //
-// A fifth family measures the sampling CPU profiler alone (all other
-// obs off in both arms): a Hz-vs-overhead curve for Trainer::Fit plus
-// one profiled serve-plane point at the default rate, written to
-// BENCH_profile.json. Profiled runs must keep weights and verdicts
-// byte-identical — signals interrupt the math but never change it.
+// Each arm runs one workload with one piece of observability off and
+// on, in kPairs pairs that alternate which side runs first, after
+// one uncounted warm-up pair. Every run is timed by process CPU: the
+// instrumentation is CPU work, and CPU time leaves out the scheduler
+// delay and wake-up jitter that dominate the wall clock of a loopback
+// round trip. Pairing cancels the host's minutes-scale speed drift, and
+// the median of the per-pair on/off ratios stays at 1 when both sides
+// cost the same. The 0 Hz profiler arm arms no timers, so it is the
+// closest to an A/A run: its spread is the report's noise floor.
 //
-//   obs_overhead [--smoke] [--json=BENCH_obs.json]
-//                [--profile-json=BENCH_profile.json]
-//
-// --smoke (the ctest entry) uses a smaller workload and *asserts* all
-// overheads stay under PELICAN_OBS_OVERHEAD_PCT (default 2%), retrying
-// the whole measurement once before failing so one scheduler hiccup
-// doesn't fail CI. The two serve-plane points (sub-0.1s CPU
-// denominators) get a 2x allowance in smoke only, since parallel ctest
-// cache pollution swamps them; the full run stays strict.
+// Per arm the file holds each side's quartiles and the median and IQR
+// of the on/off ratio, beside a host manifest. No number is held to a
+// bound. The bench exits 1 only when an arm's weights or verdicts
+// differ between off and on, which is a byte check, not a timing check.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -36,12 +24,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <sstream>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +43,28 @@
 namespace pelican::bench {
 namespace {
 
+constexpr int kPairs = 10;               // timed off/on pairs per arm
+constexpr std::size_t kFitRecords = 8192;
+constexpr int kFitEpochs = 4;
+constexpr std::size_t kServeChunk = 32;  // records per lockstep round trip
+constexpr int kServePasses = 100;        // passes over the corpus per run
+
+// What one timed run cost and what it produced.
+struct Run {
+  double cpu_seconds = 0.0;
+  std::string bytes;  // the trained weights, or the verdict stream
+};
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  PELICAN_CHECK(::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) == 0,
+                "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// ---- fit workload ----------------------------------------------------------
+
 struct Workload {
   Tensor x;
   std::vector<int> y;
@@ -61,9 +72,9 @@ struct Workload {
   std::int64_t classes = 0;
 };
 
-Workload MakeWorkload(std::size_t records, std::uint64_t seed) {
-  Rng rng(seed);
-  auto dataset = data::GenerateNslKdd(records, rng);
+Workload MakeWorkload() {
+  Rng rng(2020);
+  auto dataset = data::GenerateNslKdd(kFitRecords, rng);
   const data::OneHotEncoder encoder(dataset.schema());
   Workload w;
   w.x = encoder.Transform(dataset);
@@ -77,62 +88,78 @@ Workload MakeWorkload(std::size_t records, std::uint64_t seed) {
   return w;
 }
 
-struct FitResult {
-  double seconds = 0.0;
-  double cpu_seconds = 0.0;  // process CPU around Fit (collector included)
-  std::vector<float> weights;
-};
+// One training run from fixed seeds, so both sides of a pair must
+// produce the same weights. `run_log_path` empty leaves the run log off.
+Run FitOnce(const Workload& w, bool metrics_and_tracing,
+            const std::string& run_log_path) {
+  obs::ResetTrace();  // each run starts from empty span buffers
+  obs::EnableMetrics(metrics_and_tracing);
+  obs::EnableTracing(metrics_and_tracing);
+  models::NetworkConfig net_config;
+  net_config.features = w.features;
+  net_config.n_classes = w.classes;
+  net_config.n_blocks = 2;
+  net_config.residual = true;
+  net_config.channels = 32;
+  net_config.dropout = 0.3F;
+  Rng net_rng(0x6e7ULL);
+  auto network = models::BuildNetwork(net_config, net_rng);
 
-// One loopback HTTP GET; returns true when a 200 came back.
-bool ScrapeOnce(std::uint16_t port, const char* path) {
+  core::TrainConfig tc;
+  tc.epochs = kFitEpochs;
+  tc.batch_size = 256;
+  tc.seed = 2020;
+  tc.run_log_path = run_log_path;
+  core::Trainer trainer(*network, tc);
+
+  const double cpu_start = ProcessCpuSeconds();
+  trainer.Fit(w.x, w.y);
+  Run run;
+  run.cpu_seconds = ProcessCpuSeconds() - cpu_start;
+  for (const auto& p : network->Params()) {
+    const auto values = p.value->data();
+    run.bytes.append(reinterpret_cast<const char*>(values.data()),
+                     values.size() * sizeof(float));
+  }
+  obs::EnableMetrics(false);
+  obs::EnableTracing(false);
+  return run;
+}
+
+// A TCP connection to 127.0.0.1:port with Nagle off; -1 on failure.
+int ConnectLoopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  bool ok = false;
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
-    const std::string request = std::string("GET ") + path +
-                                " HTTP/1.1\r\nHost: localhost\r\n\r\n";
-    ok = ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
-         static_cast<ssize_t>(request.size());
-    std::string response;
-    char buf[4096];
-    ssize_t n = 0;
-    while (ok && (n = ::recv(fd, buf, sizeof buf, 0)) > 0) {
-      response.append(buf, static_cast<std::size_t>(n));
-    }
-    ok = ok && response.rfind("HTTP/1.1 200", 0) == 0;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
   }
-  ::close(fd);
-  return ok;
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  return fd;
 }
 
-// Scrapes /metrics at ~10 Hz until stopped; counts successes/failures.
-struct Scraper {
-  explicit Scraper(std::uint16_t port) : port_(port) {
-    thread_ = std::thread([this] {
-      while (!stop_.load(std::memory_order_relaxed)) {
-        (ScrapeOnce(port_, "/metrics") ? scrapes_ : failures_)++;
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-    });
+// One GET /metrics; true when a 200 came back.
+bool ScrapeOnce(std::uint16_t port) {
+  const int fd = ConnectLoopback(port);
+  if (fd < 0) return false;
+  std::string response;
+  if (obs::SendAll({}, fd, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")) {
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = obs::RecvRetry({}, fd, buf, sizeof buf)) > 0) {
+      response.append(buf, static_cast<std::size_t>(n));
+    }
   }
-  ~Scraper() {
-    stop_.store(true, std::memory_order_relaxed);
-    thread_.join();
-  }
-  std::uint16_t port_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> scrapes_{0};
-  std::atomic<std::uint64_t> failures_{0};
-  std::thread thread_;
-};
+  ::close(fd);
+  return response.rfind("HTTP/1.1 200", 0) == 0;
+}
 
-// ---- serve-plane arm -------------------------------------------------------
-
-constexpr std::size_t kServeChunk = 32;  // records per lockstep round trip
+// ---- serve workload --------------------------------------------------------
 
 struct ServeFixture {
   std::unique_ptr<core::PelicanIds> ids;
@@ -145,10 +172,8 @@ ServeFixture MakeServeFixture() {
   const auto train = data::GenerateNslKdd(240, rng);
   core::IdsConfig config;
   config.n_blocks = 2;
-  // Same width the fit arms train at: the overhead budget is a ratio
-  // against real per-record score work, so a toy-width model would
-  // overstate the relative cost of the fixed ~100s-of-ns lifecycle
-  // instrumentation per record.
+  // The fit arms' width: the per-record lifecycle cost is fixed, so a
+  // narrower model would overstate it relative to the scoring work.
   config.channels = 32;
   config.train.epochs = 2;
   config.train.batch_size = 32;
@@ -161,647 +186,267 @@ ServeFixture MakeServeFixture() {
   std::stringstream csv;
   data::WriteCsv(score_set, csv);
   std::string line;
-  std::vector<std::string> lines;
-  bool header = true;
+  std::getline(csv, line);  // header
+  std::string payload;
+  std::size_t lines = 0;
   while (std::getline(csv, line)) {
-    if (header) {
-      header = false;
-      continue;
+    if (line.empty()) continue;
+    payload += line + '\n';
+    if (++lines % kServeChunk == 0) {
+      fx.chunks.push_back(std::move(payload));
+      payload.clear();
     }
-    if (!line.empty()) lines.push_back(line);
-  }
-  for (std::size_t off = 0; off + kServeChunk <= lines.size();
-       off += kServeChunk) {
-    std::string payload;
-    for (std::size_t j = 0; j < kServeChunk; ++j) {
-      payload += lines[off + j];
-      payload += '\n';
-    }
-    fx.chunks.push_back(std::move(payload));
   }
   return fx;
 }
 
-// Appends `count` newline-terminated reply lines from fd into `out`.
+// Moves `count` newline-terminated reply lines from fd to `out`.
 std::size_t ReadReplyLines(int fd, std::size_t count, std::string& buf,
                            std::string& out) {
   std::size_t seen = 0;
-  char tmp[8192];
   while (seen < count) {
-    std::size_t pos = 0;
-    while (seen < count && (pos = buf.find('\n')) != std::string::npos) {
+    const std::size_t pos = buf.find('\n');
+    if (pos != std::string::npos) {
       out.append(buf, 0, pos + 1);
       buf.erase(0, pos + 1);
       ++seen;
+      continue;
     }
-    if (seen >= count) break;
-    ssize_t n = 0;
-    do {
-      n = ::recv(fd, tmp, sizeof tmp, 0);
-    } while (n < 0 && errno == EINTR);
+    char tmp[8192];
+    const ssize_t n = obs::RecvRetry({}, fd, tmp, sizeof tmp);
     if (n <= 0) break;
     buf.append(tmp, static_cast<std::size_t>(n));
   }
   return seen;
 }
 
-struct ServePlaneResult {
-  double seconds = 0.0;      // wall clock around the pass loop
-  double cpu_seconds = 0.0;  // process CPU around the pass loop
-  std::string replies;       // every verdict line, in order
-};
-
-// Process CPU time: what the overhead ratio is computed from. The
-// lifecycle instrumentation is pure CPU work, and CPU clocks don't
-// count cv-wait idle or scheduler delay — the wall clock of a
-// closed-loop TCP pass is wake-up-jitter dominated, noisy enough on a
-// shared machine to fabricate multi-percent swings either way.
-double ProcessCpuSeconds() {
-  timespec ts{};
-  PELICAN_CHECK(::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) == 0,
-                "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-// One closed-loop pass over the corpus `passes` times against a live
-// ScoringServer. obs_on adds the full serving observability surface:
-// metrics (stage histograms, busy gauges), tracing (spans + flow
-// events), and 1-in-16 access sampling into the slow ring.
-ServePlaneResult ServePlaneOnce(const ServeFixture& fx, int passes,
-                                bool obs_on) {
-  obs::EnableMetrics(obs_on);
-  obs::EnableTracing(obs_on);
+// kServePasses closed-loop passes over the corpus through a live
+// ScoringServer. `lifecycle` turns on the serving observability kit:
+// metrics (stage histograms, busy gauges), tracing (spans and flow
+// events) and 1-in-16 access sampling into the slow ring.
+Run ServePlaneOnce(const ServeFixture& fx, bool lifecycle) {
+  obs::ResetTrace();
+  obs::EnableMetrics(lifecycle);
+  obs::EnableTracing(lifecycle);
   serve::ScoringServerConfig sc;
   sc.scorers = 2;
-  // No linger: each chunk is scored the moment it lands, so the round
-  // trip is work-dominated, not a scheduler-sensitive 1ms cv-wait —
-  // that wait's wake-up jitter would drown the overhead being measured.
+  // No linger: each chunk is scored the moment it lands, so a round
+  // trip is scoring work, not a 1 ms condition-variable wait.
   sc.batch_linger_ms = 0;
-  sc.sample_every = obs_on ? 16 : 0;
+  sc.sample_every = lifecycle ? 16 : 0;
   serve::ScoringServer server(*fx.ids, sc);
   server.Start();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  PELICAN_CHECK(fd >= 0, "socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.Port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  PELICAN_CHECK(
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0,
-      "connect() failed");
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  const int fd = ConnectLoopback(server.Port());
+  PELICAN_CHECK(fd >= 0, "cannot connect to the scoring server");
 
-  ServePlaneResult result;
+  Run run;
   std::string buf;
   const double cpu_start = ProcessCpuSeconds();
-  Stopwatch timer;
-  for (int p = 0; p < passes; ++p) {
+  for (int p = 0; p < kServePasses; ++p) {
     for (const std::string& chunk : fx.chunks) {
-      std::size_t sent = 0;
-      while (sent < chunk.size()) {
-        const ssize_t n = ::send(fd, chunk.data() + sent,
-                                 chunk.size() - sent, MSG_NOSIGNAL);
-        if (n < 0 && errno == EINTR) continue;
-        PELICAN_CHECK(n > 0, "send() failed");
-        sent += static_cast<std::size_t>(n);
-      }
+      PELICAN_CHECK(obs::SendAll({}, fd, chunk), "send() failed");
       PELICAN_CHECK(
-          ReadReplyLines(fd, kServeChunk, buf, result.replies) == kServeChunk,
+          ReadReplyLines(fd, kServeChunk, buf, run.bytes) == kServeChunk,
           "short reply chunk");
     }
   }
-  result.seconds = timer.Seconds();
-  // All replies are back, so every server thread is quiescent (blocked
-  // polling); the CPU delta is exactly this run's processing cost.
-  result.cpu_seconds = ProcessCpuSeconds() - cpu_start;
+  // Every reply is back, so every server thread is parked: the CPU
+  // delta is this run's processing alone.
+  run.cpu_seconds = ProcessCpuSeconds() - cpu_start;
   ::close(fd);
   server.Drain();
   obs::EnableMetrics(false);
   obs::EnableTracing(false);
-  // Drop this run's span/flow buffers so later "on" samples don't pay
-  // a growing trace-memory footprint the "off" samples never see.
-  obs::ResetTrace();
-  return result;
+  return run;
 }
 
-// One full training run from a fixed seed. Identical inputs + seeds on
-// both arms, so any weight difference is an observability bug.
-FitResult FitOnce(const Workload& w, int epochs, bool obs_on,
-                  const std::string& run_log_path) {
-  obs::EnableMetrics(obs_on);
-  obs::EnableTracing(obs_on);
-  models::NetworkConfig net_config;
-  net_config.features = w.features;
-  net_config.n_classes = w.classes;
-  net_config.n_blocks = 2;
-  net_config.residual = true;
-  net_config.channels = 32;
-  net_config.dropout = 0.3F;
-  Rng net_rng(0x6e7ULL);
-  auto network = models::BuildNetwork(net_config, net_rng);
+// ---- the paired estimator --------------------------------------------------
 
-  core::TrainConfig tc;
-  tc.epochs = epochs;
-  tc.batch_size = 256;
-  tc.seed = 2020;
-  if (obs_on) tc.run_log_path = run_log_path;
-  core::Trainer trainer(*network, tc);
-
-  const double cpu_start = ProcessCpuSeconds();
-  Stopwatch timer;
-  trainer.Fit(w.x, w.y);
-  FitResult result;
-  result.seconds = timer.Seconds();
-  result.cpu_seconds = ProcessCpuSeconds() - cpu_start;
-  for (const auto& p : network->Params()) {
-    result.weights.insert(result.weights.end(), p.value->data().begin(),
-                          p.value->data().end());
-  }
-  obs::EnableMetrics(false);
-  obs::EnableTracing(false);
-  return result;
-}
-
-// ---- profiler arms ---------------------------------------------------------
-
-// The sampling profiler has its own overhead contract: at a given Hz
-// the CPU cost of signal delivery + handler + span-path bookkeeping
-// must stay under the obs budget, and the weights / verdicts must stay
-// byte-identical (signals interrupt the math but never change it). The
-// estimator matches the serve-plane arm: median of paired on/off
-// process-CPU ratios, alternating arm order per pair.
-
-double MedianRatio(std::vector<double>& ratios) {
-  std::sort(ratios.begin(), ratios.end());
-  const double mid0 = ratios[(ratios.size() - 1) / 2];
-  const double mid1 = ratios[ratios.size() / 2];
-  return (mid0 + mid1) / 2.0;
-}
-
-struct ProfilePoint {
-  int hz = 0;
-  double overhead_pct = 0.0;     // median paired on/off process-CPU ratio
-  double cpu_off_seconds = 0.0;  // min over pairs
-  double cpu_on_seconds = 0.0;
-  std::uint64_t samples = 0;     // across all on-runs at this Hz
-  std::uint64_t dropped = 0;
-  bool weights_identical = true;
+struct Quartiles {
+  double p25 = 0.0;
+  double p50 = 0.0;
+  double p75 = 0.0;
 };
 
-// Paired profiled-vs-unprofiled Fit at one sampling rate. Everything
-// else (metrics, tracing, run log) stays off in BOTH arms, so the
-// ratio isolates the profiler: timers + handler + ring drains + the
-// span-path push/pop that StartProfiler switches on.
-ProfilePoint ProfileFitPoint(const Workload& w, int epochs, int hz,
-                             int pairs) {
-  ProfilePoint pt;
-  pt.hz = hz;
-  pt.cpu_off_seconds = 1e300;
-  pt.cpu_on_seconds = 1e300;
-  obs::ProfilerConfig pc;
-  pc.hz = hz;
-  std::vector<double> ratios;
-  for (int r = 0; r < pairs; ++r) {
-    FitResult off;
-    FitResult on;
-    const auto run_on = [&] {
-      obs::StartProfiler(pc);
-      on = FitOnce(w, epochs, false, "");
-      obs::StopProfiler();
-      pt.samples += obs::ProfileSampleCount();
-      pt.dropped += obs::ProfileDroppedCount();
-      obs::ResetProfiler();
-    };
-    if (r % 2 == 0) {
-      off = FitOnce(w, epochs, false, "");
-      run_on();
-    } else {
-      run_on();
-      off = FitOnce(w, epochs, false, "");
-    }
-    pt.cpu_off_seconds = std::min(pt.cpu_off_seconds, off.cpu_seconds);
-    pt.cpu_on_seconds = std::min(pt.cpu_on_seconds, on.cpu_seconds);
+// Linear interpolation between order statistics.
+Quartiles QuartilesOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+obs::Json QuartileJson(const Quartiles& q) {
+  obs::Json j;
+  j.Set("p25", q.p25).Set("p50", q.p50).Set("p75", q.p75);
+  return j;
+}
+
+// Runs `run(on)` for one uncounted warm-up pair, then kPairs pairs
+// alternating which side goes first, and returns the arm's row. Every
+// run must produce the warm-up off run's bytes; `identical` is cleared
+// when one does not.
+obs::Json MeasureArm(const std::string& arm, const std::string& on_means,
+                     const std::function<Run(bool)>& run, bool& identical) {
+  const std::string reference = run(false).bytes;
+  bool same = !reference.empty() && run(true).bytes == reference;
+  std::vector<double> off_s, on_s, ratios;
+  for (int p = 0; p < kPairs; ++p) {
+    const bool on_first = p % 2 == 1;
+    const Run first = run(on_first);
+    const Run second = run(!on_first);
+    const Run& on = on_first ? first : second;
+    const Run& off = on_first ? second : first;
+    off_s.push_back(off.cpu_seconds);
+    on_s.push_back(on.cpu_seconds);
     ratios.push_back(on.cpu_seconds / off.cpu_seconds);
-    pt.weights_identical =
-        pt.weights_identical && off.weights.size() == on.weights.size() &&
-        std::memcmp(off.weights.data(), on.weights.data(),
-                    off.weights.size() * sizeof(float)) == 0;
+    same = same && off.bytes == reference && on.bytes == reference;
   }
-  pt.overhead_pct = 100.0 * (MedianRatio(ratios) - 1.0);
-  return pt;
+  const Quartiles off = QuartilesOf(off_s);
+  const Quartiles on = QuartilesOf(on_s);
+  const Quartiles ratio = QuartilesOf(ratios);
+  std::printf("%-18s %9.4f %9.4f %+9.2f%% %8.2f%%  %s\n", arm.c_str(),
+              off.p50, on.p50, 100.0 * (ratio.p50 - 1.0),
+              100.0 * (ratio.p75 - ratio.p25),
+              same ? "identical" : "DIFFER");
+  std::fflush(stdout);
+  identical = identical && same;
+  obs::Json row;
+  row.Set("arm", arm)
+      .Set("on", on_means)
+      .Set("pairs", kPairs)
+      .Set("off_cpu_s", QuartileJson(off))
+      .Set("on_cpu_s", QuartileJson(on))
+      .Set("ratio_p50", ratio.p50)
+      .Set("ratio_iqr", ratio.p75 - ratio.p25)
+      .Set("identical", same);
+  return row;
 }
 
-struct ProfilePlane {
-  double overhead_pct = 0.0;
-  bool verdicts_identical = true;
-  std::uint64_t samples = 0;
-};
-
-// Paired profiled-vs-unprofiled closed-loop serve passes (lifecycle
-// obs off in both arms; only the profiler differs).
-ProfilePlane ProfilePlanePoint(const ServeFixture& sfx, int passes, int hz,
-                               int pairs) {
-  ProfilePlane pp;
-  obs::ProfilerConfig pc;
-  pc.hz = hz;
-  // Warm both arms: the first profiled run pays one-time costs (signal
-  // handler install, backtrace warmup, collector spawn paths) that a
-  // steady-state profiled process never sees again.
-  (void)ServePlaneOnce(sfx, passes, false);
-  obs::StartProfiler(pc);
-  (void)ServePlaneOnce(sfx, passes, false);
-  obs::StopProfiler();
-  obs::ResetProfiler();
-  std::vector<double> ratios;
-  for (int r = 0; r < pairs; ++r) {
-    ServePlaneResult off;
-    ServePlaneResult on;
-    const auto run_on = [&] {
-      obs::StartProfiler(pc);
-      on = ServePlaneOnce(sfx, passes, false);
-      obs::StopProfiler();
-      pp.samples += obs::ProfileSampleCount();
-      obs::ResetProfiler();
-    };
-    if (r % 2 == 0) {
-      off = ServePlaneOnce(sfx, passes, false);
-      run_on();
-    } else {
-      run_on();
-      off = ServePlaneOnce(sfx, passes, false);
-    }
-    ratios.push_back(on.cpu_seconds / off.cpu_seconds);
-    pp.verdicts_identical = pp.verdicts_identical && !off.replies.empty() &&
-                            off.replies == on.replies;
-  }
-  pp.overhead_pct = 100.0 * (MedianRatio(ratios) - 1.0);
-  return pp;
-}
-
-void WriteProfileJson(const std::string& path,
-                      const std::vector<ProfilePoint>& curve,
-                      const ProfilePlane& plane) {
-  std::ofstream f(path);
-  PELICAN_CHECK(f.is_open(), "cannot write " + path);
-  obs::Json out;
-  out.Set("bench", "profile_overhead");
-  out.Set("default_hz", obs::kDefaultProfileHz);
-  out.Set("serve_plane_overhead_pct", plane.overhead_pct);
-  out.Set("serve_plane_samples", plane.samples);
-  out.Set("serve_verdicts_identical", plane.verdicts_identical);
-  std::vector<obs::Json> rows;
-  rows.reserve(curve.size());
-  for (const ProfilePoint& p : curve) {
-    obs::Json& row = rows.emplace_back();
-    row.Set("hz", p.hz);
-    row.Set("overhead_pct", p.overhead_pct);
-    row.Set("fit_cpu_seconds_off", p.cpu_off_seconds);
-    row.Set("fit_cpu_seconds_on", p.cpu_on_seconds);
-    row.Set("samples", p.samples);
-    row.Set("dropped", p.dropped);
-    row.Set("weights_identical", p.weights_identical);
-  }
-  out.SetRaw("curve", JsonArray(rows));
-  f << out.Str() << '\n';
-}
-
-struct Measurement {
-  double off_seconds = 0.0;  // min over reps
-  double on_seconds = 0.0;
-  double serve_seconds = 0.0;  // obs on + live server + 10 Hz scraper
-  double plane_off_seconds = 0.0;  // scoring plane, lifecycle obs off
-  double plane_on_seconds = 0.0;   // scoring plane, lifecycle obs on
-  double plane_off_cpu_seconds = 0.0;  // process CPU, min over pairs
-  double plane_on_cpu_seconds = 0.0;
-  double overhead_pct = 0.0;
-  double serve_overhead_pct = 0.0;
-  double plane_overhead_pct = 0.0;
-  bool weights_identical = true;
-  bool verdicts_identical = true;
-  std::size_t trace_events = 0;
-  std::size_t metric_series = 0;
-  std::uint64_t scrapes = 0;
-  std::uint64_t scrape_failures = 0;
-};
-
-Measurement Measure(const Workload& w, const ServeFixture& sfx, int epochs,
-                    int reps, int serve_passes,
-                    const std::string& run_log_path) {
-  Measurement m;
-  m.off_seconds = 1e300;
-  m.on_seconds = 1e300;
-  m.serve_seconds = 1e300;
-  m.plane_off_seconds = 1e300;
-  m.plane_on_seconds = 1e300;
-  m.plane_off_cpu_seconds = 1e300;
-  m.plane_on_cpu_seconds = 1e300;
-  // Serve-plane phase first, in its own tight loop: back-to-back
-  // off/on pairs see the same machine state (frequency, caches), which
-  // the fit arms would otherwise perturb between samples. Two warmup
-  // runs are discarded (first-touch page faults and heap growth land
-  // there). The estimator is the MEDIAN of per-pair on/off PROCESS-CPU
-  // ratios: CPU time is the resource the instrumentation actually
-  // spends, and it is stable where the closed-loop wall clock is
-  // scheduler-jitter dominated. Pairing cancels the machine's
-  // minutes-scale speed drift; the median is the only estimator here
-  // that is unbiased under a null (identical arms) — a mean of ratios
-  // inherits a Jensen bias from denominator noise, and per-arm minima
-  // decouple under drift — and it shrugs off the pairs a noisy
-  // neighbour polluted. Arm order alternates per pair so warm-cache
-  // bias cancels instead of always favouring the second arm.
-  // Wall-clock minima are still reported for context.
-  (void)ServePlaneOnce(sfx, serve_passes, false);
-  (void)ServePlaneOnce(sfx, serve_passes, true);
-  std::vector<double> pair_ratios;
-  for (int r = 0; r < 4 * reps; ++r) {
-    ServePlaneResult plane_off;
-    ServePlaneResult plane_on;
-    if (r % 2 == 0) {
-      plane_off = ServePlaneOnce(sfx, serve_passes, false);
-      plane_on = ServePlaneOnce(sfx, serve_passes, true);
-    } else {
-      plane_on = ServePlaneOnce(sfx, serve_passes, true);
-      plane_off = ServePlaneOnce(sfx, serve_passes, false);
-    }
-    m.plane_off_seconds = std::min(m.plane_off_seconds, plane_off.seconds);
-    m.plane_on_seconds = std::min(m.plane_on_seconds, plane_on.seconds);
-    m.plane_off_cpu_seconds =
-        std::min(m.plane_off_cpu_seconds, plane_off.cpu_seconds);
-    m.plane_on_cpu_seconds =
-        std::min(m.plane_on_cpu_seconds, plane_on.cpu_seconds);
-    pair_ratios.push_back(plane_on.cpu_seconds / plane_off.cpu_seconds);
-    m.verdicts_identical = m.verdicts_identical &&
-                           !plane_off.replies.empty() &&
-                           plane_off.replies == plane_on.replies;
-  }
-  m.plane_overhead_pct = 100.0 * (MedianRatio(pair_ratios) - 1.0);
-  for (int r = 0; r < reps; ++r) {
-    obs::ResetTrace();
-    const FitResult off = FitOnce(w, epochs, false, run_log_path);
-    const FitResult on = FitOnce(w, epochs, true, run_log_path);
-    obs::IntrospectionServer server;
-    server.Start();
-    server.SetReady(true);
-    FitResult serve;
-    std::uint64_t scrapes = 0, failures = 0;
-    {
-      Scraper scraper(server.Port());
-      serve = FitOnce(w, epochs, true, run_log_path);
-      scrapes = scraper.scrapes_.load();
-      failures = scraper.failures_.load();
-    }
-    server.Stop();
-    m.off_seconds = std::min(m.off_seconds, off.seconds);
-    m.on_seconds = std::min(m.on_seconds, on.seconds);
-    m.serve_seconds = std::min(m.serve_seconds, serve.seconds);
-    m.weights_identical =
-        m.weights_identical &&
-        off.weights.size() == on.weights.size() &&
-        std::memcmp(off.weights.data(), on.weights.data(),
-                    off.weights.size() * sizeof(float)) == 0 &&
-        off.weights.size() == serve.weights.size() &&
-        std::memcmp(off.weights.data(), serve.weights.data(),
-                    off.weights.size() * sizeof(float)) == 0;
-    m.trace_events = obs::TraceEventCount();
-    m.scrapes += scrapes;
-    m.scrape_failures += failures;
-  }
-  m.metric_series = obs::Registry::Global().SeriesCount();
-  m.overhead_pct =
-      100.0 * (m.on_seconds - m.off_seconds) / m.off_seconds;
-  m.serve_overhead_pct =
-      100.0 * (m.serve_seconds - m.off_seconds) / m.off_seconds;
-  return m;
-}
-
-int Run(int argc, char** argv) {
-  bool smoke = false;
+int Main(int argc, char** argv) {
   std::string json_path = "BENCH_obs.json";
-  std::string profile_json_path = "BENCH_profile.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-    if (arg.rfind("--profile-json=", 0) == 0) {
-      profile_json_path = arg.substr(15);
+    if (arg.rfind("--json=", 0) != 0) {
+      std::fprintf(stderr, "usage: %s [--json=PATH]\n", argv[0]);
+      return 2;
     }
+    json_path = arg.substr(7);
   }
-
-  // Each Fit must be long enough that the comparison measures steady-
-  // state per-batch overhead, not fixed startup costs (file opens, lazy
-  // series registration) — those are real but amortize over any actual
-  // training run.
-  const std::size_t records = smoke ? 4096 : 8192;
-  const int epochs = smoke ? 2 : 4;
-  const int reps = smoke ? 3 : 5;
-  const int serve_passes = smoke ? 25 : 50;
-  const double limit_pct =
-      static_cast<double>(EnvLong("PELICAN_OBS_OVERHEAD_PCT", 2));
-  // The serve-plane points divide by ~0.1s of process CPU, so when the
-  // whole test suite runs in parallel on a small box, cache pollution
-  // between the paired arms alone can exceed the strict budget. Smoke
-  // keeps a 2x tripwire for regressions; the full run (which commits
-  // BENCH_profile.json) enforces the strict limit.
-  const double plane_limit_pct = smoke ? 2.0 * limit_pct : limit_pct;
 
   const auto run_log_path =
       (std::filesystem::temp_directory_path() / "obs_overhead_run.jsonl")
           .string();
-  const Workload w = MakeWorkload(records, /*seed=*/2020);
+  const Workload w = MakeWorkload();
   const ServeFixture sfx = MakeServeFixture();
-  std::printf("obs_overhead: %zu records, %d epochs, min of %d reps%s\n",
-              records, epochs, reps, smoke ? " (smoke)" : "");
-
-  Measurement m = Measure(w, sfx, epochs, reps, serve_passes, run_log_path);
-  // The assertions below compare sub-second timings; a co-tenant load
-  // burst on a shared box only ever inflates an overhead estimate, so
-  // on a gate miss re-measure (up to twice) and keep the minimum per
-  // metric — a genuine regression fails every attempt, a spike fails
-  // one. Identity checks are deterministic byte compares; retrying
-  // them costs nothing and a real divergence still fails every time.
-  for (int attempt = 1;
-       smoke && attempt < 3 &&
-       (m.overhead_pct >= limit_pct || m.serve_overhead_pct >= limit_pct ||
-        m.plane_overhead_pct >= plane_limit_pct || !m.weights_identical ||
-        !m.verdicts_identical);
-       ++attempt) {
-    std::printf("  attempt %d: overhead %.2f%% / serve %.2f%% / "
-                "plane %.2f%%, retrying\n",
-                attempt, m.overhead_pct, m.serve_overhead_pct,
-                m.plane_overhead_pct);
-    Measurement retry =
-        Measure(w, sfx, epochs, reps, serve_passes, run_log_path);
-    retry.overhead_pct = std::min(retry.overhead_pct, m.overhead_pct);
-    retry.serve_overhead_pct =
-        std::min(retry.serve_overhead_pct, m.serve_overhead_pct);
-    retry.plane_overhead_pct =
-        std::min(retry.plane_overhead_pct, m.plane_overhead_pct);
-    m = retry;
-  }
-
-  std::printf("  fit off: %.3fs   fit on: %.3fs   overhead: %.2f%%\n",
-              m.off_seconds, m.on_seconds, m.overhead_pct);
-  std::printf("  fit serve: %.3fs   overhead: %.2f%%   scrapes: %llu "
-              "(%llu failed)\n",
-              m.serve_seconds, m.serve_overhead_pct,
-              static_cast<unsigned long long>(m.scrapes),
-              static_cast<unsigned long long>(m.scrape_failures));
-  std::printf("  serve plane off: %.3fs   on: %.3fs   cpu off: %.3fs   "
-              "on: %.3fs   overhead: %.2f%% (median paired cpu)   "
-              "verdicts %s\n",
-              m.plane_off_seconds, m.plane_on_seconds,
-              m.plane_off_cpu_seconds, m.plane_on_cpu_seconds,
-              m.plane_overhead_pct,
-              m.verdicts_identical ? "byte-identical" : "DIVERGED");
-  std::printf("  trace events: %zu   metric series: %zu   weights %s\n",
-              m.trace_events, m.metric_series,
-              m.weights_identical ? "bit-identical" : "DIVERGED");
-
-  // Profiler arms: Hz-vs-overhead curve for the fit path (the default
-  // rate is the gated point) plus one profiled serve-plane point.
   obs::ProfileRegisterCurrentThread();
-  const int profile_pairs = smoke ? 2 : 4;
-  const std::vector<int> curve_hz =
-      smoke ? std::vector<int>{obs::kDefaultProfileHz}
-            : std::vector<int>{0, 25, obs::kDefaultProfileHz, 250, 997};
-  std::vector<ProfilePoint> curve;
-  curve.reserve(curve_hz.size());
-  for (const int hz : curve_hz) {
-    curve.push_back(ProfileFitPoint(w, epochs, hz, profile_pairs));
-  }
-  auto default_point = [&curve]() -> ProfilePoint& {
-    for (ProfilePoint& p : curve) {
-      if (p.hz == obs::kDefaultProfileHz) return p;
-    }
-    return curve.front();
+  std::printf("obs_overhead: %d pairs per arm, process CPU seconds\n",
+              kPairs);
+  std::printf("%-18s %9s %9s %10s %9s\n", "arm", "off p50", "on p50",
+              "on/off-1", "IQR");
+
+  bool identical = true;
+  std::vector<obs::Json> rows;
+  std::size_t trace_events = 0;
+  rows.push_back(MeasureArm(
+      "fit_obs", "metrics, tracing, run log",
+      [&](bool on) {
+        Run run = FitOnce(w, on, on ? run_log_path : "");
+        if (on) trace_events = obs::TraceEventCount();
+        return run;
+      },
+      identical));
+  rows.back().Set("trace_events", static_cast<std::uint64_t>(trace_events));
+
+  std::uint64_t scrapes = 0;
+  std::uint64_t scrape_failures = 0;
+  rows.push_back(MeasureArm(
+      "fit_scrape",
+      "metrics, tracing, run log, introspection server, 10 Hz /metrics "
+      "scraper",
+      [&](bool on) {
+        if (!on) return FitOnce(w, false, "");
+        obs::IntrospectionServer server;
+        server.Start();
+        server.SetReady(true);
+        // Joined (after a stop request) before `server` is destroyed.
+        std::jthread scraper([&](const std::stop_token& stop) {
+          while (!stop.stop_requested()) {
+            ++(ScrapeOnce(server.Port()) ? scrapes : scrape_failures);
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          }
+        });
+        return FitOnce(w, true, run_log_path);
+      },
+      identical));
+  rows.back().Set("scrapes", scrapes).Set("scrape_failures", scrape_failures);
+  std::filesystem::remove(run_log_path);
+
+  rows.push_back(MeasureArm(
+      "serve_obs", "metrics, tracing, 1-in-16 access sampling",
+      [&](bool on) { return ServePlaneOnce(sfx, on); }, identical));
+
+  // The profiler arms leave every other kind of observability off on
+  // both sides, so the ratio is the profiler's alone: timers, handler,
+  // ring drains and the span-path bookkeeping StartProfiler turns on.
+  const auto profile_arm = [&](const std::string& arm, int hz,
+                               const std::function<Run()>& body) {
+    std::uint64_t samples = 0;
+    std::uint64_t dropped = 0;
+    rows.push_back(MeasureArm(
+        arm, "sampling profiler at " + std::to_string(hz) + " Hz",
+        [&](bool on) {
+          if (!on) return body();
+          obs::ProfilerConfig pc;
+          pc.hz = hz;
+          obs::StartProfiler(pc);
+          Run run = body();
+          obs::StopProfiler();
+          samples += obs::ProfileSampleCount();
+          dropped += obs::ProfileDroppedCount();
+          obs::ResetProfiler();
+          return run;
+        },
+        identical));
+    rows.back().Set("hz", hz).Set("samples", samples).Set("dropped", dropped);
   };
-  // The plane point doubles the passes: the per-arm CPU is an order of
-  // magnitude below a fit, so the estimator needs a larger denominator
-  // (and more pairs) for the same noise floor.
-  const int plane_passes = 2 * serve_passes;
-  const int plane_pairs = smoke ? 4 : 6;
-  ProfilePlane plane_prof = ProfilePlanePoint(
-      sfx, plane_passes, obs::kDefaultProfileHz, plane_pairs);
-  for (int attempt = 1;
-       smoke && attempt < 3 &&
-       (default_point().overhead_pct >= limit_pct ||
-        plane_prof.overhead_pct >= plane_limit_pct);
-       ++attempt) {
-    std::printf("  profiler attempt %d: fit %.2f%% / plane %.2f%%, "
-                "retrying\n",
-                attempt, default_point().overhead_pct,
-                plane_prof.overhead_pct);
-    ProfilePoint retry_fit = ProfileFitPoint(
-        w, epochs, obs::kDefaultProfileHz, profile_pairs);
-    retry_fit.overhead_pct =
-        std::min(retry_fit.overhead_pct, default_point().overhead_pct);
-    retry_fit.weights_identical =
-        retry_fit.weights_identical && default_point().weights_identical;
-    default_point() = retry_fit;
-    ProfilePlane retry_plane = ProfilePlanePoint(
-        sfx, plane_passes, obs::kDefaultProfileHz, plane_pairs);
-    retry_plane.overhead_pct =
-        std::min(retry_plane.overhead_pct, plane_prof.overhead_pct);
-    retry_plane.verdicts_identical =
-        retry_plane.verdicts_identical && plane_prof.verdicts_identical;
-    plane_prof = retry_plane;
+  for (const int hz : {0, 25, obs::kDefaultProfileHz, 250, 997}) {
+    profile_arm("profile_fit_" + std::to_string(hz), hz,
+                [&] { return FitOnce(w, false, ""); });
   }
-  for (const ProfilePoint& p : curve) {
-    std::printf("  profiler %4d Hz: fit cpu off %.3fs on %.3fs   "
-                "overhead %.2f%%   samples %llu (%llu dropped)   "
-                "weights %s\n",
-                p.hz, p.cpu_off_seconds, p.cpu_on_seconds, p.overhead_pct,
-                static_cast<unsigned long long>(p.samples),
-                static_cast<unsigned long long>(p.dropped),
-                p.weights_identical ? "bit-identical" : "DIVERGED");
-  }
-  std::printf("  profiler serve plane @ %d Hz: overhead %.2f%%   "
-              "samples %llu   verdicts %s\n",
-              obs::kDefaultProfileHz, plane_prof.overhead_pct,
-              static_cast<unsigned long long>(plane_prof.samples),
-              plane_prof.verdicts_identical ? "byte-identical" : "DIVERGED");
-  WriteProfileJson(profile_json_path, curve, plane_prof);
-  std::printf("  wrote %s\n", profile_json_path.c_str());
+  profile_arm("profile_serve_" + std::to_string(obs::kDefaultProfileHz),
+              obs::kDefaultProfileHz,
+              [&] { return ServePlaneOnce(sfx, false); });
 
   obs::Json out;
-  out.Set("bench", "obs_overhead");
-  out.Set("records", static_cast<std::uint64_t>(records));
-  out.Set("epochs", epochs);
-  out.Set("reps", reps);
-  out.Set("threads", static_cast<std::uint64_t>(EffectiveThreads()));
-  out.Set("fit_seconds_off", m.off_seconds);
-  out.Set("fit_seconds_on", m.on_seconds);
-  out.Set("fit_seconds_serve", m.serve_seconds);
-  out.Set("serve_plane_seconds_off", m.plane_off_seconds);
-  out.Set("serve_plane_seconds_on", m.plane_on_seconds);
-  out.Set("serve_plane_cpu_seconds_off", m.plane_off_cpu_seconds);
-  out.Set("serve_plane_cpu_seconds_on", m.plane_on_cpu_seconds);
-  out.Set("overhead_pct", m.overhead_pct);
-  out.Set("serve_overhead_pct", m.serve_overhead_pct);
-  out.Set("serve_plane_overhead_pct", m.plane_overhead_pct);
-  out.Set("serve_verdicts_identical", m.verdicts_identical);
-  out.Set("scrapes", m.scrapes);
-  out.Set("scrape_failures", m.scrape_failures);
-  out.Set("trace_events", static_cast<std::uint64_t>(m.trace_events));
-  out.Set("metric_series", static_cast<std::uint64_t>(m.metric_series));
-  out.Set("weights_identical", m.weights_identical);
-  {
-    std::ofstream f(json_path);
-    PELICAN_CHECK(f.is_open(), "cannot write " + json_path);
-    f << out.Str() << '\n';
-  }
-  std::printf("  wrote %s\n", json_path.c_str());
+  out.Set("bench", "obs_overhead")
+      .Set("manifest", HostManifest(obs::GitDescribe()))
+      .Set("threads", static_cast<std::uint64_t>(EffectiveThreads()))
+      .Set("fit", "NSL-KDD " + std::to_string(kFitRecords) + " records, " +
+                      std::to_string(kFitEpochs) +
+                      " epochs, residual 2 blocks x 32 channels, batch 256")
+      .Set("serve", std::to_string(kServePasses) + " passes x " +
+                        std::to_string(sfx.chunks.size() * kServeChunk) +
+                        " records in " + std::to_string(kServeChunk) +
+                        "-record lockstep chunks, 2 scorers, same model "
+                        "width")
+      .Set("metric_series", static_cast<std::uint64_t>(
+                                obs::Registry::Global().SeriesCount()))
+      .SetRaw("arms", JsonArray(rows));
+  std::ofstream f(json_path);
+  PELICAN_CHECK(f.is_open(), "cannot write " + json_path);
+  f << out.Str() << '\n';
+  std::printf("wrote %s\n", json_path.c_str());
 
-  if (!m.weights_identical) {
-    std::fprintf(stderr, "FAIL: observability changed the weights\n");
-    return 1;
-  }
-  if (smoke && m.overhead_pct >= limit_pct) {
-    std::fprintf(stderr, "FAIL: overhead %.2f%% >= %.0f%% limit\n",
-                 m.overhead_pct, limit_pct);
-    return 1;
-  }
-  if (smoke && m.serve_overhead_pct >= limit_pct) {
-    std::fprintf(stderr, "FAIL: serve overhead %.2f%% >= %.0f%% limit\n",
-                 m.serve_overhead_pct, limit_pct);
-    return 1;
-  }
-  if (!m.verdicts_identical) {
+  if (!identical) {
     std::fprintf(stderr,
-                 "FAIL: serving observability changed the verdicts\n");
-    return 1;
-  }
-  if (smoke && m.plane_overhead_pct >= plane_limit_pct) {
-    std::fprintf(stderr,
-                 "FAIL: serve plane overhead %.2f%% >= %.0f%% limit\n",
-                 m.plane_overhead_pct, plane_limit_pct);
-    return 1;
-  }
-  for (const ProfilePoint& p : curve) {
-    if (!p.weights_identical) {
-      std::fprintf(stderr, "FAIL: profiler at %d Hz changed the weights\n",
-                   p.hz);
-      return 1;
-    }
-  }
-  if (!plane_prof.verdicts_identical) {
-    std::fprintf(stderr, "FAIL: profiler changed the verdicts\n");
-    return 1;
-  }
-  if (smoke && default_point().overhead_pct >= limit_pct) {
-    std::fprintf(stderr,
-                 "FAIL: profiler fit overhead %.2f%% >= %.0f%% limit\n",
-                 default_point().overhead_pct, limit_pct);
-    return 1;
-  }
-  if (smoke && plane_prof.overhead_pct >= plane_limit_pct) {
-    std::fprintf(stderr,
-                 "FAIL: profiler serve plane overhead %.2f%% >= %.0f%% "
-                 "limit\n",
-                 plane_prof.overhead_pct, plane_limit_pct);
+                 "FAIL: an arm's weights or verdicts differ between off "
+                 "and on\n");
     return 1;
   }
   return 0;
@@ -811,5 +456,5 @@ int Run(int argc, char** argv) {
 }  // namespace pelican::bench
 
 int main(int argc, char** argv) {
-  return pelican::bench::Run(argc, argv);
+  return pelican::bench::Main(argc, argv);
 }

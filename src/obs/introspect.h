@@ -18,8 +18,9 @@
 // SetStreamSource. Scrapes are read-only snapshots of structures that
 // are already safe to read concurrently with writers (registry merges
 // under per-series locks, trace buffers under per-buffer locks), so a
-// scrape never perturbs training — the obs-on-vs-off weight memcmp and
-// the <2% overhead bound in bench/obs_overhead cover the server too.
+// scrape never perturbs training — the weight memcmp under a live
+// scraper (introspect_test) covers the server, and bench/obs_overhead
+// reports what serving scrapes costs a training run.
 #pragma once
 
 #include <cstdint>

@@ -168,9 +168,9 @@ class Registry {
 // added between two snapshots of one cumulative-bucket histogram
 // series; -1 when no mass was added. Mass landing in the +Inf bucket
 // reports that bucket's lower edge rather than inventing an upper
-// bound. This is THE quantile reader — serve_bench and the /serve
-// JSON summary both call it, so the two can't silently diverge when
-// series labels or buckets change.
+// bound. This is THE quantile reader — the perfbench census serve
+// burst and the /serve JSON summary both call it, so the two can't
+// silently diverge when series labels or buckets change.
 double HistogramQuantileDelta(const Registry::HistogramSnapshot& before,
                               const Registry::HistogramSnapshot& after,
                               double q);

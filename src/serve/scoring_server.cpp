@@ -787,8 +787,8 @@ std::string ScoringServer::StatsJson() const {
   json.Set("access_log_active", slow_ring_.AccessLogActive());
   json.Set("access_log_failures", slow_ring_.AccessLogFailures());
   // Latency summary read through THE shared quantile helper (the same
-  // one serve_bench uses), -1 when the histogram has no mass (metrics
-  // off, or nothing scored yet).
+  // one the perfbench census serve burst uses), -1 when the histogram
+  // has no mass (metrics off, or nothing scored yet).
   auto& reg = obs::Registry::Global();
   const obs::Labels labels{{"engine", engine_}};
   const auto q_ms = [](const obs::Registry::HistogramSnapshot& snap,

@@ -312,9 +312,10 @@ TEST(MetricsRegistry, FamilyKindAndHelpMustAgreeAcrossLabelSets) {
                CheckError);
 }
 
-// The shared quantile reader (serve_bench and the /serve JSON both call
-// it): linear interpolation inside the crossing bucket, the +Inf bucket
-// reports its lower edge, and zero added mass reports -1.
+// The shared quantile reader (the perfbench census serve burst and the
+// /serve JSON both call it): linear interpolation inside the crossing
+// bucket, the +Inf bucket reports its lower edge, and zero added mass
+// reports -1.
 TEST(MetricsRegistry, HistogramQuantileDeltaInterpolatesAndHandlesEdges) {
   obs::Registry::HistogramSnapshot snap;
   snap.upper_bounds = {1.0, 2.0, 4.0};

@@ -1,6 +1,7 @@
 // Scoring data plane tests: wire-protocol parsing (incl. a seeded
 // mutation fuzz), bounded-queue admission control, shed-on-full-queue,
-// read/score deadline expiry, malformed-line quarantine, oversized
+// read/score deadline expiry, reply conservation under an overload that
+// mixes shed, late and ok replies, malformed-line quarantine, oversized
 // resync, socket-level fault injection (short reads, EINTR, EAGAIN,
 // ECONNRESET, mid-record truncation), graceful drain conservation
 // (no accepted record lost), a concurrent-clients stress pass (the
@@ -228,6 +229,21 @@ bool Eventually(F&& predicate, std::chrono::milliseconds timeout = 5s) {
   }
   return predicate();
 }
+
+// Sets `flag` when it goes out of scope. Declared after a server whose
+// before_batch_hook waits on the flag, it frees the held scorers before
+// the server's destructor drains them on every exit path, so a failed
+// assertion fails the test instead of hanging it.
+class ReleaseOnExit {
+ public:
+  explicit ReleaseOnExit(std::atomic<bool>& flag) : flag_(flag) {}
+  ~ReleaseOnExit() { flag_.store(true); }
+  ReleaseOnExit(const ReleaseOnExit&) = delete;
+  ReleaseOnExit& operator=(const ReleaseOnExit&) = delete;
+
+ private:
+  std::atomic<bool>& flag_;
+};
 
 void ExpectConservation(const serve::ServeStats& s) {
   EXPECT_EQ(s.records, s.ok + s.quarantined + s.shed + s.late);
@@ -532,6 +548,7 @@ TEST(ScoringServer, ShedsWithBusyWhenQueueFull) {
     while (!release.load()) std::this_thread::sleep_for(1ms);
   };
   serve::ScoringServer server(TrainedIds(), cfg);
+  const ReleaseOnExit unhold(release);
   server.Start();
 
   const int fd = ConnectTo(server.Port());
@@ -569,6 +586,7 @@ TEST(ScoringServer, ScoreDeadlineExpiryAnswersLate) {
     while (!release.load()) std::this_thread::sleep_for(1ms);
   };
   serve::ScoringServer server(TrainedIds(), cfg);
+  const ReleaseOnExit unhold(release);
   server.Start();
 
   const int fd = ConnectTo(server.Port());
@@ -591,6 +609,97 @@ TEST(ScoringServer, ScoreDeadlineExpiryAnswersLate) {
   const auto stats = server.Stats();
   EXPECT_EQ(stats.late, 3u);
   EXPECT_EQ(stats.ok, 0u);
+  ExpectConservation(stats);
+}
+
+// Overload that mixes all three outcomes over several connections at
+// once. With the scorers held, three connections each write more
+// records than the queue holds: the records that reach the queue outlive
+// their deadline and the rest are shed. After the release, each
+// connection sends a few more, which score ok. The only clock the test
+// reads is the hold outlasting the deadline.
+TEST(ScoringServer, OverloadMixingShedLateAndOkConservesReplies) {
+  constexpr std::size_t kDepth = 4;
+  constexpr std::size_t kConns = 3;
+  constexpr std::size_t kBurst = 6;  // per connection, more than kDepth
+  constexpr std::size_t kAfter = 3;  // per connection after the release
+  std::atomic<bool> release{false};
+  serve::ScoringServerConfig cfg;
+  cfg.scorers = 2;
+  cfg.queue_depth = kDepth;
+  cfg.score_deadline_ms = 500;
+  cfg.before_batch_hook = [&release] {
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+  };
+  serve::ScoringServer server(TrainedIds(), cfg);
+  const ReleaseOnExit unhold(release);
+  server.Start();
+
+  std::vector<int> fds;
+  for (std::size_t c = 0; c < kConns; ++c) {
+    const int fd = ConnectTo(server.Port());
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    std::string payload;
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      payload += DataLines()[c * kBurst + i] + "\n";
+    }
+    ASSERT_TRUE(SendStr(fd, payload));
+  }
+  // The connection threads race for the queue: whichever records get
+  // there first fill it, and every later one is shed.
+  constexpr std::uint64_t kOffered = kConns * kBurst;
+  ASSERT_TRUE(Eventually([&] {
+    const auto s = server.Stats();
+    return s.records == kOffered && s.shed == kOffered - kDepth;
+  }));
+  EXPECT_EQ(server.QueueDepth(), kDepth);
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(cfg.score_deadline_ms + 100));
+  release.store(true);
+
+  // Nothing leaves the full queue while the scorers are held, so within
+  // a connection every record after its first shed one is shed too: its
+  // replies are late ones followed by busy ones, in send order.
+  std::size_t late_replies = 0;
+  for (std::size_t c = 0; c < kConns; ++c) {
+    const auto replies = ReadLines(fds[c], kBurst);
+    ASSERT_EQ(replies.size(), kBurst) << "connection " << c;
+    std::size_t i = 0;
+    while (i < kBurst && replies[i] == serve::kLateDeadlineReply) ++i;
+    late_replies += i;
+    for (; i < kBurst; ++i) {
+      EXPECT_EQ(replies[i], std::string(serve::kBusyQueueReply))
+          << "connection " << c << " reply " << i;
+    }
+  }
+  EXPECT_EQ(late_replies, kDepth);
+
+  // Sent one connection at a time, fewer than the queue holds: ok.
+  const auto expected = TrainedIds().InspectAll(WireRows());
+  for (std::size_t c = 0; c < kConns; ++c) {
+    const std::size_t first = kOffered + c * kAfter;
+    std::string payload;
+    for (std::size_t i = 0; i < kAfter; ++i) {
+      payload += DataLines()[first + i] + "\n";
+    }
+    ASSERT_TRUE(SendStr(fds[c], payload));
+    const auto replies = ReadLines(fds[c], kAfter);
+    ASSERT_EQ(replies.size(), kAfter) << "connection " << c;
+    for (std::size_t i = 0; i < kAfter; ++i) {
+      EXPECT_EQ(replies[i], serve::RenderVerdict(expected[first + i]))
+          << "connection " << c << " reply " << i;
+    }
+  }
+  for (const int fd : fds) ::close(fd);
+
+  // Every outcome occurred (14 shed, 4 late, 9 ok), and every record
+  // was answered exactly once.
+  server.Drain();
+  const auto stats = server.Stats();
+  EXPECT_EQ(stats.shed, kOffered - kDepth);
+  EXPECT_EQ(stats.late, kDepth);
+  EXPECT_EQ(stats.ok, kConns * kAfter);
   ExpectConservation(stats);
 }
 

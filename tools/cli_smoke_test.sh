@@ -43,8 +43,11 @@ port_from_log() {
     --out "$WORK_DIR/flows.csv"
 test -s "$WORK_DIR/flows.csv"
 
+# The reference model trains with every kind of observability off,
+# the sampling profiler included; later runs `cmp` against it.
 "$PELICAN_BIN" train --dataset nsl --csv "$WORK_DIR/flows.csv" \
-    --blocks 2 --channels 8 --epochs 3 --out "$WORK_DIR/model.bin"
+    --blocks 2 --channels 8 --epochs 3 --profile-hz 0 \
+    --out "$WORK_DIR/model.bin"
 test -s "$WORK_DIR/model.bin"
 test -s "$WORK_DIR/model.bin.meta"
 test -s "$WORK_DIR/model.bin.pre"
@@ -82,8 +85,9 @@ test -s "$WORK_DIR/model_resumed.bin"
     --csv "$WORK_DIR/flows.csv" | grep -q "ACC"
 
 # Observability: the same training run with metrics + tracing + run log
-# enabled must emit all three artifacts AND produce a bit-identical
-# model (instrumentation only reads clocks and writes side buffers).
+# and the profiler at 997 Hz must emit all three artifacts AND produce
+# a model bit-identical to the all-off one (instrumentation only reads
+# clocks and writes side buffers).
 "$PELICAN_BIN" train --dataset nsl --csv "$WORK_DIR/flows.csv" \
     --blocks 2 --channels 8 --epochs 3 --verbose \
     --metrics-out "$WORK_DIR/metrics.prom" \
@@ -183,10 +187,11 @@ fi
 cmp "$WORK_DIR/model.bin" "$WORK_DIR/model_serve.bin"
 
 # Scoring server round trip: pipe 100 records through `pelican serve`
-# with the full lifecycle kit on (tracing, 1-in-1 access sampling, the
-# introspection plane), compare the verdicts byte-for-byte against the
-# batch CLI on the same CSV — instrumentation must not change a single
-# verdict byte — then SIGTERM and assert a graceful drain with exit 0.
+# with the full lifecycle kit on (metrics, tracing, 1-in-1 access
+# sampling, the introspection plane, the profiler at 997 Hz), compare
+# the verdicts byte-for-byte against the batch CLI with all of it off
+# on the same CSV — instrumentation must not change a single verdict
+# byte — then SIGTERM and assert a graceful drain with exit 0.
 "$PELICAN_BIN" generate --dataset nsl --records 100 --seed 11 \
     --out "$WORK_DIR/score_flows.csv"
 "$PELICAN_BIN" serve --model "$WORK_DIR/model.bin" --port 0 \
@@ -203,7 +208,7 @@ test -n "$PORT"
 test "$(wc -l < "$WORK_DIR/serve_verdicts.txt")" -eq 100
 test "$(grep -c '^ok,' "$WORK_DIR/serve_verdicts.txt")" -eq 100
 "$PELICAN_BIN" classify --model "$WORK_DIR/model.bin" \
-    --csv "$WORK_DIR/score_flows.csv" --limit 1 \
+    --csv "$WORK_DIR/score_flows.csv" --limit 1 --profile-hz 0 \
     --verdicts-out "$WORK_DIR/batch_verdicts.txt" > /dev/null
 cmp "$WORK_DIR/serve_verdicts.txt" "$WORK_DIR/batch_verdicts.txt"
 
@@ -225,19 +230,23 @@ if command -v curl >/dev/null 2>&1; then
     curl -fsS "http://127.0.0.1:$HTTP_PORT/serve" \
         | grep -q '"scorer_busy_ratio"'
     # /profile mid-serve: pump score traffic until the cumulative
-    # profile carries a sample dual-attributed to the batch>score span
-    # (the retry absorbs kernel-tick sampling granularity on a server
-    # that is otherwise idle between bursts).
-    i=0
-    while [ $i -lt 30 ]; do
+    # profile carries a sample dual-attributed to the batch>score span.
+    # A CPU-clock timer first fires after about 4 ms of one thread's
+    # CPU (kernel-tick granularity), and the server's scorers split each
+    # pass's few ms between them, so no fixed pass count is enough: the
+    # pump stops at the first such sample or after 30 s. Each pass's
+    # verdicts must still match the batch CLI's while samples land.
+    PUMP_END=$(($(date +%s) + 30))
+    while :; do
         "$PELICAN_BIN" score --port "$PORT" \
             --csv "$WORK_DIR/score_flows.csv" \
-            --out /dev/null > /dev/null
+            --out "$WORK_DIR/pump_verdicts.txt" > /dev/null
+        cmp "$WORK_DIR/pump_verdicts.txt" "$WORK_DIR/batch_verdicts.txt"
         curl -fsS "http://127.0.0.1:$HTTP_PORT/profile?seconds=0" \
             > "$WORK_DIR/serve_profile.folded"
         grep -q 'serve_batch;serve_score' "$WORK_DIR/serve_profile.folded" \
             && break
-        i=$((i + 1))
+        [ "$(date +%s)" -lt "$PUMP_END" ] || break
     done
     ! grep -qvE '^[^ ]+ [0-9]+$' "$WORK_DIR/serve_profile.folded"
     grep -q 'serve_batch;serve_score' "$WORK_DIR/serve_profile.folded"
