@@ -14,30 +14,12 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   // Expand the seed; xoshiro must not start from all-zero state and
   // splitmix64 guarantees that with overwhelming probability, but we
   // guard anyway.
   for (auto& s : s_) s = SplitMix64(seed);
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 Rng::State Rng::GetState() const {
@@ -109,12 +91,6 @@ std::int64_t Rng::Int(std::int64_t lo, std::int64_t hi) {
   PELICAN_CHECK(lo <= hi);
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(Below(span));
-}
-
-bool Rng::Chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return Uniform() < p;
 }
 
 std::size_t Rng::Categorical(std::span<const double> weights) {

@@ -5,6 +5,7 @@
 // are reproducible from a single seed.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -24,7 +25,18 @@ class Rng {
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~result_type{0}; }
-  result_type operator()();
+  // Inline: Dropout draws one per element of every training batch.
+  result_type operator()() {
+    const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   // Derive an independent child stream (for per-worker or per-layer RNG).
   [[nodiscard]] Rng Fork();
@@ -52,8 +64,28 @@ class Rng {
   // Uniform integer in [lo, hi] inclusive.
   std::int64_t Int(std::int64_t lo, std::int64_t hi);
 
-  // Bernoulli draw.
-  bool Chance(double p);
+  // Bernoulli draw: Uniform() < p, from the same one draw. Uniform()
+  // is k·2^-53 for the integer k = next() >> 11, and p·2^53 is exact,
+  // so k·2^-53 < p exactly when k < ⌈p·2^53⌉: an integer compare, with
+  // no conversion to double per draw. A NaN p draws and fails, as
+  // Uniform() < NaN does.
+  bool Chance(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    if (std::isnan(p)) {
+      (void)(*this)();
+      return false;
+    }
+    return ChanceUnder(ChanceThreshold(p));
+  }
+  // Chance(p) for 0 < p < 1 in two halves, so that a loop drawing many
+  // at one p computes the threshold once.
+  static std::uint64_t ChanceThreshold(double p) {
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+  bool ChanceUnder(std::uint64_t threshold) {
+    return ((*this)() >> 11) < threshold;
+  }
 
   // In-place Fisher–Yates shuffle.
   template <typename T>
@@ -73,6 +105,10 @@ class Rng {
   std::size_t Categorical(std::span<const double> weights);
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

@@ -112,10 +112,17 @@ Tensor Conv1D::Score(const Tensor& x, InferenceContext& ctx) const {
 
   Tensor y({n, len, f});
   Workspace::Scope scope(ctx.workspace());
-  float* col = ctx.Alloc(static_cast<std::size_t>(rows * kc));
-  {
+  // With one valid tap (L = 1 under "same" padding, and every kernel-1
+  // Conv1D) that tap is pad_left, which maps step t to step t: im2col(x)
+  // is x itself, and in Backward col2im(dcol) is +0 + dcol, so the
+  // GEMMs read x and write dx directly. A GEMM output is never −0 (its
+  // sums start at +0.0F), so +0 + dcol = dcol bit for bit.
+  const float* col = x.data().data();
+  if (keff > 1) {
+    float* lowered = ctx.Alloc(static_cast<std::size_t>(rows * kc));
     obs::TraceSpan span("conv1d_im2col", "kernel");
-    Im2Col(x.data().data(), n, len, cin, keff, kk_lo, pad_left_, col);
+    Im2Col(x.data().data(), n, len, cin, keff, kk_lo, pad_left_, lowered);
+    col = lowered;
   }
   if (quant_mode_ == quant::Mode::kInt8) {
     obs::TraceSpan span("conv1d_gemm_int8_fwd", "kernel");
@@ -134,6 +141,7 @@ Tensor Conv1D::Score(const Tensor& x, InferenceContext& ctx) const {
 // Backward is three GEMMs over the same im2col lowering:
 //   dW(K·C_in, F) += colᵀ · dy      db += Σ rows(dy)
 //   dcol(N·L, K·C_in) = dy · Wᵀ     dx = col2im(dcol)
+// (with one valid tap, col is x and dcol is dx).
 // The old per-shard dW/db partial buffers are gone: the reduction over
 // the batch now happens inside the GEMM k-loop, whose accumulation
 // order is fixed by shapes and block sizes — still bit-identical for
@@ -154,24 +162,31 @@ Tensor Conv1D::Backward(const Tensor& dy) {
   float* dwp = dw_.data().data() + kk_lo * cin * f;
   const float* wp = w_.data().data() + kk_lo * cin * f;
 
+  dw_written_.Add(kk_lo * cin * f, (kk_lo + keff) * cin * f);
+  const bool identity = keff == 1;
+
   Workspace::Scope scope;
-  float* col = Workspace::Tls().Alloc(static_cast<std::size_t>(rows * kc));
-  {
+  const float* col = x_.data().data();
+  if (!identity) {
+    float* lowered =
+        Workspace::Tls().Alloc(static_cast<std::size_t>(rows * kc));
     obs::TraceSpan span("conv1d_im2col", "kernel");
-    Im2Col(x_.data().data(), n, len, cin, keff, kk_lo, pad_left_, col);
+    Im2Col(x_.data().data(), n, len, cin, keff, kk_lo, pad_left_, lowered);
+    col = lowered;
   }
 
   SumRowsInto(dyp, rows, f, db_.data().data());
-  float* dcol = nullptr;
+  float* dcol = identity ? dx.data().data()
+                         : Workspace::Tls().Alloc(
+                               static_cast<std::size_t>(rows * kc));
   {
     obs::TraceSpan span("conv1d_gemm_bwd", "kernel");
     kernels::Gemm(true, false, kc, f, rows, col, kc, dyp, f, dwp, f,
                   /*accumulate=*/true);
-
-    dcol = Workspace::Tls().Alloc(static_cast<std::size_t>(rows * kc));
     kernels::Gemm(false, true, rows, kc, f, dyp, f, wp, f, dcol, kc,
                   /*accumulate=*/false);
   }
+  if (identity) return dx;
 
   // col2im: batch items touch disjoint dx rows; within an item the
   // (t, kk) scatter order is fixed, so threading cannot reorder it.
@@ -198,7 +213,7 @@ Tensor Conv1D::Backward(const Tensor& dy) {
 }
 
 std::vector<ParamRef> Conv1D::Params() {
-  return {{"conv1d.w", &w_, &dw_}, {"conv1d.b", &b_, &db_}};
+  return {{"conv1d.w", &w_, &dw_, &dw_written_}, {"conv1d.b", &b_, &db_}};
 }
 
 void Conv1D::SetQuantMode(quant::Mode mode) {

@@ -41,6 +41,10 @@ class Conv1D final : public Layer {
   Tensor b_;   // (F)
   Tensor dw_;
   Tensor db_;
+  // The rows of dw_ Backward has written: the taps valid at the
+  // lengths seen since the last ZeroGrad (the others only ever met
+  // padding zeros, so their gradient stays +0).
+  GradWritten dw_written_;
   Tensor x_;   // cached input
   quant::Mode quant_mode_ = quant::Mode::kOff;
   // int8 view of the full (K·C_in, F) weight matrix; the valid-tap

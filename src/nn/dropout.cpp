@@ -8,17 +8,23 @@ Dropout::Dropout(float rate) : rate_(rate) {
 
 Tensor Dropout::TrainForward(const Tensor& x) {
   if (rate_ == 0.0F) return x;
-  Rng& rng = rng_ != nullptr ? *rng_ : fallback_rng_;
+  Rng& stream = rng_ != nullptr ? *rng_ : fallback_rng_;
+  // Rng::Chance(rate_) per element (0 < rate_ < 1), its threshold taken
+  // once, on a local copy of the generator: through a reference GCC
+  // loads and stores the generator's state around every draw.
+  const std::uint64_t threshold = Rng::ChanceThreshold(rate_);
+  Rng rng = stream;
   const float keep_scale = 1.0F / (1.0F - rate_);
   mask_ = Tensor(x.shape());
   Tensor y = x;
   auto mp = mask_.data();
   auto yp = y.data();
   for (std::size_t i = 0; i < yp.size(); ++i) {
-    const float m = rng.Chance(rate_) ? 0.0F : keep_scale;
+    const float m = rng.ChanceUnder(threshold) ? 0.0F : keep_scale;
     mp[i] = m;
     yp[i] *= m;
   }
+  stream = rng;
   return y;
 }
 

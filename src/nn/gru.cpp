@@ -1,7 +1,9 @@
 #include "nn/gru.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/thread_pool.h"
@@ -25,6 +27,33 @@ void ParallelRows(std::int64_t n, std::int64_t width, Fn&& fn) {
       0, static_cast<std::size_t>(n),
       [&](std::size_t i) { fn(static_cast<std::int64_t>(i)); },
       static_cast<std::size_t>(grain));
+}
+
+// The largest |v| over n floats, as its bit pattern: below kInfBits
+// exactly when every value is finite, and then it reads back (through
+// BitsToFloat) as the largest magnitude. An integer max, so the scan
+// vectorizes and has no NaN case.
+constexpr std::int32_t kInfBits = 0x7f800000;
+std::int32_t MaxAbsBits(const float* p, std::int64_t n) {
+  std::int32_t m = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    m = std::max(m, std::bit_cast<std::int32_t>(p[i]) & 0x7fffffff);
+  }
+  return m;
+}
+std::int32_t MaxAbsBits(const Tensor& t) {
+  return MaxAbsBits(t.data().data(), t.size());
+}
+float BitsToFloat(std::int32_t bits) { return std::bit_cast<float>(bits); }
+
+// Whether a GEMM element summing k products, each |a|·|b| with
+// |a| ≤ a_max and |b| ≤ b_max, plus a bias |c| ≤ c_max, stays far below
+// FLT_MAX: then no partial sum, rounded or not, can overflow.
+bool FarBelowOverflow(float a_max, float b_max, std::int64_t k,
+                      float c_max) {
+  return static_cast<double>(a_max) * b_max * static_cast<double>(k) +
+             c_max <
+         0x1.0p100;
 }
 }  // namespace
 
@@ -90,13 +119,25 @@ void Gru::RefreshFusedPanels() {
 // directly — no per-step gate copies. It keeps its own code rather
 // than calling Score because Backward reads the fused panels and every
 // step's gates.
+//
+// It skips the work that h₀ = 0 makes dead, when the call's inputs
+// prove the skip exact (DESIGN.md §8); otherwise it runs in full:
+//   - at t = 0, both recurrent GEMMs, when U is finite and r₁ holds no
+//     NaN. h₀·[Uz|Ur] and (r₁ ⊙ h₀)·Uh are then sums of ±0 products,
+//     which start at +0.0F and so are +0; adding +0 to a GEMM output
+//     plus bias (never −0) changes no bit;
+//   - at L = 1, also the reset-gate projection, when in addition x, Wr
+//     and br are finite and |x|·|Wr|·C + |br| stays far below FLT_MAX:
+//     then pre_r is finite, r₁ lies in [0, 1], and nothing else reads
+//     it. The z and h columns are the same GEMM's columns: the kernel's
+//     per-element order depends on k alone.
 Tensor Gru::TrainForward(const Tensor& x) {
   PELICAN_CHECK(quant_mode_ != quant::Mode::kInt8,
                 "int8 forward is inference-only");
   PELICAN_CHECK(x.rank() == 3 && x.dim(2) == input_size_,
                 "GRU expects (N, L, C_in)");
   const std::int64_t n = x.dim(0), len = x.dim(1);
-  const std::int64_t h = units_, h3 = 3 * units_;
+  const std::int64_t c = input_size_, h = units_, h3 = 3 * units_;
   x_ = x;
   RefreshFusedPanels();
 
@@ -107,12 +148,43 @@ Tensor Gru::TrainForward(const Tensor& x) {
   rhs_.clear();
   hs_.push_back(Tensor({n, h}));  // h_0 = 0
 
+  const std::int32_t u_bits =
+      std::max({MaxAbsBits(uz_), MaxAbsBits(ur_), MaxAbsBits(uh_)});
+  first_step_fast_ = u_bits < kInfBits;
+  u_abs_max_ = BitsToFloat(u_bits);
+  reset_gate_skipped_ = false;
+  if (first_step_fast_ && len == 1) {
+    const std::int32_t x_bits = MaxAbsBits(x.data().data(), x.size());
+    const std::int32_t wr_bits = MaxAbsBits(wr_);
+    const std::int32_t br_bits = MaxAbsBits(br_);
+    reset_gate_skipped_ =
+        std::max({x_bits, wr_bits, br_bits}) < kInfBits &&
+        FarBelowOverflow(BitsToFloat(x_bits), BitsToFloat(wr_bits), c,
+                         BitsToFloat(br_bits));
+  }
+
   Workspace::Scope scope;
   float* proj = Workspace::Tls().Alloc(static_cast<std::size_t>(n * len * h3));
-  kernels::Gemm(false, false, n * len, h3, input_size_, x.data().data(),
-                input_size_, w_zrh_.data().data(), h3, proj, h3,
-                /*accumulate=*/false);
-  AddRowBias(proj, n * len, h3, b_zrh_.data().data());
+  if (reset_gate_skipped_) {
+    // The z and h columns only; the r columns stay unwritten.
+    for (const std::int64_t col : {std::int64_t{0}, 2 * h}) {
+      kernels::Gemm(false, false, n, h, c, x.data().data(), c,
+                    w_zrh_.data().data() + col, h3, proj + col, h3,
+                    /*accumulate=*/false);
+    }
+    const float* bp = b_zrh_.data().data();
+    ParallelRows(n, h, [&](std::int64_t i) {
+      float* row = proj + i * h3;
+      for (std::int64_t j = 0; j < h; ++j) {
+        row[j] += bp[j];
+        row[2 * h + j] += bp[2 * h + j];
+      }
+    });
+  } else {
+    kernels::Gemm(false, false, n * len, h3, c, x.data().data(), c,
+                  w_zrh_.data().data(), h3, proj, h3, /*accumulate=*/false);
+    AddRowBias(proj, n * len, h3, b_zrh_.data().data());
+  }
 
   const std::int64_t ld = len * h3;  // row stride of one step's sub-view
   for (std::int64_t t = 0; t < len; ++t) {
@@ -121,11 +193,22 @@ Tensor Gru::TrainForward(const Tensor& x) {
     float* pt = proj + t * h3;
 
     // pre_z/pre_r += h_{t-1} · [Uz|Ur] in one GEMM.
-    kernels::Gemm(false, false, n, 2 * h, h, hpv, h, u_zr_.data().data(),
-                  2 * h, pt, ld, /*accumulate=*/true);
+    if (t > 0 || !first_step_fast_) {
+      kernels::Gemm(false, false, n, 2 * h, h, hpv, h, u_zr_.data().data(),
+                    2 * h, pt, ld, /*accumulate=*/true);
+    }
 
-    Tensor z({n, h}), r({n, h}), rh({n, h});
-    {
+    Tensor z({n, h}), r, rh;
+    if (reset_gate_skipped_) {
+      float* zp = z.data().data();
+      ParallelRows(n, h, [&](std::int64_t i) {
+        const float* row = pt + i * ld;
+        float* zrow = zp + i * h;
+        for (std::int64_t j = 0; j < h; ++j) zrow[j] = HardSigmoidF(row[j]);
+      });
+    } else {
+      r = Tensor({n, h});
+      rh = Tensor({n, h});
       float* zp = z.data().data();
       float* rp = r.data().data();
       float* rhp = rh.data().data();
@@ -142,11 +225,18 @@ Tensor Gru::TrainForward(const Tensor& x) {
           rhrow[j] = rv * hrow[j];
         }
       });
+      // r₁ ∈ [0, 1] unless pre_r is NaN.
+      if (t == 0 && first_step_fast_) {
+        first_step_fast_ = MaxAbsBits(r) < kInfBits;
+      }
     }
 
     // pre_h += (r ⊙ h_{t-1}) · Uh, then tanh.
-    kernels::Gemm(false, false, n, h, h, rh.data().data(), h,
-                  uh_.data().data(), h, pt + 2 * h, ld, /*accumulate=*/true);
+    if (t > 0 || !first_step_fast_) {
+      kernels::Gemm(false, false, n, h, h, rh.data().data(), h,
+                    uh_.data().data(), h, pt + 2 * h, ld,
+                    /*accumulate=*/true);
+    }
 
     Tensor hc({n, h}), hnew({n, h});
     {
@@ -315,6 +405,27 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
   return y;
 }
 
+// Recomputes r₁ and r₁ ⊙ h₀ for a Backward that cannot take the fast
+// first step after a forward that skipped the reset gate: the same
+// GEMM column, bias and formulas, so the same bytes (the skipped
+// h₀·Ur added +0).
+void Gru::ComputeSkippedResetGate() {
+  const std::int64_t n = x_.dim(0), c = input_size_, h = units_;
+  Tensor r({n, h}), rh({n, h});
+  float* rp = r.data().data();
+  kernels::Gemm(false, false, n, h, c, x_.data().data(), c,
+                w_zrh_.data().data() + h, 3 * h, rp, h, /*accumulate=*/false);
+  AddRowBias(rp, n, h, b_zrh_.data().data() + h);
+  const float* hpv = hs_[0].data().data();
+  float* rhp = rh.data().data();
+  for (std::int64_t i = 0; i < n * h; ++i) {
+    rp[i] = HardSigmoidF(rp[i]);
+    rhp[i] = rp[i] * hpv[i];
+  }
+  rs_[0] = std::move(r);
+  rhs_[0] = std::move(rh);
+}
+
 // Backward mirrors the fused training pass: per step the three gate
 // pre-activation gradients are assembled into one (N, 3H) panel `g` =
 // [da_z | da_r | da_h], so the weight-gradient GEMMs against x/h_{t-1}
@@ -322,6 +433,18 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
 // run once wide instead of three times skinny. Weight gradients
 // accumulate into fused scratch across all steps and scatter into the
 // per-gate masters once at the end.
+//
+// After a forward that took the fast first step, the first step here
+// is fast too when g is finite and |g|·|Uh|·H stays far below FLT_MAX
+// (so drh = da_h·Uhᵀ is finite). Then everything h₀ = 0 feeds is
+// exact to skip: da_r = drh·h₀·σ′(r) is ±0, so +0 is written instead;
+// the dU GEMMs multiply h₀ or r₁ ⊙ h₀ (±0) by finite g, adding +0; and
+// dh₀ is discarded. +0 and −0 in da_r give the same dW and dx bytes:
+// their sums start at +0.0F and never become −0, and ±0·w is ±0, or the
+// same NaN for a non-finite w. With the reset gate skipped (L = 1),
+// the r columns of dW are x·(+0) sums, +0 for finite x, and the
+// dWr/dbr scatter adds nothing. The dx GEMM keeps the r columns: its
+// 256-wide k-panels would otherwise shift and round differently.
 Tensor Gru::Backward(const Tensor& dy) {
   PELICAN_CHECK(!zs_.empty(), "Backward before Forward");
   const auto len = static_cast<std::int64_t>(zs_.size());
@@ -350,6 +473,7 @@ Tensor Gru::Backward(const Tensor& dy) {
   std::fill(du_zr, du_zr + h * h2, 0.0F);
   std::fill(db_zrh, db_zrh + h3, 0.0F);
 
+  bool wrote_u = false, wrote_r = false;
   for (std::int64_t t = len - 1; t >= 0; --t) {
     const auto ut = static_cast<std::size_t>(t);
     // Add the output gradient for this step.
@@ -363,6 +487,28 @@ Tensor Gru::Backward(const Tensor& dy) {
     } else if (t == len - 1) {
       dh.Add(dy);
     }
+
+    if (t == 0 && first_step_fast_ && FastFirstStepGates(dh, g)) {
+      // dW += x₀ᵀ·g (z and h columns only when the reset gate was
+      // skipped), db += Σ g, dx₀ = g·[Wz|Wr|Wh]ᵀ; nothing else.
+      const float* x0 = x_.data().data();
+      if (reset_gate_skipped_) {
+        for (const std::int64_t col : {std::int64_t{0}, 2 * h}) {
+          kernels::Gemm(true, false, c, h, n, x0, len * c, g + col, h3,
+                        dw_zrh + col, h3, /*accumulate=*/true);
+        }
+      } else {
+        kernels::Gemm(true, false, c, h3, n, x0, len * c, g, h3, dw_zrh, h3,
+                      /*accumulate=*/true);
+        wrote_r = true;
+      }
+      SumRowsInto(g, n, h3, db_zrh);
+      kernels::Gemm(false, true, n, c, h3, g, h3, w_zrh_.data().data(), h3,
+                    dx.data().data(), len * c, /*accumulate=*/false);
+      break;
+    }
+    if (t == 0 && reset_gate_skipped_) ComputeSkippedResetGate();
+    wrote_u = wrote_r = true;
 
     const Tensor& hprev = hs_[ut];
     const float* hpv = hprev.data().data();
@@ -439,7 +585,8 @@ Tensor Gru::Backward(const Tensor& dy) {
     dh = std::move(dh_prev);
   }
 
-  // Scatter the fused gradient panels into the per-gate masters.
+  // Scatter the fused gradient panels into the per-gate masters. An
+  // unwritten panel holds +0, which leaves a master's bytes alone.
   float* dwz = dwz_.data().data();
   float* dwr = dwr_.data().data();
   float* dwh = dwh_.data().data();
@@ -447,25 +594,64 @@ Tensor Gru::Backward(const Tensor& dy) {
     const float* src = dw_zrh + i * h3;
     for (std::int64_t j = 0; j < h; ++j) {
       dwz[i * h + j] += src[j];
-      dwr[i * h + j] += src[h + j];
       dwh[i * h + j] += src[2 * h + j];
     }
+    if (!wrote_r) continue;
+    for (std::int64_t j = 0; j < h; ++j) dwr[i * h + j] += src[h + j];
   }
-  float* duz = duz_.data().data();
-  float* dur = dur_.data().data();
-  for (std::int64_t i = 0; i < h; ++i) {
-    const float* src = du_zr + i * h2;
-    for (std::int64_t j = 0; j < h; ++j) {
-      duz[i * h + j] += src[j];
-      dur[i * h + j] += src[h + j];
+  if (wrote_u) {
+    float* duz = duz_.data().data();
+    float* dur = dur_.data().data();
+    for (std::int64_t i = 0; i < h; ++i) {
+      const float* src = du_zr + i * h2;
+      for (std::int64_t j = 0; j < h; ++j) {
+        duz[i * h + j] += src[j];
+        dur[i * h + j] += src[h + j];
+      }
+    }
+    for (GradWritten* u : {&uz_written_, &ur_written_, &uh_written_}) {
+      u->Add(0, h * h);
     }
   }
   for (std::int64_t j = 0; j < h; ++j) {
     dbz_[j] += db_zrh[j];
-    dbr_[j] += db_zrh[h + j];
     dbh_[j] += db_zrh[2 * h + j];
   }
+  if (wrote_r) {
+    for (std::int64_t j = 0; j < h; ++j) dbr_[j] += db_zrh[h + j];
+    wr_written_.Add(0, c * h);
+    br_written_.Add(0, h);
+  }
   return dx;
+}
+
+// The first step's gate gradients for the fast path: g = [da_z | +0 |
+// da_h], the formulas of the full path's passes with h = h₀. True when
+// g is finite and drh = da_h·Uhᵀ cannot overflow; otherwise the caller
+// recomputes g on the full path.
+bool Gru::FastFirstStepGates(const Tensor& dh, float* g) const {
+  const std::int64_t n = x_.dim(0), h = units_, h3 = 3 * units_;
+  const float* dhp = dh.data().data();
+  const float* hpv = hs_[0].data().data();
+  const float* zp = zs_[0].data().data();
+  const float* hcp = hcands_[0].data().data();
+  ParallelRows(n, h, [&](std::int64_t i) {
+    float* grow = g + i * h3;
+    const float* dhrow = dhp + i * h;
+    const float* hrow = hpv + i * h;
+    const float* zrow = zp + i * h;
+    const float* hcrow = hcp + i * h;
+    for (std::int64_t j = 0; j < h; ++j) {
+      const float dz = dhrow[j] * (hrow[j] - hcrow[j]);
+      grow[j] = dz * HardSigmoidGradFromY(zrow[j]);
+      grow[h + j] = 0.0F;
+      grow[2 * h + j] =
+          dhrow[j] * (1.0F - zrow[j]) * TanhGradFromY(hcrow[j]);
+    }
+  });
+  const std::int32_t g_bits = MaxAbsBits(g, n * h3);
+  return g_bits < kInfBits &&
+         FarBelowOverflow(BitsToFloat(g_bits), u_abs_max_, h, 0.0F);
 }
 
 void Gru::SetQuantMode(quant::Mode mode) {
@@ -486,10 +672,14 @@ void Gru::CollectQuantOps(std::vector<quant::LinearQuant*>& ops) {
 
 std::vector<ParamRef> Gru::Params() {
   return {
-      {"gru.wz", &wz_, &dwz_}, {"gru.wr", &wr_, &dwr_},
-      {"gru.wh", &wh_, &dwh_}, {"gru.uz", &uz_, &duz_},
-      {"gru.ur", &ur_, &dur_}, {"gru.uh", &uh_, &duh_},
-      {"gru.bz", &bz_, &dbz_}, {"gru.br", &br_, &dbr_},
+      {"gru.wz", &wz_, &dwz_},
+      {"gru.wr", &wr_, &dwr_, &wr_written_},
+      {"gru.wh", &wh_, &dwh_},
+      {"gru.uz", &uz_, &duz_, &uz_written_},
+      {"gru.ur", &ur_, &dur_, &ur_written_},
+      {"gru.uh", &uh_, &duh_, &uh_written_},
+      {"gru.bz", &bz_, &dbz_},
+      {"gru.br", &br_, &dbr_, &br_written_},
       {"gru.bh", &bh_, &dbh_},
   };
 }

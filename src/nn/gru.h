@@ -38,6 +38,9 @@ class Gru final : public Layer {
   // (which the optimizer updates between steps), allocating them on
   // first use.
   void RefreshFusedPanels();
+  // Backward's first step when the forward took the fast one (gru.cpp).
+  bool FastFirstStepGates(const Tensor& dh, float* g) const;
+  void ComputeSkippedResetGate();
 
   std::int64_t input_size_;
   std::int64_t units_;
@@ -50,6 +53,10 @@ class Gru final : public Layer {
   Tensor dwz_, dwr_, dwh_;
   Tensor duz_, dur_, duh_;
   Tensor dbz_, dbr_, dbh_;
+  // Written ranges of the gradients the fast first step can leave
+  // unwritten (each all or nothing).
+  GradWritten wr_written_, br_written_;
+  GradWritten uz_written_, ur_written_, uh_written_;
 
   // Fused copies for TrainForward/Backward: all three input projections
   // (and the z/r recurrent ones) run as one wide GEMM per step instead
@@ -66,6 +73,13 @@ class Gru final : public Layer {
   Tensor x_;                    // (N, L, C_in) input, for backward GEMMs
   std::vector<Tensor> hs_;      // (N, H), hs_[0] is the initial state
   std::vector<Tensor> zs_, rs_, hcands_, rhs_;  // one entry per step
+  // Per training pass, chosen from its inputs (gru.cpp): whether the
+  // t = 0 recurrent GEMMs were skipped (U finite, r₁ free of NaN), and
+  // whether at L = 1 the reset gate was skipped with them (rs_[0] and
+  // rhs_[0] are then empty). u_abs_max_ bounds |U| for Backward.
+  bool first_step_fast_ = false;
+  bool reset_gate_skipped_ = false;
+  float u_abs_max_ = 0.0F;
 
   quant::Mode quant_mode_ = quant::Mode::kOff;
   // int8 view of the fused input-projection panel [Wz|Wr|Wh]. The

@@ -11,8 +11,10 @@
 //   (N, L, C)  sequence batches: N samples, L time steps, C channels
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -22,11 +24,54 @@
 
 namespace pelican::nn {
 
-// Non-owning view of one trainable parameter and its gradient.
+// The elements [begin, end) of a gradient tensor that Backward has
+// written since the last ZeroGrad; every element outside still holds
+// the +0 that ZeroGrad (or the constructor) left there. A layer whose
+// Backward can leave part of a gradient untouched (Conv1D's dead
+// taps, the GRU's recurrent and reset-gate tensors at the paper's
+// L = 1) publishes one through ParamRef, and ZeroGrad and the
+// optimizers skip the rest. Only Backward adds to it.
+struct GradWritten {
+  std::int64_t begin = 0;
+  std::int64_t end = 0;  // begin == end: nothing written
+
+  // Widens the range to cover [b, e).
+  void Add(std::int64_t b, std::int64_t e) {
+    if (b >= e) return;
+    if (begin == end) {
+      begin = b;
+      end = e;
+      return;
+    }
+    begin = std::min(begin, b);
+    end = std::max(end, e);
+  }
+};
+
+// Non-owning view of one trainable parameter and its gradient. `grad`
+// is written by the layer's Backward only (gradient clipping scales
+// what Backward wrote).
 struct ParamRef {
   std::string name;
   Tensor* value = nullptr;
   Tensor* grad = nullptr;
+  // Which gradient elements Backward has written; null means any.
+  GradWritten* written = nullptr;
+
+  // [begin, end) of the gradient elements that may not be +0.
+  [[nodiscard]] std::pair<std::int64_t, std::int64_t> WrittenRange() const {
+    if (written == nullptr) return {0, grad->size()};
+    return {std::min(written->begin, grad->size()),
+            std::min(written->end, grad->size())};
+  }
+
+  // Zeroes the gradient (the written range; the rest is +0 already)
+  // and marks it unwritten.
+  void ZeroGrad() const {
+    const auto [b, e] = WrittenRange();
+    std::fill(grad->data().begin() + b, grad->data().begin() + e, 0.0F);
+    if (written != nullptr) *written = {};
+  }
 };
 
 // Non-owning view of one non-trainable state tensor (e.g. batch-norm
@@ -104,7 +149,7 @@ class Layer {
 
   // Zeroes all parameter gradients.
   void ZeroGrad() {
-    for (auto& p : Params()) p.grad->Zero();
+    for (const auto& p : Params()) p.ZeroGrad();
   }
 
   // Total trainable scalar count.

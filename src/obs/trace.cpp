@@ -185,6 +185,14 @@ thread_local PathCacheEntry t_path_cache[kPathCacheSlots];
 // the handler itself never triggers lazy TLS initialization.
 thread_local std::atomic<std::uint32_t> t_span_path{0};
 
+// Writes the first kSpanNameCap - 1 bytes of `name` into a span-name
+// slot and zero-fills the rest, so the slot is always terminated.
+void CopySpanName(char (&dst)[detail::kSpanNameCap], const char* name) {
+  const std::size_t n = ::strnlen(name, detail::kSpanNameCap - 1);
+  std::memcpy(dst, name, n);
+  std::memset(dst + n, 0, detail::kSpanNameCap - n);
+}
+
 std::uint32_t InternSpanPath(std::uint32_t parent, const char* name) {
   const std::uint64_t hash = SpanPathHash(parent, name);
   PathCacheEntry& slot = t_path_cache[hash & (kPathCacheSlots - 1)];
@@ -211,14 +219,13 @@ std::uint32_t InternSpanPath(std::uint32_t parent, const char* name) {
       id = static_cast<std::uint32_t>(table.nodes.size());
       SpanPathNode& node = table.nodes.emplace_back();
       node.parent = parent;
-      std::strncpy(node.name, name, detail::kSpanNameCap - 1);
+      CopySpanName(node.name, name);
       table.index[hash].push_back(id);
     }
   }
   slot.parent = parent;
   slot.id = id;
-  std::strncpy(slot.name, name, detail::kSpanNameCap - 1);
-  slot.name[detail::kSpanNameCap - 1] = '\0';
+  CopySpanName(slot.name, name);
   return id;
 }
 

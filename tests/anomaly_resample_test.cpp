@@ -238,7 +238,7 @@ TEST(GaussianAnomaly, ScoreGrowsWithDeviation) {
 TEST(GaussianAnomaly, RequiresFitBeforeScore) {
   ml::GaussianAnomalyDetector detector;
   const std::vector<float> row = {0.0F};
-  EXPECT_THROW(detector.Score(row), CheckError);
+  EXPECT_THROW((void)detector.Score(row), CheckError);
 }
 
 TEST(AutoencoderAnomaly, LearnsToReconstructNormalTraffic) {

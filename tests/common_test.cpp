@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -116,6 +117,30 @@ TEST(Rng, ChanceFrequency) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) hits += rng.Chance(0.25) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.02);
+}
+
+// Chance is an integer compare on the draw; it must decide exactly as
+// the double formula `Uniform() < p` on the same draw, and leave the
+// stream where that formula leaves it. The rates include ones whose
+// p·2^53 is not an integer and the float 0.6 Dropout passes.
+TEST(Rng, ChanceMatchesUniformFormulaDrawForDraw) {
+  const double rates[] = {1e-7, 0.1, 0.25, 0.5, 0.6, 0.999,
+                          static_cast<double>(0.6F),
+                          std::nextafter(0.5, 0.0),
+                          std::nextafter(0.5, 1.0),
+                          0x1.0p-53,
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::quiet_NaN()};
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    for (const double p : rates) {
+      Rng got(seed), want(seed);
+      for (int i = 0; i < 256; ++i) {
+        ASSERT_EQ(got.Chance(p), want.Uniform() < p)
+            << "seed " << seed << " p " << p << " draw " << i;
+      }
+      ASSERT_EQ(got(), want()) << "seed " << seed << " p " << p;
+    }
+  }
 }
 
 TEST(Rng, ShufflePreservesElements) {

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstring>
 #include <map>
-#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "core/core.h"
+#include "line_grammar.h"
 #include "models/zoo.h"
 #include "obs/obs.h"
 
@@ -103,12 +103,33 @@ Response Get(std::uint16_t port, const std::string& path,
 // comment (# HELP / # TYPE, well-formed) or a sample
 // (name{labels} value), HELP/TYPE appear at most once per family, and
 // every sample's family has a TYPE.
+// ^name(\{[^{}]*\})? -?[0-9eE.+\-]+$, name = [a-zA-Z_:][a-zA-Z0-9_:]*
+bool IsPrometheusSample(std::string_view line) {
+  std::size_t i = grammar::NameLength(line, 0);
+  if (i == 0) return false;
+  if (i < line.size() && line[i] == '{') {
+    const std::size_t close = line.find_first_of("{}", i + 1);
+    if (close == std::string_view::npos || line[close] != '}') return false;
+    i = close + 1;
+  }
+  return i < line.size() && line[i] == ' ' &&
+         grammar::IsNumber(line.substr(i + 1));
+}
+
+// ^# HELP name .*$ (kind "HELP"), ^# TYPE name
+// (counter|gauge|histogram)$ (kind "TYPE").
+bool IsPrometheusComment(std::string_view line, std::string_view kind) {
+  const std::string prefix = "# " + std::string(kind) + " ";
+  if (line.substr(0, prefix.size()) != prefix) return false;
+  const std::size_t n = grammar::NameLength(line, prefix.size());
+  const std::size_t rest = prefix.size() + n;
+  if (n == 0 || rest >= line.size() || line[rest] != ' ') return false;
+  if (kind == "HELP") return true;
+  const std::string_view type = line.substr(rest + 1);
+  return type == "counter" || type == "gauge" || type == "histogram";
+}
+
 void ExpectValidPrometheus(const std::string& text) {
-  static const std::regex sample_re(
-      R"(^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9eE.+\-]+$)");
-  static const std::regex help_re(R"(^# HELP [a-zA-Z_:][a-zA-Z0-9_:]* .*$)");
-  static const std::regex type_re(
-      R"(^# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram)$)");
   std::set<std::string> help_seen;
   std::set<std::string> type_seen;
   std::istringstream in(text);
@@ -116,17 +137,17 @@ void ExpectValidPrometheus(const std::string& text) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     if (line.rfind("# HELP ", 0) == 0) {
-      EXPECT_TRUE(std::regex_match(line, help_re)) << line;
+      EXPECT_TRUE(IsPrometheusComment(line, "HELP")) << line;
       const std::string name = line.substr(7, line.find(' ', 7) - 7);
       EXPECT_TRUE(help_seen.insert(name).second)
           << "duplicate HELP for " << name;
     } else if (line.rfind("# TYPE ", 0) == 0) {
-      EXPECT_TRUE(std::regex_match(line, type_re)) << line;
+      EXPECT_TRUE(IsPrometheusComment(line, "TYPE")) << line;
       const std::string name = line.substr(7, line.find(' ', 7) - 7);
       EXPECT_TRUE(type_seen.insert(name).second)
           << "duplicate TYPE for " << name;
     } else {
-      EXPECT_TRUE(std::regex_match(line, sample_re)) << line;
+      EXPECT_TRUE(IsPrometheusSample(line)) << line;
       std::string family = line.substr(0, line.find_first_of("{ "));
       // Histogram samples belong to the family without the suffix.
       for (const char* suffix : {"_bucket", "_sum", "_count"}) {
@@ -265,14 +286,32 @@ TEST(Introspect, ProcessMetricsRegisterUptimeAndBuildInfo) {
   obs::UpdateProcessMetrics();
   const std::string text = obs::Registry::Global().RenderPrometheus();
   ExpectValidPrometheus(text);
-  const std::regex uptime_re(R"(process_uptime_seconds ([0-9eE.+\-]+))");
-  std::smatch m;
-  ASSERT_TRUE(std::regex_search(text, m, uptime_re)) << text;
-  EXPECT_GT(std::stod(m[1]), 0.0);
-  // The info-gauge convention: constant 1, identity in the labels.
-  const std::regex info_re(
-      R"(pelican_build_info\{[^}]*git="[^"]*"[^}]*\} 1)");
-  EXPECT_TRUE(std::regex_search(text, info_re)) << text;
+  // The first "process_uptime_seconds " followed by [0-9eE.+\-]+.
+  std::string uptime;
+  const std::string key = "process_uptime_seconds ";
+  for (std::size_t at = text.find(key);
+       uptime.empty() && at != std::string::npos; at = text.find(key, at + 1)) {
+    std::size_t end = at + key.size();
+    while (end < text.size() && grammar::IsNumberChar(text[end])) ++end;
+    uptime = text.substr(at + key.size(), end - at - key.size());
+  }
+  ASSERT_FALSE(uptime.empty()) << text;
+  EXPECT_GT(std::stod(uptime), 0.0);
+  // The info-gauge convention: constant 1, identity in the labels:
+  // pelican_build_info\{[^}]*git="[^"]*"[^}]*\} 1.
+  bool info = false;
+  const std::string info_key = "pelican_build_info{";
+  for (std::size_t at = text.find(info_key);
+       !info && at != std::string::npos; at = text.find(info_key, at + 1)) {
+    const std::size_t labels = at + info_key.size();
+    const std::size_t git = text.find("git=\"", labels);
+    if (git == std::string::npos || text.find('}', labels) < git) continue;
+    const std::size_t quote = text.find('"', git + 5);
+    if (quote == std::string::npos) continue;
+    const std::size_t close = text.find('}', quote + 1);
+    info = close != std::string::npos && text.compare(close, 3, "} 1") == 0;
+  }
+  EXPECT_TRUE(info) << text;
   EXPECT_GT(obs::ProcessUptimeSeconds(), 0.0);
 }
 

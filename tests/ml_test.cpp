@@ -99,7 +99,7 @@ TEST(DecisionTree, PureNodeStopsSplitting) {
 TEST(DecisionTree, PredictBeforeFitThrows) {
   DecisionTree tree;
   const std::vector<float> probe = {0.0F};
-  EXPECT_THROW(tree.Predict(probe), CheckError);
+  EXPECT_THROW((void)tree.Predict(probe), CheckError);
 }
 
 TEST(DecisionTree, MulticlassSplits) {

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "gru_reference.h"
 #include "models/pelican.h"
 #include "nn/nn.h"
 #include "optim/optimizer.h"
@@ -178,6 +179,66 @@ TEST(Conv1D, KerasPaddingSplit) {
   EXPECT_FLOAT_EQ(y.At(0, 0, 0), 3.0F);  // one left pad
   EXPECT_FLOAT_EQ(y.At(0, 2, 0), 4.0F);  // interior: full window
   EXPECT_FLOAT_EQ(y.At(0, 5, 0), 2.0F);  // two right pads
+}
+
+// With one valid tap mapping step t to step t (L = 1 under "same"
+// padding, and kernel 1 at any L), Conv1D runs its GEMMs on x and on dx
+// directly. y, dx, dW and db must equal the im2col path's bytes,
+// written out here with the same kernels::Gemm calls: the column
+// buffer a copy of x, and col2im as +0 + dcol. x, the live tap's
+// weights, the bias and dy carry NaN, ±inf, ±0 and subnormals.
+TEST(Conv1D, IdentityLoweringMatchesIm2ColPathBytes) {
+  constexpr std::int64_t kCin = 5, kF = 7, kN = 6;
+  const std::pair<std::int64_t, std::int64_t> shapes[] = {
+      {10, 1}, {4, 1}, {1, 1}, {1, 3}};  // {kernel, L}
+  for (const auto& [kernel, len] : shapes) {
+    SCOPED_TRACE(testing::Message() << "kernel=" << kernel << " L=" << len);
+    Rng rng(60);
+    nn::Conv1D conv(kCin, kF, kernel, rng);
+    Tensor& w = *conv.Params()[0].value;
+    Tensor& b = *conv.Params()[1].value;
+    const std::int64_t tap = (kernel - 1) / 2;  // the one valid tap
+    float* wt = w.data().data() + tap * kCin * kF;
+    for (std::int64_t i = 0; i < kCin * kF; i += 4) {
+      wt[i] = ElementwiseSpecial(i / 4);
+    }
+    for (std::int64_t j = 0; j < kF; j += 2) b[j] = ElementwiseSpecial(j + 3);
+    const std::int64_t rows = kN * len;
+    Tensor x = Tensor::RandomNormal({kN, len, kCin}, rng, 0, 1);
+    for (std::int64_t i = 0; i < x.size(); i += 3) {
+      x[i] = ElementwiseSpecial(i / 3 + 1);
+    }
+    Tensor dy = Tensor::RandomNormal({kN, len, kF}, rng, 0, 1);
+    for (std::int64_t i = 0; i < dy.size(); i += 5) {
+      dy[i] = ElementwiseSpecial(i / 5 + 2);
+    }
+
+    const std::vector<float> col(x.data().begin(), x.data().end());
+    Tensor want_y({kN, len, kF});
+    kernels::Gemm(false, false, rows, kF, kCin, col.data(), kCin, wt, kF,
+                  want_y.data().data(), kF, /*accumulate=*/false);
+    AddRowBias(want_y.data().data(), rows, kF, b.data().data());
+    Tensor want_dw(w.shape()), want_db({kF}), want_dx({kN, len, kCin});
+    SumRowsInto(dy.data().data(), rows, kF, want_db.data().data());
+    kernels::Gemm(true, false, kCin, kF, rows, col.data(), kCin,
+                  dy.data().data(), kF,
+                  want_dw.data().data() + tap * kCin * kF, kF,
+                  /*accumulate=*/true);
+    std::vector<float> dcol(static_cast<std::size_t>(rows * kCin));
+    kernels::Gemm(false, true, rows, kCin, kF, dy.data().data(), kF, wt, kF,
+                  dcol.data(), kCin, /*accumulate=*/false);
+    for (std::int64_t i = 0; i < rows * kCin; ++i) {
+      want_dx[i] += dcol[static_cast<std::size_t>(i)];
+    }
+
+    nn::InferenceContext ctx;
+    EXPECT_TRUE(SameBytes(conv.Score(x, ctx), want_y)) << "Score";
+    conv.ZeroGrad();
+    EXPECT_TRUE(SameBytes(conv.Forward(x, true), want_y)) << "training pass";
+    EXPECT_TRUE(SameBytes(conv.Backward(dy), want_dx)) << "dx";
+    EXPECT_TRUE(SameBytes(*conv.Params()[0].grad, want_dw)) << "dW";
+    EXPECT_TRUE(SameBytes(*conv.Params()[1].grad, want_db)) << "db";
+  }
 }
 
 TEST(MaxPool, HalvesLengthDroppingRemainder) {
@@ -426,6 +487,35 @@ TEST(Dropout, BackwardUsesSameMask) {
   // Zeros and survivors must line up exactly.
   for (std::int64_t i = 0; i < y.size(); ++i) {
     EXPECT_FLOAT_EQ(dx[i], y[i]);
+  }
+}
+
+// The training mask, bit for bit, is the one `Uniform() < rate` draws
+// element by element from the same stream (the formula Rng::Chance
+// replaced), and the stream ends where that formula leaves it. The
+// input carries NaN, ±inf, ±0 and subnormals so the output bytes are
+// checked through every special.
+TEST(Dropout, MaskMatchesUniformFormulaBytes) {
+  for (const float rate : {1e-7F, 0.1F, 0.5F, 0.6F, 0.999F}) {
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      nn::Dropout drop(rate);
+      Rng rng(seed), ref(seed);
+      drop.SetRng(&rng);
+      Tensor x({7, 1, 19});
+      for (std::int64_t i = 0; i < x.size(); ++i) x[i] = ElementwiseSpecial(i);
+      const Tensor y = drop.Forward(x, true);
+      // dx = 1 · mask, exactly the mask bytes.
+      const Tensor mask = drop.Backward(Tensor::Full(x.shape(), 1.0F));
+      const float keep_scale = 1.0F / (1.0F - rate);
+      Tensor want_mask(x.shape()), want_y = x;
+      for (std::int64_t i = 0; i < x.size(); ++i) {
+        want_mask[i] = ref.Uniform() < rate ? 0.0F : keep_scale;
+        want_y[i] *= want_mask[i];
+      }
+      EXPECT_TRUE(SameBytes(mask, want_mask)) << "rate " << rate;
+      EXPECT_TRUE(SameBytes(y, want_y)) << "rate " << rate;
+      EXPECT_EQ(rng(), ref()) << "rate " << rate << " seed " << seed;
+    }
   }
 }
 
@@ -1025,6 +1115,185 @@ TEST(Gru, ScoreGateBytesMatchScalarFormulas) {
             << y[i * kUnits + j] << " want " << want;
       }
     }
+  }
+}
+
+// ---- The GRU training pass against the full reference --------------
+//
+// nn::Gru's training pass skips what h₀ = 0 zeroes out whenever its
+// inputs prove the skip exact, and otherwise runs in full. Either way
+// y, dx and all nine gradients must equal the skip-free pass of
+// tests/gru_reference.h byte for byte, NaN payloads included.
+
+// Runs one training pass of `gru` and of the reference (built from
+// gru's weights) on x and dy, without zeroing gradients first, and
+// compares y, dx and every gradient, the ones the reference holds
+// accumulated from `ref`'s earlier passes.
+void ExpectGruPassMatchesReference(nn::Gru& gru, reference::ReferenceGru& ref,
+                                   const Tensor& x, const Tensor& dy) {
+  EXPECT_TRUE(SameBytes(gru.Forward(x, true), ref.Forward(x))) << "y";
+  EXPECT_TRUE(SameBytes(gru.Backward(dy), ref.Backward(dy))) << "dx";
+  for (auto& p : gru.Params()) {
+    EXPECT_TRUE(SameBytes(*p.grad, ref.grads.at(p.name))) << p.name;
+  }
+}
+
+enum class GruCase {
+  kClean,           // finite, modest values: the fast first step
+  kFiniteSpecials,  // x rows of −0 and subnormals: still fast
+  kInputSpecials,   // x rows with NaN, ±inf, ±3e38: the full pass
+  kGradSpecials,    // finite forward, dy with NaN and ±inf
+  kHugeGrad,        // dy of ±3e38: drh could overflow
+  kNaNInU,          // Uz poisoned with NaN
+  kNaNInBr,         // r₁ NaN in every row
+  kHugeWr,          // x·Wr overflows to inf − inf: r₁ NaN in row 0
+};
+
+constexpr GruCase kGruCases[] = {
+    GruCase::kClean,       GruCase::kFiniteSpecials, GruCase::kInputSpecials,
+    GruCase::kGradSpecials, GruCase::kHugeGrad,      GruCase::kNaNInU,
+    GruCase::kNaNInBr,     GruCase::kHugeWr};
+
+void PoisonGru(nn::Gru& gru, GruCase c) {
+  for (auto& p : gru.Params()) {
+    if (c == GruCase::kNaNInU && p.name == "gru.uz") {
+      p.value->At(3, 5) = std::numeric_limits<float>::quiet_NaN();
+    }
+    if (c == GruCase::kNaNInBr && p.name == "gru.br") {
+      p.value->At(2) = std::numeric_limits<float>::quiet_NaN();
+    }
+    if (c == GruCase::kHugeWr && p.name == "gru.wr") {
+      p.value->At(1, 1) = 1e36F;
+      p.value->At(2, 1) = -1e36F;
+    }
+  }
+}
+
+Tensor GruCaseInput(GruCase c, std::int64_t n, std::int64_t len,
+                    std::int64_t cin, Rng& rng) {
+  Tensor x = Tensor::RandomNormal({n, len, cin}, rng, 0, 1);
+  if (c == GruCase::kHugeWr) {
+    x.At(0, 0, 1) = 1e3F;
+    x.At(0, 0, 2) = 1e3F;
+  }
+  if (c == GruCase::kFiniteSpecials) {
+    for (std::int64_t t = 0; t < len; ++t) {
+      for (std::int64_t k = 0; k < cin; ++k) {
+        x.At(0, t, k) = -0.0F;
+        x.At(n - 1, t, k) = k % 2 == 0 ? 1e-40F : -1e-45F;
+      }
+    }
+  }
+  if (c == GruCase::kInputSpecials) {
+    const float inf = std::numeric_limits<float>::infinity();
+    x.At(0, 0, 3) = std::numeric_limits<float>::quiet_NaN();
+    x.At(1, len - 1, 0) = inf;
+    x.At(2 % n, 0, 7) = -inf;
+    for (std::int64_t k = 0; k < cin; ++k) {
+      x.At(n - 1, 0, k) = k % 2 == 0 ? 3e38F : -3e38F;
+    }
+  }
+  return x;
+}
+
+Tensor GruCaseGrad(GruCase c, const Tensor::Shape& shape, Rng& rng) {
+  Tensor dy = Tensor::RandomNormal(shape, rng, 0, 1);
+  if (c == GruCase::kGradSpecials) {
+    dy[1] = std::numeric_limits<float>::quiet_NaN();
+    dy[dy.size() - 1] = std::numeric_limits<float>::infinity();
+    dy[dy.size() / 2] = -std::numeric_limits<float>::infinity();
+  }
+  if (c == GruCase::kHugeGrad) {
+    for (std::int64_t i = 0; i < dy.size(); ++i) {
+      dy[i] = i % 2 == 0 ? 3e38F : -3e38F;
+    }
+  }
+  return dy;
+}
+
+TEST(Gru, TrainingPassMatchesFullReferenceBytes) {
+  constexpr std::int64_t kIn = 12, kUnits = 20;
+  for (const bool return_sequences : {false, true}) {
+    for (const std::int64_t len : {1, 2, 3}) {
+      // Batch 3 runs the GEMMs' small-m path at L = 1; 70 the packed one.
+      for (const std::int64_t batch : {3, 70}) {
+        for (const GruCase c : kGruCases) {
+          SCOPED_TRACE(testing::Message()
+                       << "return_sequences=" << return_sequences
+                       << " L=" << len << " batch=" << batch
+                       << " case=" << static_cast<int>(c));
+          Rng rng(51);
+          auto gru = MakeScoreGru(return_sequences, /*int8=*/false, rng);
+          PoisonGru(*gru, c);
+          const Tensor x = GruCaseInput(c, batch, len, kIn, rng);
+          const Tensor::Shape y_shape =
+              return_sequences ? Tensor::Shape{batch, len, kUnits}
+                               : Tensor::Shape{batch, kUnits};
+          const Tensor dy = GruCaseGrad(c, y_shape, rng);
+          reference::ReferenceGru ref(*gru);
+          ExpectGruPassMatchesReference(*gru, ref, x, dy);
+        }
+      }
+    }
+  }
+}
+
+// At the paper's L = 1 on finite, modest inputs the fast first step
+// writes none of Wr, br, Uz, Ur, Uh; at L = 3 every gradient is
+// written. The written ranges are what ZeroGrad and the optimizer
+// read.
+TEST(Gru, FastFirstStepLeavesResetGateAndRecurrentGradsUnwritten) {
+  Rng rng(52);
+  auto gru = MakeScoreGru(/*return_sequences=*/true, /*int8=*/false, rng);
+  const auto written = [&] {
+    std::map<std::string, std::int64_t> count;
+    for (auto& p : gru->Params()) {
+      const auto [b, e] = p.WrittenRange();
+      count[p.name] = e - b;
+    }
+    return count;
+  };
+  for (const std::int64_t len : {1, 3}) {
+    gru->ZeroGrad();
+    const Tensor x = Tensor::RandomNormal({8, len, 12}, rng, 0, 1);
+    (void)gru->Forward(x, true);
+    (void)gru->Backward(Tensor::RandomNormal({8, len, 20}, rng, 0, 1));
+    const auto count = written();
+    for (const char* name : {"gru.wr", "gru.br", "gru.uz", "gru.ur", "gru.uh"}) {
+      EXPECT_EQ(count.at(name) == 0, len == 1) << name << " L=" << len;
+    }
+    for (const char* name : {"gru.wz", "gru.wh", "gru.bz", "gru.bh"}) {
+      EXPECT_GT(count.at(name), 0) << name << " L=" << len;
+    }
+  }
+}
+
+// Gradients accumulate over passes until ZeroGrad: an L = 3 pass
+// writes every gradient, a following fast L = 1 pass adds to some and
+// must leave the rest with the L = 3 bytes, as the full pass's +0 adds
+// would. Then a pass after ZeroGrad starts from +0 everywhere.
+TEST(Gru, AccumulatedGradientsMatchFullReferenceAcrossLengths) {
+  for (const bool return_sequences : {false, true}) {
+    Rng rng(53);
+    auto gru = MakeScoreGru(return_sequences, /*int8=*/false, rng);
+    reference::ReferenceGru ref(*gru);
+    for (const std::int64_t len : {3, 1, 1}) {
+      SCOPED_TRACE(testing::Message() << "return_sequences="
+                                      << return_sequences << " L=" << len);
+      const Tensor x = Tensor::RandomNormal({5, len, 12}, rng, 0, 1);
+      const Tensor dy = Tensor::RandomNormal(
+          return_sequences ? Tensor::Shape{5, len, 20} : Tensor::Shape{5, 20},
+          rng, 0, 1);
+      ExpectGruPassMatchesReference(*gru, ref, x, dy);
+    }
+    gru->ZeroGrad();
+    for (auto& [name, g] : ref.grads) g.Zero();
+    const Tensor x = Tensor::RandomNormal({5, 1, 12}, rng, 0, 1);
+    ExpectGruPassMatchesReference(
+        *gru, ref, x,
+        Tensor::RandomNormal(return_sequences ? Tensor::Shape{5, 1, 20}
+                                              : Tensor::Shape{5, 20},
+                             rng, 0, 1));
   }
 }
 

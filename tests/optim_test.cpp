@@ -10,7 +10,10 @@
 #include <span>
 #include <vector>
 
-#include "nn/dense.h"
+#include <functional>
+#include <memory>
+
+#include "nn/nn.h"
 #include "optim/optimizer.h"
 #include "tensor/ops.h"
 
@@ -332,6 +335,216 @@ TEST_P(OptimizerConvergence, ReducesLossOnLinearRegression) {
 INSTANTIATE_TEST_SUITE_P(AllOptimizers, OptimizerConvergence,
                          ::testing::Values("sgd", "rmsprop", "adadelta",
                                            "adam"));
+
+// ---- Skipping what Backward did not write --------------------------
+//
+// Step skips a gradient range Backward has not written (ParamRef::
+// written) while its state is +0 and the optimizer's zero step is the
+// identity. Each test runs the same updates twice: once through
+// ParamRefs that publish their written ranges, once through copies
+// whose `written` is null, which step every element as before. Weights
+// and state must match byte for byte.
+
+using OptimizerFactory = std::function<std::unique_ptr<optim::Optimizer>()>;
+
+std::vector<std::pair<std::string, OptimizerFactory>> SkipOptimizers() {
+  return {
+      {"sgd", [] { return std::make_unique<optim::Sgd>(0.05F); }},
+      {"sgd_momentum",
+       [] { return std::make_unique<optim::Sgd>(0.05F, 0.9F); }},
+      // A negative rate turns lr·(+0) into −0: no skip may happen.
+      {"sgd_negative_lr", [] { return std::make_unique<optim::Sgd>(-0.05F); }},
+      {"rmsprop", [] { return std::make_unique<optim::RmsProp>(0.01F); }},
+      {"adadelta", [] { return std::make_unique<optim::AdaDelta>(1.0F); }},
+      {"adam", [] { return std::make_unique<optim::Adam>(0.001F); }},
+  };
+}
+
+std::vector<nn::ParamRef> WithoutWrittenRanges(std::vector<nn::ParamRef> ps) {
+  for (auto& p : ps) p.written = nullptr;
+  return ps;
+}
+
+bool SameTensorBytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+void ExpectSameState(optim::Optimizer& got, optim::Optimizer& want,
+                     const std::string& what) {
+  const auto g = got.StateTensors();
+  const auto w = want.StateTensors();
+  ASSERT_EQ(g.size(), w.size());
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    EXPECT_TRUE(SameTensorBytes(*g[i], *w[i])) << what << " state " << i;
+  }
+}
+
+// Two parameters whose Backward writes only part of each gradient,
+// like Conv1D's valid taps. Weights hold ±0, subnormals, ±FLT_MAX and
+// NaN among normal values.
+class PartlyWritten final : public nn::Layer {
+ public:
+  PartlyWritten() {
+    Rng rng(405);
+    for (auto& w : w_) {
+      for (std::int64_t j = 0; j < w.size(); ++j) w[j] = Special(j, rng);
+    }
+  }
+  // Backward's stand-in: writes g over [b, e) of parameter i.
+  void Write(std::size_t i, std::int64_t b, std::int64_t e, Rng& rng,
+             bool with_nan) {
+    for (std::int64_t j = b; j < e; ++j) {
+      g_[i][j] = static_cast<float>(rng.Normal());
+    }
+    if (with_nan && b < e) g_[i][b] = std::numeric_limits<float>::quiet_NaN();
+    written_[i].Add(b, e);
+  }
+  Tensor TrainForward(const Tensor& x) override { return x; }
+  Tensor Backward(const Tensor& dy) override { return dy; }
+  Tensor Score(const Tensor& x, nn::InferenceContext&) const override {
+    return x;
+  }
+  std::vector<nn::ParamRef> Params() override {
+    return {{"w0", &w_[0], &g_[0], &written_[0]},
+            {"w1", &w_[1], &g_[1], &written_[1]}};
+  }
+  [[nodiscard]] std::string Name() const override { return "PartlyWritten"; }
+
+  std::array<Tensor, 2> w_{Tensor({1021}), Tensor({37})};
+  std::array<Tensor, 2> g_{Tensor({1021}), Tensor({37})};
+  std::array<nn::GradWritten, 2> written_{};
+
+ private:
+  static float Special(std::int64_t j, Rng& rng) {
+    constexpr float kMax = std::numeric_limits<float>::max();
+    switch (j % 9) {
+      case 0: return 0.0F;
+      case 1: return -0.0F;
+      case 2: return std::numeric_limits<float>::denorm_min() * 3;
+      case 3: return -1e-40F;
+      case 4: return kMax;
+      case 5: return -kMax;
+      case 6: return j % 4 == 2 ? std::numeric_limits<float>::quiet_NaN()
+                                : 1.5F;
+      default: return static_cast<float>(rng.Normal());
+    }
+  }
+};
+
+TEST(OptimizerSkip, UnwrittenRangesStepLikeEveryElement) {
+  // Per step: the written range of each parameter ({0, 0}: none).
+  struct Writes {
+    std::int64_t b0, e0, b1, e1;
+  };
+  const Writes steps[] = {{100, 300, 0, 0},  {250, 600, 0, 37},
+                          {0, 0, 0, 0},      {900, 1021, 5, 6},
+                          {0, 0, 10, 12},    {40, 41, 0, 0},
+                          {700, 800, 30, 37}};
+  for (const auto& [name, make] : SkipOptimizers()) {
+    SCOPED_TRACE(name);
+    PartlyWritten a, b;
+    auto opt_a = make();
+    auto opt_b = make();
+    opt_a->Attach(a.Params());
+    opt_b->Attach(WithoutWrittenRanges(b.Params()));
+    Rng rng_a(406), rng_b(406);
+    const std::size_t n = std::size(steps);
+    for (std::size_t s = 0; s < n; ++s) {
+      opt_a->ZeroGrad();
+      opt_b->ZeroGrad();
+      const bool nan = s + 1 == n;  // one NaN gradient, in the last step
+      a.Write(0, steps[s].b0, steps[s].e0, rng_a, nan);
+      a.Write(1, steps[s].b1, steps[s].e1, rng_a, false);
+      b.Write(0, steps[s].b0, steps[s].e0, rng_b, nan);
+      b.Write(1, steps[s].b1, steps[s].e1, rng_b, false);
+      if (s == 4) {
+        // A checkpoint restore writes state the optimizer did not step:
+        // the next Step must find it (here below every range written
+        // so far).
+        for (auto* opt : {opt_a.get(), opt_b.get()}) {
+          const auto state = opt->StateTensors();
+          if (!state.empty()) (*state[0])[20] = 0.25F;
+        }
+      }
+      opt_a->Step();
+      opt_b->Step();
+      for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(SameTensorBytes(a.w_[i], b.w_[i]))
+            << "step " << s << " param " << i;
+      }
+    }
+    ExpectSameState(*opt_a, *opt_b, name);
+  }
+}
+
+// With momentum, v = m·(+0) − lr·(+0) = +0 and w + (+0) turns a −0
+// weight into +0, so SGD with momentum steps every element, written or
+// not.
+TEST(OptimizerSkip, SgdWithMomentumStepsEveryElement) {
+  PartlyWritten a;
+  optim::Sgd opt(0.05F, 0.9F);
+  opt.Attach(a.Params());
+  Rng rng(407);
+  a.Write(0, 10, 20, rng, false);
+  ASSERT_TRUE(std::signbit(a.w_[0][1]) && a.w_[0][1] == 0.0F);
+  ASSERT_TRUE(std::signbit(a.w_[1][1]) && a.w_[1][1] == 0.0F);
+  opt.Step();
+  EXPECT_FALSE(std::signbit(a.w_[0][1])) << "unwritten −0 weight, param 0";
+  EXPECT_FALSE(std::signbit(a.w_[1][1])) << "unwritten −0 weight, param 1";
+}
+
+// A Residual block (BN, Conv1D with kernel 10, ReLU, GRU; identity
+// shortcut) trained for several steps whose L goes 1 → 3 → 1, with a
+// NaN in dy on the fourth: the GRU and Conv1D publish their written
+// ranges, the optimizer skips what they leave, and the weights and
+// state must match an optimizer that steps everything.
+TEST(OptimizerSkip, ResidualBlockAcrossLengthsMatchesFullSteps) {
+  constexpr std::int64_t kC = 6, kN = 5;
+  const auto make_block = [&] {
+    Rng init(408);
+    auto body = std::make_unique<nn::Sequential>();
+    body->Add(std::make_unique<nn::Conv1D>(kC, kC, 10, init));
+    body->Add(nn::Relu());
+    body->Add(std::make_unique<nn::Gru>(kC, kC, init, true));
+    return std::make_unique<nn::ResidualWrap>(
+        std::make_unique<nn::BatchNorm>(kC), std::move(body), nullptr,
+        nn::Relu());
+  };
+  for (const auto& [name, make] : SkipOptimizers()) {
+    SCOPED_TRACE(name);
+    auto a = make_block();
+    auto b = make_block();
+    auto opt_a = make();
+    auto opt_b = make();
+    opt_a->Attach(a->Params());
+    opt_b->Attach(WithoutWrittenRanges(b->Params()));
+    Rng data(409);
+    const std::int64_t lengths[] = {1, 1, 3, 1, 1, 1};
+    for (std::size_t s = 0; s < std::size(lengths); ++s) {
+      const std::int64_t len = lengths[s];
+      const Tensor x = Tensor::RandomNormal({kN, len, kC}, data, 0, 1);
+      Tensor dy = Tensor::RandomNormal({kN, len, kC}, data, 0, 1);
+      if (s == 3) dy[7] = std::numeric_limits<float>::quiet_NaN();
+      a->ZeroGrad();
+      opt_b->ZeroGrad();
+      (void)a->Forward(x, true);
+      (void)b->Forward(x, true);
+      (void)a->Backward(dy);
+      (void)b->Backward(dy);
+      opt_a->Step();
+      opt_b->Step();
+      const auto pa = a->Params();
+      const auto pb = b->Params();
+      for (std::size_t i = 0; i < pa.size(); ++i) {
+        EXPECT_TRUE(SameTensorBytes(*pa[i].value, *pb[i].value))
+            << "step " << s << " " << pa[i].name;
+      }
+    }
+    ExpectSameState(*opt_a, *opt_b, name);
+  }
+}
 
 }  // namespace
 }  // namespace pelican

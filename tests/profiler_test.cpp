@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,6 +34,7 @@
 #include "common/thread_pool.h"
 #include "core/core.h"
 #include "data/data.h"
+#include "line_grammar.h"
 #include "models/zoo.h"
 #include "obs/obs.h"
 #include "serve/serve.h"
@@ -101,9 +101,12 @@ std::vector<std::string> Lines(const std::string& text) {
 // Every collapsed line must be "frame(;frame)* SPACE count" with no
 // other spaces — exactly what flamegraph.pl / speedscope parse.
 void ExpectValidCollapsed(const std::string& folded) {
-  static const std::regex line_re(R"(^[^ ]+ [0-9]+$)");
   for (const std::string& line : Lines(folded)) {
-    EXPECT_TRUE(std::regex_match(line, line_re)) << line;
+    const std::size_t space = line.find(' ');  // ^[^ ]+ [0-9]+$
+    EXPECT_TRUE(space != 0 && space != std::string::npos &&
+                grammar::MatchDigits(std::string_view(line).substr(space + 1),
+                                     "*"))
+        << line;
   }
 }
 

@@ -130,7 +130,9 @@ TEST(ParallelForShards, PartitionIsContiguousOrderedAndComplete) {
   for (std::size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i][0], i);
     EXPECT_LT(seen[i][1], seen[i][2]);
-    if (i > 0) EXPECT_EQ(seen[i][1], seen[i - 1][2]);
+    if (i > 0) {
+      EXPECT_EQ(seen[i][1], seen[i - 1][2]);
+    }
   }
 }
 

@@ -1,12 +1,11 @@
 // pelican — command-line NIDS built on the library.
 //
 //   pelican generate --dataset nsl --records 5000 --out flows.csv
-//   pelican train    --dataset unsw --records 3000 --epochs 16 \
-//                    --out model.bin
+//   pelican train    --dataset unsw --records 3000 --epochs 16 --out model.bin
 //   pelican train    --dataset nsl --csv flows.csv --out model.bin
 //   pelican train    --dataset nsl --official KDDTrain+.txt --out model.bin
-//   pelican train    --dataset nsl --csv flows.csv --checkpoint-dir ckpt \
-//                    --resume --out model.bin
+//   pelican train    --dataset nsl --csv flows.csv --out model.bin
+//                    --checkpoint-dir ckpt --resume
 //   pelican eval     --model model.bin --csv flows.csv
 //   pelican classify --model model.bin --csv flows.csv --limit 20
 //   pelican info     --model model.bin
@@ -625,10 +624,11 @@ int Usage() {
       "                     /profile /profile/top, plus /serve and\n"
       "                     /slow while serving)\n"
       "  --profile-hz N    sampling CPU profiler rate for train/eval/\n"
-      "                    classify/serve (default 97; 0 = off). Scrape\n"
-      "                    /profile?seconds=N for collapsed stacks\n"
-      "                    (flamegraph.pl / speedscope), /profile/top\n"
-      "                    for a JSON self-time table\n"
+      "                    classify/serve (default 97; 0 = off). It runs\n"
+      "                    only with --profile-out or --serve-port.\n"
+      "                    Scrape /profile?seconds=N for collapsed\n"
+      "                    stacks (flamegraph.pl / speedscope),\n"
+      "                    /profile/top for a JSON self-time table\n"
       "  --profile-out f   write the full run's collapsed-stack profile\n"
       "                    to f on exit\n"
       "inference flags:\n"
@@ -662,16 +662,19 @@ int main(int argc, char** argv) {
     if (!metrics_out.empty()) obs::EnableMetrics(true);
     if (!trace_out.empty()) obs::EnableTracing(true);
 
-    // Always-on sampling profiler for the commands that burn CPU. The
-    // main thread registers here; pool workers, scorers, and serve
-    // connection threads register at their own spawn points.
+    // Sampling profiler for the commands that burn CPU, started only
+    // when something can read its samples: --profile-out at exit, or
+    // /profile on the --serve-port plane. The main thread registers
+    // here; pool workers, scorers, and serve connection threads
+    // register at their own spawn points.
     const long profile_hz = flags.GetLong("profile-hz", obs::kDefaultProfileHz);
     PELICAN_CHECK(profile_hz >= 0 && profile_hz <= 10000,
                   "--profile-hz must be 0..10000");
     const std::string profile_out = flags.Get("profile-out");
     const bool profiled_command = command == "train" || command == "eval" ||
                                   command == "classify" || command == "serve";
-    if (profiled_command && profile_hz > 0) {
+    const bool profile_read = !profile_out.empty() || flags.Has("serve-port");
+    if (profiled_command && profile_read && profile_hz > 0) {
       obs::ProfilerConfig pc;
       pc.hz = static_cast<int>(profile_hz);
       obs::StartProfiler(pc);

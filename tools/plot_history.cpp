@@ -1,8 +1,8 @@
 // plot_history — turns the CSV series the benches write into an SVG
 // line chart (the visual counterpart of the paper's Fig. 2 / Fig. 5).
 //
-//   plot_history --out fig5_unsw_train.svg --column train_loss \
-//       fig5_unsw_Plain_21.csv fig5_unsw_Residual_21.csv \
+//   plot_history --out fig5_unsw_train.svg --column train_loss
+//       fig5_unsw_Plain_21.csv fig5_unsw_Residual_21.csv
 //       fig5_unsw_Plain_41.csv fig5_unsw_Residual_41.csv
 //
 // Each CSV needs a header; the first column is the x axis, `--column`
