@@ -93,18 +93,24 @@ TrainHistory PelicanIds::Train(const data::RawDataset& train_set,
   scaler_.Transform(x);
 
   Rng rng(config_.train.seed ^ 0x1d5c0ffeeULL);
-  network_ = MakeNetwork(rng);
-  trainer_ = std::make_unique<Trainer>(*network_, config_.train);
+  std::unique_ptr<nn::Sequential> network = MakeNetwork(rng);
 
+  // The trainer, with the optimizer state it attached, lives for the
+  // fit only; the network keeps the gradients it allocated.
   TrainHistory history;
-  if (test_set != nullptr) {
-    Tensor x_test = encoder_.Transform(*test_set);
-    scaler_.Transform(x_test);
-    history =
-        trainer_->Fit(x, train_set.Labels(), &x_test, test_set->Labels());
-  } else {
-    history = trainer_->Fit(x, train_set.Labels());
+  {
+    Trainer trainer(*network, config_.train);
+    if (test_set != nullptr) {
+      Tensor x_test = encoder_.Transform(*test_set);
+      scaler_.Transform(x_test);
+      history =
+          trainer.Fit(x, train_set.Labels(), &x_test, test_set->Labels());
+    } else {
+      history = trainer.Fit(x, train_set.Labels());
+    }
   }
+  network->SetRng(nullptr);  // the trainer's RNG went with it
+  network_ = std::move(network);
   // Post-training int8 calibration on a slice of the training set —
   // one fp32 Score only, so the fp32 weights (and therefore the saved
   // model bytes) are unaffected.
@@ -185,7 +191,8 @@ PelicanIds::Verdict PelicanIds::Inspect(
     const auto row = x.Row(0);
     scaled_features->assign(row.begin(), row.end());
   }
-  const Tensor probs = trainer_->PredictProbabilities(x);
+  const Tensor probs =
+      PredictProbabilities(*network_, x, config_.train.batch_size);
   const auto label = static_cast<int>(probs.ArgMaxRow(0));
   Verdict verdict;
   verdict.label = label;
@@ -197,7 +204,8 @@ PelicanIds::Verdict PelicanIds::Inspect(
 
 std::vector<int> PelicanIds::Classify(const data::RawDataset& records) const {
   PELICAN_CHECK(Trained(), "Classify before Train/Load");
-  return trainer_->Predict(EncodeAndScale(records));
+  return Predict(*network_, EncodeAndScale(records),
+                 config_.train.batch_size);
 }
 
 std::vector<PelicanIds::Verdict> PelicanIds::InspectAll(
@@ -205,7 +213,8 @@ std::vector<PelicanIds::Verdict> PelicanIds::InspectAll(
   PELICAN_CHECK(Trained(), "InspectAll before Train/Load");
   std::vector<Verdict> verdicts;
   if (records.Size() == 0) return verdicts;
-  const Tensor probs = trainer_->PredictProbabilities(EncodeAndScale(records));
+  const Tensor probs = PredictProbabilities(
+      *network_, EncodeAndScale(records), config_.train.batch_size);
   verdicts.reserve(static_cast<std::size_t>(probs.dim(0)));
   for (std::int64_t i = 0; i < probs.dim(0); ++i) {
     const auto label = static_cast<int>(probs.ArgMaxRow(i));
@@ -222,7 +231,8 @@ std::vector<PelicanIds::Verdict> PelicanIds::InspectAll(
 Trainer::Evaluation PelicanIds::Evaluate(
     const data::RawDataset& records) const {
   PELICAN_CHECK(Trained(), "Evaluate before Train/Load");
-  return trainer_->Evaluate(EncodeAndScale(records), records.Labels());
+  return core::Evaluate(*network_, EncodeAndScale(records), records.Labels(),
+                        config_.train.batch_size);
 }
 
 void PelicanIds::Save(const std::string& path) const {
@@ -267,12 +277,9 @@ void PelicanIds::Load(const std::string& path) {
     network->CollectQuantOps(ops);
     quant::LoadQuantSidecar(quant_path, ops);
   }
-  auto trainer = std::make_unique<Trainer>(*network, config_.train);
 
-  // Commit. The old trainer goes before the network it borrows; the new
-  // network scores in fp32 until EnableQuantized(true).
+  // Commit. The new network scores in fp32 until EnableQuantized(true).
   scaler_.SetStatistics(std::move(mean), std::move(stddev));
-  trainer_ = std::move(trainer);
   network_ = std::move(network);
   quantized_ = false;
 }

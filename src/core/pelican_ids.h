@@ -7,7 +7,10 @@
 //   if (verdict.is_attack) alert(verdict.class_name);
 //
 // Owns the whole pipeline: one-hot encoder, standard scaler (fitted on
-// the training data), the residual network, and the trainer.
+// the training data) and the residual network. Train fits the network
+// with a Trainer it drops on return; a detector keeps no training
+// state, so a loaded one holds its weights, BatchNorm buffers, int8
+// parameters and scaler statistics, and no gradient or optimizer state.
 #pragma once
 
 #include <optional>
@@ -36,7 +39,8 @@ class PelicanIds {
   TrainHistory Train(const data::RawDataset& train_set,
                      const data::RawDataset* test_set = nullptr);
 
-  [[nodiscard]] bool Trained() const { return trainer_ != nullptr; }
+  // True once a network exists (from Train or Load).
+  [[nodiscard]] bool Trained() const { return network_ != nullptr; }
 
   struct Verdict {
     int label = 0;
@@ -115,7 +119,6 @@ class PelicanIds {
   data::OneHotEncoder encoder_;
   data::StandardScaler scaler_;
   std::unique_ptr<nn::Sequential> network_;
-  std::unique_ptr<Trainer> trainer_;
   bool quantized_ = false;
 };
 

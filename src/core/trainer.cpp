@@ -536,57 +536,67 @@ TrainHistory Trainer::Fit(const Tensor& x, std::span<const int> y,
   return history;
 }
 
-// Score on the calling thread's context writes no layer state, which is
-// what makes Predict/PredictProbabilities/Evaluate safe to call
-// concurrently (the multi-scorer serve plane relies on it); the
-// context's arena grows to the model's footprint on the first slice and
-// is reused afterwards.
+namespace {
+
+// Scores x in `batch_size` row slices, in order, and calls
+// fn(first_row, logits) on each slice's logits. The context's arena
+// grows to the model's footprint on the first slice and is reused
+// afterwards.
 template <typename Fn>
-void Trainer::ScoreSlices(const Tensor& x, Fn&& fn) const {
+void ScoreSlices(const nn::Sequential& network, const Tensor& x,
+                 std::size_t batch_size, Fn&& fn) {
   const std::int64_t n = x.dim(0), d = x.dim(1);
-  const auto bs = static_cast<std::int64_t>(config_.batch_size);
+  const auto bs = static_cast<std::int64_t>(batch_size);
   nn::InferenceContext& ctx = nn::InferenceContext::ThisThread();
   for (std::int64_t start = 0; start < n; start += bs) {
     const std::int64_t len = std::min(bs, n - start);
     Tensor slice({len, d});
     std::copy(x.data().begin() + start * d,
               x.data().begin() + (start + len) * d, slice.data().begin());
-    fn(start, network_->Score(slice, ctx));
+    fn(start, network.Score(slice, ctx));
   }
 }
 
-std::vector<int> Trainer::Predict(const Tensor& x) const {
+}  // namespace
+
+std::vector<int> Predict(const nn::Sequential& network, const Tensor& x,
+                         std::size_t batch_size) {
   PELICAN_CHECK(x.rank() == 2, "Predict expects (N, D)");
   std::vector<int> predictions(static_cast<std::size_t>(x.dim(0)));
-  ScoreSlices(x, [&](std::int64_t start, const Tensor& logits) {
-    // Rows of the logits argmax independently.
-    ParallelFor(
-        0, static_cast<std::size_t>(logits.dim(0)),
-        [&](std::size_t i) {
-          predictions[static_cast<std::size_t>(start) + i] =
-              static_cast<int>(logits.ArgMaxRow(static_cast<std::int64_t>(i)));
-        },
-        64);
-  });
+  ScoreSlices(network, x, batch_size,
+              [&](std::int64_t start, const Tensor& logits) {
+                // Rows of the logits argmax independently.
+                ParallelFor(
+                    0, static_cast<std::size_t>(logits.dim(0)),
+                    [&](std::size_t i) {
+                      predictions[static_cast<std::size_t>(start) + i] =
+                          static_cast<int>(logits.ArgMaxRow(
+                              static_cast<std::int64_t>(i)));
+                    },
+                    64);
+              });
   return predictions;
 }
 
-Tensor Trainer::PredictProbabilities(const Tensor& x) const {
+Tensor PredictProbabilities(const nn::Sequential& network, const Tensor& x,
+                            std::size_t batch_size) {
   PELICAN_CHECK(x.rank() == 2, "PredictProbabilities expects (N, D)");
   Tensor probs;
-  ScoreSlices(x, [&](std::int64_t start, const Tensor& logits) {
-    const Tensor batch_probs = SoftmaxRows(logits);
-    if (probs.empty()) {
-      probs = Tensor({x.dim(0), batch_probs.dim(1)});
-    }
-    std::copy(batch_probs.data().begin(), batch_probs.data().end(),
-              probs.data().begin() + start * batch_probs.dim(1));
-  });
+  ScoreSlices(network, x, batch_size,
+              [&](std::int64_t start, const Tensor& logits) {
+                const Tensor batch_probs = SoftmaxRows(logits);
+                if (probs.empty()) {
+                  probs = Tensor({x.dim(0), batch_probs.dim(1)});
+                }
+                std::copy(batch_probs.data().begin(),
+                          batch_probs.data().end(),
+                          probs.data().begin() + start * batch_probs.dim(1));
+              });
   return probs;
 }
 
-Trainer::Evaluation Trainer::Evaluate(const Tensor& x,
-                                      std::span<const int> y) const {
+Trainer::Evaluation Evaluate(const nn::Sequential& network, const Tensor& x,
+                             std::span<const int> y, std::size_t batch_size) {
   PELICAN_CHECK(x.rank() == 2 &&
                     static_cast<std::int64_t>(y.size()) == x.dim(0),
                 "Evaluate expects (N, D) + N labels");
@@ -594,23 +604,38 @@ Trainer::Evaluation Trainer::Evaluate(const Tensor& x,
   PELICAN_CHECK(n > 0, "empty evaluation set");
   double loss_sum = 0.0;
   std::int64_t correct = 0;
-  ScoreSlices(x, [&](std::int64_t start, const Tensor& logits) {
-    const std::int64_t len = logits.dim(0);
-    const auto labels = y.subspan(static_cast<std::size_t>(start),
-                                  static_cast<std::size_t>(len));
-    loss_sum += static_cast<double>(nn::SoftmaxCrossEntropyLoss(logits,
-                                                                labels)) *
-                static_cast<double>(len);
-    for (std::int64_t i = 0; i < len; ++i) {
-      if (logits.ArgMaxRow(i) == labels[static_cast<std::size_t>(i)]) {
-        ++correct;
-      }
-    }
-  });
-  Evaluation eval;
+  ScoreSlices(network, x, batch_size,
+              [&](std::int64_t start, const Tensor& logits) {
+                const std::int64_t len = logits.dim(0);
+                const auto labels = y.subspan(static_cast<std::size_t>(start),
+                                              static_cast<std::size_t>(len));
+                loss_sum += static_cast<double>(
+                                nn::SoftmaxCrossEntropyLoss(logits, labels)) *
+                            static_cast<double>(len);
+                for (std::int64_t i = 0; i < len; ++i) {
+                  if (logits.ArgMaxRow(i) ==
+                      labels[static_cast<std::size_t>(i)]) {
+                    ++correct;
+                  }
+                }
+              });
+  Trainer::Evaluation eval;
   eval.loss = static_cast<float>(loss_sum / static_cast<double>(n));
   eval.accuracy = static_cast<float>(correct) / static_cast<float>(n);
   return eval;
+}
+
+std::vector<int> Trainer::Predict(const Tensor& x) const {
+  return core::Predict(*network_, x, config_.batch_size);
+}
+
+Tensor Trainer::PredictProbabilities(const Tensor& x) const {
+  return core::PredictProbabilities(*network_, x, config_.batch_size);
+}
+
+Trainer::Evaluation Trainer::Evaluate(const Tensor& x,
+                                      std::span<const int> y) const {
+  return core::Evaluate(*network_, x, y, config_.batch_size);
 }
 
 }  // namespace pelican::core

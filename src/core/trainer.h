@@ -152,15 +152,28 @@ class Trainer {
   [[nodiscard]] const TrainConfig& config() const { return config_; }
 
  private:
-  // Scores x in config_.batch_size row slices, in order, and calls
-  // fn(first_row, logits) on each slice's logits.
-  template <typename Fn>
-  void ScoreSlices(const Tensor& x, Fn&& fn) const;
-
   nn::Sequential* network_;
   TrainConfig config_;
   std::unique_ptr<optim::Optimizer> optimizer_;
   Rng rng_;
 };
+
+// Inference over a network that needs no Trainer: x is scored in
+// `batch_size` row slices, in order, on the calling thread's context.
+// Trainer's Predict, PredictProbabilities and Evaluate call these with
+// their network and config().batch_size, and a loaded PelicanIds calls
+// them on its network alone. Score writes no layer state, so any number
+// of threads may call them on one network at once (the multi-scorer
+// serve plane relies on it).
+[[nodiscard]] std::vector<int> Predict(const nn::Sequential& network,
+                                       const Tensor& x,
+                                       std::size_t batch_size);
+[[nodiscard]] Tensor PredictProbabilities(const nn::Sequential& network,
+                                          const Tensor& x,
+                                          std::size_t batch_size);
+[[nodiscard]] Trainer::Evaluation Evaluate(const nn::Sequential& network,
+                                           const Tensor& x,
+                                           std::span<const int> y,
+                                           std::size_t batch_size);
 
 }  // namespace pelican::core

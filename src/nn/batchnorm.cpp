@@ -13,8 +13,6 @@ BatchNorm::BatchNorm(std::int64_t channels, float momentum, float epsilon)
       eps_(epsilon),
       gamma_(Tensor::Full({channels}, 1.0F)),
       beta_({channels}),
-      dgamma_({channels}),
-      dbeta_({channels}),
       running_mean_({channels}),
       running_var_(Tensor::Full({channels}, 1.0F)),
       inv_std_({channels}) {
@@ -147,6 +145,7 @@ Tensor BatchNorm::Score(const Tensor& x, InferenceContext& /*ctx*/) const {
 
 Tensor BatchNorm::Backward(const Tensor& dy) {
   PELICAN_CHECK(dy.shape() == in_shape_, "BatchNorm backward shape mismatch");
+  AllocateGrads(Params());
   const std::int64_t c = channels_;
   const auto m = static_cast<float>(rows_);
   const float* dyp = dy.data().data();

@@ -33,7 +33,7 @@ class BatchNorm final : public Layer {
   float momentum_;
   float eps_;
   Tensor gamma_, beta_;
-  Tensor dgamma_, dbeta_;
+  Tensor dgamma_, dbeta_;  // empty until trained (AllocateGrads)
   Tensor running_mean_, running_var_;
   // Training-pass cache.
   Tensor xhat_;          // normalized input, same shape as x

@@ -62,9 +62,7 @@ Conv1D::Conv1D(std::int64_t in_channels, std::int64_t filters,
       pad_left_((kernel_size - 1) / 2),
       w_(GlorotUniform({kernel_size, in_channels, filters},
                        kernel_size * in_channels, filters, init)),
-      b_({filters}),
-      dw_({kernel_size, in_channels, filters}),
-      db_({filters}) {
+      b_({filters}) {
   PELICAN_CHECK(in_channels > 0 && filters > 0 && kernel_size > 0);
   qop_.name = "conv1d.w";
 }
@@ -152,6 +150,7 @@ Tensor Conv1D::Backward(const Tensor& dy) {
   PELICAN_CHECK(dy.rank() == 3 && dy.dim(0) == n && dy.dim(1) == len &&
                     dy.dim(2) == f,
                 "Conv1D backward shape mismatch");
+  AllocateGrads(Params());
   const auto [kk_lo, keff] = ValidTaps(kernel_, len, pad_left_);
   const std::int64_t rows = n * len, kc = keff * cin;
   Tensor dx({n, len, cin});

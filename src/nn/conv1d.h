@@ -39,7 +39,7 @@ class Conv1D final : public Layer {
   std::int64_t pad_left_;
   Tensor w_;   // (K, C_in, F)
   Tensor b_;   // (F)
-  Tensor dw_;
+  Tensor dw_;  // gradients: empty until trained (AllocateGrads)
   Tensor db_;
   // The rows of dw_ Backward has written: the taps valid at the
   // lengths seen since the last ZeroGrad (the others only ever met

@@ -10,9 +10,7 @@ Dense::Dense(std::int64_t in_features, std::int64_t out_features, Init init)
       out_(out_features),
       w_(GlorotUniform({in_features, out_features}, in_features,
                        out_features, init)),
-      b_({out_features}),
-      dw_({in_features, out_features}),
-      db_({out_features}) {
+      b_({out_features}) {
   qop_.name = "dense.w";
 }
 
@@ -57,6 +55,7 @@ void Dense::CollectQuantOps(std::vector<quant::LinearQuant*>& ops) {
 Tensor Dense::Backward(const Tensor& dy) {
   PELICAN_CHECK(dy.rank() == 2 && dy.dim(1) == out_ && dy.dim(0) == x_.dim(0),
                 "Dense backward shape mismatch");
+  AllocateGrads(Params());
   // dW += xᵀ·dy ; db += Σ rows(dy) ; dx = dy·Wᵀ.
   MatMulTransAAccum(x_, dy, dw_);
   SumRowsInto(dy, db_);

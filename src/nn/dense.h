@@ -28,7 +28,7 @@ class Dense final : public Layer {
   std::int64_t out_;
   Tensor w_;   // (D_in, D_out)
   Tensor b_;   // (D_out)
-  Tensor dw_;
+  Tensor dw_;  // gradients: empty until trained (AllocateGrads)
   Tensor db_;
   Tensor x_;   // cached input
   quant::Mode quant_mode_ = quant::Mode::kOff;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 
 #include "common/thread_pool.h"
@@ -29,20 +30,10 @@ void ParallelRows(std::int64_t n, std::int64_t width, Fn&& fn) {
       static_cast<std::size_t>(grain));
 }
 
-// The largest |v| over n floats, as its bit pattern: below kInfBits
-// exactly when every value is finite, and then it reads back (through
-// BitsToFloat) as the largest magnitude. An integer max, so the scan
-// vectorizes and has no NaN case.
+// kernels::MaxAbsBits below kInfBits: every value finite.
 constexpr std::int32_t kInfBits = 0x7f800000;
-std::int32_t MaxAbsBits(const float* p, std::int64_t n) {
-  std::int32_t m = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    m = std::max(m, std::bit_cast<std::int32_t>(p[i]) & 0x7fffffff);
-  }
-  return m;
-}
 std::int32_t MaxAbsBits(const Tensor& t) {
-  return MaxAbsBits(t.data().data(), t.size());
+  return kernels::MaxAbsBits(t.data().data(), t.size());
 }
 float BitsToFloat(std::int32_t bits) { return std::bit_cast<float>(bits); }
 
@@ -70,44 +61,33 @@ Gru::Gru(std::int64_t input_size, std::int64_t units, Init init,
       uh_(Orthogonal(units, units, init)),
       bz_({units}),
       br_({units}),
-      bh_({units}),
-      dwz_({input_size, units}),
-      dwr_({input_size, units}),
-      dwh_({input_size, units}),
-      duz_({units, units}),
-      dur_({units, units}),
-      duh_({units, units}),
-      dbz_({units}),
-      dbr_({units}),
-      dbh_({units}) {
+      bh_({units}) {
   PELICAN_CHECK(input_size > 0 && units > 0);
   qop_.name = "gru.w_zrh";
 }
 
-void Gru::RefreshFusedPanels() {
-  const std::int64_t c = input_size_, h = units_;
-  if (w_zrh_.empty()) {  // first training pass or int8 freeze
-    w_zrh_ = Tensor({c, 3 * h});
-    u_zr_ = Tensor({h, 2 * h});
-    b_zrh_ = Tensor({3 * h});
+namespace {
+// Writes the gate tensors side by side, [a | b | …] (rows × k·h, each
+// part rows × h), into `panel`, allocating it on first use.
+void FusePanel(std::initializer_list<const Tensor*> parts, std::int64_t rows,
+               std::int64_t h, Tensor& panel) {
+  const auto k = static_cast<std::int64_t>(parts.size());
+  if (panel.empty()) panel = Tensor({rows, k * h});
+  float* dst = panel.data().data();
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (const Tensor* part : parts) {
+      dst = std::copy_n(part->data().data() + i * h, h, dst);
+    }
   }
-  float* wp = w_zrh_.data().data();
-  for (std::int64_t i = 0; i < c; ++i) {
-    float* dst = wp + i * 3 * h;
-    std::copy_n(wz_.data().data() + i * h, h, dst);
-    std::copy_n(wr_.data().data() + i * h, h, dst + h);
-    std::copy_n(wh_.data().data() + i * h, h, dst + 2 * h);
+}
+}  // namespace
+
+const float* Gru::RecurrentPanel() {
+  if (!u_zr_current_) {
+    FusePanel({&uz_, &ur_}, units_, units_, u_zr_);
+    u_zr_current_ = true;
   }
-  float* up = u_zr_.data().data();
-  for (std::int64_t i = 0; i < h; ++i) {
-    float* dst = up + i * 2 * h;
-    std::copy_n(uz_.data().data() + i * h, h, dst);
-    std::copy_n(ur_.data().data() + i * h, h, dst + h);
-  }
-  float* bp = b_zrh_.data().data();
-  std::copy_n(bz_.data().data(), h, bp);
-  std::copy_n(br_.data().data(), h, bp + h);
-  std::copy_n(bh_.data().data(), h, bp + 2 * h);
+  return u_zr_.data().data();
 }
 
 // The training pass runs two fused GEMMs per call plus two skinny ones
@@ -139,7 +119,11 @@ Tensor Gru::TrainForward(const Tensor& x) {
   const std::int64_t n = x.dim(0), len = x.dim(1);
   const std::int64_t c = input_size_, h = units_, h3 = 3 * units_;
   x_ = x;
-  RefreshFusedPanels();
+  // The masters may have changed since the last pass: rebuild the input
+  // panels now, [Uz|Ur] on its first read.
+  FusePanel({&wz_, &wr_, &wh_}, c, h, w_zrh_);
+  FusePanel({&bz_, &br_, &bh_}, 1, h, b_zrh_);
+  u_zr_current_ = false;
 
   hs_.clear();
   zs_.clear();
@@ -154,7 +138,7 @@ Tensor Gru::TrainForward(const Tensor& x) {
   u_abs_max_ = BitsToFloat(u_bits);
   reset_gate_skipped_ = false;
   if (first_step_fast_ && len == 1) {
-    const std::int32_t x_bits = MaxAbsBits(x.data().data(), x.size());
+    const std::int32_t x_bits = MaxAbsBits(x);
     const std::int32_t wr_bits = MaxAbsBits(wr_);
     const std::int32_t br_bits = MaxAbsBits(br_);
     reset_gate_skipped_ =
@@ -194,7 +178,7 @@ Tensor Gru::TrainForward(const Tensor& x) {
 
     // pre_z/pre_r += h_{t-1} · [Uz|Ur] in one GEMM.
     if (t > 0 || !first_step_fast_) {
-      kernels::Gemm(false, false, n, 2 * h, h, hpv, h, u_zr_.data().data(),
+      kernels::Gemm(false, false, n, 2 * h, h, hpv, h, RecurrentPanel(),
                     2 * h, pt, ld, /*accumulate=*/true);
     }
 
@@ -447,6 +431,7 @@ void Gru::ComputeSkippedResetGate() {
 // 256-wide k-panels would otherwise shift and round differently.
 Tensor Gru::Backward(const Tensor& dy) {
   PELICAN_CHECK(!zs_.empty(), "Backward before Forward");
+  AllocateGrads(Params());
   const auto len = static_cast<std::int64_t>(zs_.size());
   const std::int64_t n = x_.dim(0);
   const std::int64_t c = input_size_;
@@ -575,8 +560,8 @@ Tensor Gru::Backward(const Tensor& dy) {
     SumRowsInto(g, n, h3, db_zrh);
 
     // dh_prev += g[:, 0:2h) · [Uz|Ur]ᵀ.
-    kernels::Gemm(false, true, n, h, h2, g, h3, u_zr_.data().data(), h2,
-                  dhpp, h, /*accumulate=*/true);
+    kernels::Gemm(false, true, n, h, h2, g, h3, RecurrentPanel(), h2, dhpp,
+                  h, /*accumulate=*/true);
 
     // Input gradient straight into the strided step slice of dx.
     kernels::Gemm(false, true, n, c, h3, g, h3, w_zrh_.data().data(), h3,
@@ -649,7 +634,7 @@ bool Gru::FastFirstStepGates(const Tensor& dh, float* g) const {
           dhrow[j] * (1.0F - zrow[j]) * TanhGradFromY(hcrow[j]);
     }
   });
-  const std::int32_t g_bits = MaxAbsBits(g, n * h3);
+  const std::int32_t g_bits = kernels::MaxAbsBits(g, n * h3);
   return g_bits < kInfBits &&
          FarBelowOverflow(BitsToFloat(g_bits), u_abs_max_, h, 0.0F);
 }
@@ -658,8 +643,11 @@ void Gru::SetQuantMode(quant::Mode mode) {
   if (mode == quant::Mode::kInt8 && !qop_.Ready()) {
     PELICAN_CHECK(qop_.observer.Seen(),
                   "int8 mode requires calibration or a loaded sidecar");
-    RefreshFusedPanels();  // quantize the panel the GEMM actually reads
-    quant::QuantizeWeightsPerChannel(qop_, w_zrh_.data().data(), input_size_,
+    // Quantize the panel the int8 GEMM reads, built for this alone: a
+    // scored network holds no training panel.
+    Tensor w_zrh;
+    FusePanel({&wz_, &wr_, &wh_}, input_size_, units_, w_zrh);
+    quant::QuantizeWeightsPerChannel(qop_, w_zrh.data().data(), input_size_,
                                      3 * units_);
     quant::FreezeActivationScale(qop_);
   }

@@ -34,10 +34,11 @@ class Gru final : public Layer {
   [[nodiscard]] bool return_sequences() const { return return_sequences_; }
 
  private:
-  // Rebuilds the fused panels below from the per-gate master weights
-  // (which the optimizer updates between steps), allocating them on
-  // first use.
-  void RefreshFusedPanels();
+  // [Uz|Ur], rebuilt from the per-gate masters (which the optimizer
+  // updates between steps) on its first read in a training pass. At the
+  // paper's L = 1 a fast pass never reads it, so it is neither built
+  // nor refreshed there.
+  const float* RecurrentPanel();
   // Backward's first step when the forward took the fast one (gru.cpp).
   bool FastFirstStepGates(const Tensor& dh, float* g) const;
   void ComputeSkippedResetGate();
@@ -50,6 +51,7 @@ class Gru final : public Layer {
   Tensor wz_, wr_, wh_;
   Tensor uz_, ur_, uh_;
   Tensor bz_, br_, bh_;
+  // Gradients: empty until trained (AllocateGrads).
   Tensor dwz_, dwr_, dwh_;
   Tensor duz_, dur_, duh_;
   Tensor dbz_, dbr_, dbh_;
@@ -63,11 +65,11 @@ class Gru final : public Layer {
   // of three skinny ones. The per-gate tensors above stay the masters
   // so Params(), model I/O and checkpoints are unchanged; Score reads
   // the masters directly and never touches these, so a model that is
-  // only scored (or frozen to int8 from a sidecar) never allocates
-  // them.
+  // only scored (or frozen to int8) never allocates them.
   Tensor w_zrh_;  // (C_in, 3H) = [Wz | Wr | Wh]
   Tensor u_zr_;   // (H, 2H)   = [Uz | Ur]
-  Tensor b_zrh_;  // (3H)      = [bz | br | bh]
+  Tensor b_zrh_;  // (1, 3H)   = [bz | br | bh]
+  bool u_zr_current_ = false;  // u_zr_ built from this pass's masters
 
   // Training-pass caches.
   Tensor x_;                    // (N, L, C_in) input, for backward GEMMs

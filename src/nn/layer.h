@@ -26,7 +26,7 @@ namespace pelican::nn {
 
 // The elements [begin, end) of a gradient tensor that Backward has
 // written since the last ZeroGrad; every element outside still holds
-// the +0 that ZeroGrad (or the constructor) left there. A layer whose
+// the +0 that ZeroGrad (or AllocateGrads) left there. A layer whose
 // Backward can leave part of a gradient untouched (Conv1D's dead
 // taps, the GRU's recurrent and reset-gate tensors at the paper's
 // L = 1) publishes one through ParamRef, and ZeroGrad and the
@@ -73,6 +73,17 @@ struct ParamRef {
     if (written != nullptr) *written = {};
   }
 };
+
+// Gives each gradient that is still empty +0 elements at its value's
+// shape. Layers build no gradient: a network that is only scored never
+// holds one. Whoever trains allocates them: Optimizer::Attach, and each
+// parameterized layer's Backward (for a layer trained without an
+// optimizer, as the gradient checks do).
+inline void AllocateGrads(const std::vector<ParamRef>& params) {
+  for (const ParamRef& p : params) {
+    if (p.grad->empty()) *p.grad = Tensor(p.value->shape());
+  }
+}
 
 // Non-owning view of one non-trainable state tensor (e.g. batch-norm
 // running statistics) that must survive model save/load.

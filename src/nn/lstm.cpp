@@ -22,19 +22,7 @@ Lstm::Lstm(std::int64_t input_size, std::int64_t units, Init init,
       bi_({units}),
       bf_(Tensor::Full({units}, 1.0F)),
       bg_({units}),
-      bo_({units}),
-      dwi_({input_size, units}),
-      dwf_({input_size, units}),
-      dwg_({input_size, units}),
-      dwo_({input_size, units}),
-      dui_({units, units}),
-      duf_({units, units}),
-      dug_({units, units}),
-      duo_({units, units}),
-      dbi_({units}),
-      dbf_({units}),
-      dbg_({units}),
-      dbo_({units}) {
+      bo_({units}) {
   PELICAN_CHECK(input_size > 0 && units > 0);
 }
 
@@ -161,6 +149,7 @@ Tensor Lstm::Score(const Tensor& x, InferenceContext& /*ctx*/) const {
 
 Tensor Lstm::Backward(const Tensor& dy) {
   PELICAN_CHECK(!xs_.empty(), "Backward before Forward");
+  AllocateGrads(Params());
   const auto len = static_cast<std::int64_t>(xs_.size());
   const std::int64_t n = xs_[0].dim(0), h = units_;
   if (return_sequences_) {

@@ -38,6 +38,7 @@ class Lstm final : public Layer {
   Tensor wi_, wf_, wg_, wo_;   // (C_in, H)
   Tensor ui_, uf_, ug_, uo_;   // (H, H)
   Tensor bi_, bf_, bg_, bo_;   // (H)
+  // Gradients: empty until trained (AllocateGrads).
   Tensor dwi_, dwf_, dwg_, dwo_;
   Tensor dui_, duf_, dug_, duo_;
   Tensor dbi_, dbf_, dbg_, dbo_;

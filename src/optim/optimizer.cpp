@@ -20,6 +20,9 @@ void Optimizer::Attach(std::vector<nn::ParamRef> params) {
   for (const auto& p : params) {
     PELICAN_CHECK(p.value != nullptr && p.grad != nullptr,
                   "null ParamRef passed to optimizer");
+  }
+  nn::AllocateGrads(params);
+  for (const auto& p : params) {
     PELICAN_CHECK(p.value->SameShape(*p.grad),
                   "parameter/gradient shape mismatch for " + p.name);
   }

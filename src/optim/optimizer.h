@@ -28,7 +28,8 @@ class Optimizer {
  public:
   virtual ~Optimizer() = default;
 
-  // Binds the optimizer to a parameter set; resets all state.
+  // Binds the optimizer to a parameter set; resets all state. Each
+  // gradient that is still empty is allocated (nn::AllocateGrads).
   void Attach(std::vector<nn::ParamRef> params);
 
   // Applies one update from the currently-accumulated gradients.

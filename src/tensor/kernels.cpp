@@ -974,6 +974,24 @@ void TanhWith(Isa isa, const float* x, float* y, std::int64_t n) {
   TanhOn(isa, x, y, n);
 }
 
+std::int32_t MaxAbsBits(const float* p, std::int64_t n) {
+  constexpr std::int64_t kLanes = 16;
+  const auto abs_bits = [](float v) {
+    return std::bit_cast<std::int32_t>(v) & 0x7fffffff;
+  };
+  std::array<std::int32_t, kLanes> lane{};
+  std::int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::int64_t l = 0; l < kLanes; ++l) {
+      lane[l] = std::max(lane[l], abs_bits(p[i + l]));
+    }
+  }
+  std::int32_t m = 0;
+  for (; i < n; ++i) m = std::max(m, abs_bits(p[i]));
+  for (const std::int32_t v : lane) m = std::max(m, v);
+  return m;
+}
+
 std::string TierName(Isa isa, bool int8) {
 #if defined(__SSE2__)
   std::string name = "sse2";

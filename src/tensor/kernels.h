@@ -106,6 +106,14 @@ float Tanh(float x);
 // otherwise the two must not overlap.
 void Tanh(const float* x, float* y, std::int64_t n);
 
+// The largest |p[i]| over i in [0, n), as its bit pattern: below
+// 0x7f800000 exactly when every value is finite, and then it reads back
+// (bit_cast to float) as the largest magnitude. An integer max, so it
+// has no NaN case and its result does not depend on the order of the
+// scan: 16 independent lanes, reduced at the end, keep it off the
+// latency chain of one running max. 0 for n = 0.
+std::int32_t MaxAbsBits(const float* p, std::int64_t n);
+
 // The tiers Gemm and GemmInt8 run on this host, e.g.
 // "fp32 avx512 8x32, int8 avx512-vnni 8x32".
 std::string IsaName();

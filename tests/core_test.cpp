@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -315,6 +316,98 @@ TEST(PelicanIds, EndToEndTrainInspectSaveLoad) {
   EXPECT_EQ(ids.Classify(test_set), restored.Classify(test_set));
   std::remove(path.c_str());
   std::remove((path + ".pre").c_str());
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size_bytes()) == 0;
+}
+
+bool SameVerdict(const PelicanIds::Verdict& a, const PelicanIds::Verdict& b) {
+  return a.label == b.label && a.class_name == b.class_name &&
+         a.is_attack == b.is_attack &&
+         std::memcmp(&a.confidence, &b.confidence, sizeof(float)) == 0;
+}
+
+// A loaded detector holds no training state: its network has no
+// gradient, and no trainer or optimizer stands behind it. It still
+// holds the saving detector's weights and buffers byte for byte,
+// answers every query as that detector does, in fp32 and int8, and a
+// Trainer on its network trains to the saving network's bytes.
+TEST(PelicanIds, LoadedDetectorHoldsNoGradientsAndAnswersLikeTheSaver) {
+  Rng rng(29);
+  const auto train_set = data::GenerateNslKdd(300, rng);
+  const auto test_set = data::GenerateNslKdd(100, rng);
+  IdsConfig config;
+  config.n_blocks = 2;
+  config.channels = 8;
+  config.train.epochs = 2;
+  PelicanIds saver(train_set.schema(), config);
+  saver.Train(train_set);
+  const auto path = TempPath("pelican_ids_loaded_test.bin");
+  saver.Save(path);
+  PelicanIds loaded(train_set.schema(), config);
+  loaded.Load(path);
+  ASSERT_TRUE(loaded.Trained());
+
+  auto saved_params = saver.network().Params();
+  auto loaded_params = loaded.network().Params();
+  ASSERT_EQ(saved_params.size(), loaded_params.size());
+  for (std::size_t i = 0; i < loaded_params.size(); ++i) {
+    const auto& p = loaded_params[i];
+    EXPECT_TRUE(p.grad->empty()) << p.name;
+    EXPECT_TRUE(SameBytes(*p.value, *saved_params[i].value)) << p.name;
+  }
+  auto saved_buffers = saver.network().Buffers();
+  auto loaded_buffers = loaded.network().Buffers();
+  ASSERT_EQ(saved_buffers.size(), loaded_buffers.size());
+  for (std::size_t i = 0; i < loaded_buffers.size(); ++i) {
+    EXPECT_TRUE(SameBytes(*loaded_buffers[i].value, *saved_buffers[i].value))
+        << loaded_buffers[i].name;
+  }
+
+  for (const bool int8 : {false, true}) {
+    SCOPED_TRACE(int8 ? "int8" : "fp32");
+    saver.EnableQuantized(int8);
+    loaded.EnableQuantized(int8);
+    const auto want = saver.InspectAll(test_set);
+    const auto got = loaded.InspectAll(test_set);
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(SameVerdict(got[i], want[i])) << "InspectAll row " << i;
+    }
+    for (std::size_t i = 0; i < 5; ++i) {
+      const auto row = test_set.Row(i);
+      std::vector<float> want_features, got_features;
+      EXPECT_TRUE(SameVerdict(loaded.Inspect(row, &got_features),
+                              saver.Inspect(row, &want_features)))
+          << "Inspect row " << i;
+      EXPECT_EQ(got_features, want_features);
+    }
+    EXPECT_EQ(loaded.Classify(test_set), saver.Classify(test_set));
+    const auto want_eval = saver.Evaluate(test_set);
+    const auto got_eval = loaded.Evaluate(test_set);
+    EXPECT_EQ(std::memcmp(&got_eval.loss, &want_eval.loss, sizeof(float)), 0);
+    EXPECT_EQ(std::memcmp(&got_eval.accuracy, &want_eval.accuracy,
+                          sizeof(float)),
+              0);
+  }
+  saver.EnableQuantized(false);
+  loaded.EnableQuantized(false);
+
+  TrainConfig one_epoch = config.train;
+  one_epoch.epochs = 1;
+  const Tensor x = data::OneHotEncoder(train_set.schema()).Transform(test_set);
+  Trainer(saver.network(), one_epoch).Fit(x, test_set.Labels());
+  Trainer(loaded.network(), one_epoch).Fit(x, test_set.Labels());
+  for (std::size_t i = 0; i < loaded_params.size(); ++i) {
+    EXPECT_TRUE(SameBytes(*loaded_params[i].value, *saved_params[i].value))
+        << "after one epoch: " << loaded_params[i].name;
+  }
+  for (const char* suffix : {"", ".pre", ".quant"}) {
+    std::remove((path + suffix).c_str());
+  }
 }
 
 TEST(PelicanIds, InspectBeforeTrainThrows) {

@@ -701,5 +701,51 @@ TEST(Workspace, NestedScopesReleaseInOrder) {
   EXPECT_EQ(a[0], 1.0F);
 }
 
+
+// kernels::MaxAbsBits keeps 16 lanes and reduces them at the end. An
+// integer max is exact in any order, so it must equal the one-chain
+// scan on every input: ±0, subnormals, ±inf and NaN payloads of both
+// signs, at each position, at every length from 0 to 40 (short of,
+// at, and past one and two lane widths).
+TEST(KernelsMaxAbsBits, EqualsOneChainScan) {
+  const auto one_chain = [](const std::vector<float>& v) {
+    std::int32_t m = 0;
+    for (const float x : v) {
+      m = std::max(m, std::bit_cast<std::int32_t>(x) & 0x7fffffff);
+    }
+    return m;
+  };
+  const float specials[] = {0.0F,
+                            -0.0F,
+                            std::numeric_limits<float>::denorm_min(),
+                            -1e-40F,
+                            std::numeric_limits<float>::min(),
+                            -std::numeric_limits<float>::max(),
+                            kInf,
+                            -kInf,
+                            kNaN,
+                            FloatOf(0x7fc12345U),
+                            FloatOf(0xffa00001U),
+                            FloatOf(0x7f800001U)};
+  constexpr auto kSpecials = static_cast<std::int64_t>(std::size(specials));
+  Rng rng(58);
+  for (std::int64_t n = 0; n <= 40; ++n) {
+    std::vector<float> v(static_cast<std::size_t>(n));
+    for (float& x : v) x = static_cast<float>(rng.Normal(0, 1));
+    EXPECT_EQ(kernels::MaxAbsBits(v.data(), n), one_chain(v)) << "n=" << n;
+    for (std::size_t pos = 0; pos < v.size(); ++pos) {
+      for (const float special : specials) {
+        std::vector<float> w = v;
+        w[pos] = special;
+        EXPECT_EQ(kernels::MaxAbsBits(w.data(), n), one_chain(w))
+            << "n=" << n << " pos=" << pos << " bits " << BitsOf(special);
+      }
+    }
+    // Only specials: NaN payloads, infinities and zeros compete.
+    for (float& x : v) x = specials[rng.Int(0, kSpecials - 1)];
+    EXPECT_EQ(kernels::MaxAbsBits(v.data(), n), one_chain(v)) << "n=" << n;
+  }
+}
+
 }  // namespace
 }  // namespace pelican

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -703,6 +704,57 @@ TEST(Sequential, ZeroGradClearsAllGrads) {
   }
 }
 
+// Layers build no gradient. A layer's first Backward allocates its own,
+// with no optimizer attached, and accumulates into them the bytes it
+// accumulates into gradients an optimizer allocated first.
+TEST(Layers, FirstBackwardAllocatesGradients) {
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<nn::Layer>(Rng&)> make;
+    Tensor::Shape x_shape;
+  };
+  const std::vector<Case> cases = {
+      {"dense",
+       [](Rng& r) { return std::make_unique<nn::Dense>(6, 4, r); },
+       {3, 6}},
+      {"conv1d",
+       [](Rng& r) { return std::make_unique<nn::Conv1D>(6, 4, 3, r); },
+       {3, 5, 6}},
+      {"batchnorm",
+       [](Rng&) { return std::make_unique<nn::BatchNorm>(6); },
+       {3, 5, 6}},
+      {"gru", [](Rng& r) { return std::make_unique<nn::Gru>(6, 4, r); },
+       {3, 2, 6}},
+      {"lstm", [](Rng& r) { return std::make_unique<nn::Lstm>(6, 4, r); },
+       {3, 2, 6}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Rng make_rng(23);
+    auto layer = c.make(make_rng);
+    Rng attached_rng(23);
+    auto attached = c.make(attached_rng);
+    for (auto& p : layer->Params()) EXPECT_TRUE(p.grad->empty()) << p.name;
+    optim::Sgd sgd(0.1F);
+    sgd.Attach(attached->Params());
+
+    Rng data_rng(24);
+    const Tensor x = Tensor::RandomNormal(c.x_shape, data_rng, 0, 1);
+    const Tensor y = layer->Forward(x, true);
+    const Tensor dy = Tensor::RandomNormal(y.shape(), data_rng, 0, 1);
+    (void)layer->Backward(dy);
+    (void)attached->Forward(x, true);
+    (void)attached->Backward(dy);
+    auto got = layer->Params();
+    auto want = attached->Params();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].grad->shape(), got[i].value->shape()) << got[i].name;
+      EXPECT_TRUE(SameBytes(*got[i].grad, *want[i].grad)) << got[i].name;
+    }
+  }
+}
+
 TEST(Residual, IdentityShortcutAddsInput) {
   // Body that outputs all zeros → block output = post(shortcut) = x.
   Rng rng(20);
@@ -1294,6 +1346,39 @@ TEST(Gru, AccumulatedGradientsMatchFullReferenceAcrossLengths) {
         Tensor::RandomNormal(return_sequences ? Tensor::Shape{5, 1, 20}
                                               : Tensor::Shape{5, 20},
                              rng, 0, 1));
+  }
+}
+
+// [Uz|Ur] is built only in a pass that reads it, and rebuilt in each
+// such pass. A fast L = 1 pass whose Backward falls back to the full
+// first step (dy holds NaN and ±inf) reads it; then Uz and Ur change,
+// and the L = 3 pass after must read them, not the panel the L = 1
+// pass built.
+TEST(Gru, RecurrentPanelFollowsUAcrossPasses) {
+  for (const bool return_sequences : {false, true}) {
+    SCOPED_TRACE(return_sequences ? "return_sequences" : "last state");
+    const auto y_shape = [&](std::int64_t len) {
+      return return_sequences ? Tensor::Shape{5, len, 20}
+                              : Tensor::Shape{5, 20};
+    };
+    Rng rng(54);
+    auto gru = MakeScoreGru(return_sequences, /*int8=*/false, rng);
+    {
+      reference::ReferenceGru ref(*gru);
+      const Tensor x = Tensor::RandomNormal({5, 1, 12}, rng, 0, 1);
+      ExpectGruPassMatchesReference(
+          *gru, ref, x, GruCaseGrad(GruCase::kGradSpecials, y_shape(1), rng));
+    }
+    for (auto& p : gru->Params()) {
+      if (p.name == "gru.uz" || p.name == "gru.ur") {
+        *p.value = Tensor::RandomNormal(p.value->shape(), rng, 0, 0.5F);
+      }
+    }
+    gru->ZeroGrad();
+    reference::ReferenceGru ref(*gru);  // the new U, gradients at +0
+    const Tensor x = Tensor::RandomNormal({5, 3, 12}, rng, 0, 1);
+    ExpectGruPassMatchesReference(
+        *gru, ref, x, Tensor::RandomNormal(y_shape(3), rng, 0, 1));
   }
 }
 

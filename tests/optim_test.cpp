@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -143,6 +144,27 @@ TEST(Optimizer, FactoryKnowsAllNames) {
 TEST(Optimizer, StepBeforeAttachThrows) {
   optim::Sgd opt(0.1F);
   EXPECT_THROW(opt.Step(), CheckError);
+}
+
+// Layers build no gradient; Attach gives each one +0 elements at its
+// value's shape before it checks the shapes.
+TEST(Optimizer, AttachAllocatesZeroedGradients) {
+  Rng rng(8);
+  nn::Sequential net;
+  net.Add(std::make_unique<nn::Conv1D>(5, 6, 3, rng));
+  net.Add(std::make_unique<nn::BatchNorm>(6));
+  net.Add(std::make_unique<nn::Gru>(6, 4, rng));
+  net.Add(std::make_unique<nn::Lstm>(4, 3, rng, /*return_sequences=*/false));
+  net.Add(std::make_unique<nn::Dense>(3, 2, rng));
+  for (const auto& p : net.Params()) EXPECT_TRUE(p.grad->empty()) << p.name;
+  optim::RmsProp opt(0.01F);
+  opt.Attach(net.Params());
+  for (const auto& p : net.Params()) {
+    ASSERT_EQ(p.grad->shape(), p.value->shape()) << p.name;
+    for (const float g : p.grad->data()) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(g), 0U) << p.name;
+    }
+  }
 }
 
 TEST(Optimizer, RejectsMismatchedParamRef) {

@@ -69,6 +69,42 @@ grep -q "residual" "$WORK_DIR/info.txt"
 grep -Eq '^gemm: fp32 [a-z0-9]+ [0-9]+x[0-9]+, int8 [a-z0-9-]+ [0-9]+x[0-9]+$' \
     "$WORK_DIR/info.txt"
 
+# The .meta sidecar keeps the bytes it always had, and write → read →
+# write gives them back: a model trained with the fields `info` read
+# from it writes the same file.
+printf 'schema=nsl\nblocks=2\nresidual=1\nchannels=8\n' \
+    | cmp - "$WORK_DIR/model.bin.meta"
+BLOCKS="$(sed -n 's/^  structure: residual, \([0-9]*\) blocks.*/\1/p' \
+    "$WORK_DIR/info.txt")"
+CHANNELS="$(sed -n 's/^  structure: .*, channels \([0-9]*\)$/\1/p' \
+    "$WORK_DIR/info.txt")"
+"$PELICAN_BIN" train --dataset nsl --csv "$WORK_DIR/flows.csv" \
+    --blocks "$BLOCKS" --channels "$CHANNELS" --epochs 1 --profile-hz 0 \
+    --out "$WORK_DIR/model_meta.bin" > /dev/null
+cmp "$WORK_DIR/model.bin.meta" "$WORK_DIR/model_meta.bin.meta"
+
+# `info` exits 1, naming the file, on a .meta it cannot parse: cut off
+# mid-line, a typo in a number, a key missing. The weights and
+# sidecars beside it are intact (`info` reads them with the good .meta),
+# so the .meta is what fails.
+mkdir "$WORK_DIR/badmeta"
+for f in model.bin model.bin.pre model.bin.quant model.bin.meta; do
+    cp "$WORK_DIR/$f" "$WORK_DIR/badmeta/$f"
+done
+"$PELICAN_BIN" info --model "$WORK_DIR/badmeta/model.bin" > /dev/null
+for bad in truncated typo missing; do
+    case $bad in
+        truncated) head -c 30 "$WORK_DIR/model.bin.meta" ;;
+        typo) sed 's/^blocks=.*/blocks=1O/' "$WORK_DIR/model.bin.meta" ;;
+        missing) grep -v '^channels=' "$WORK_DIR/model.bin.meta" ;;
+    esac > "$WORK_DIR/badmeta/model.bin.meta"
+    STATUS=0
+    "$PELICAN_BIN" info --model "$WORK_DIR/badmeta/model.bin" > /dev/null \
+        2> "$WORK_DIR/badmeta/err.txt" || STATUS=$?
+    test "$STATUS" -eq 1
+    grep -q "badmeta/model.bin.meta" "$WORK_DIR/badmeta/err.txt"
+done
+
 # Checkpointed training + resume: the first run snapshots each epoch;
 # the second picks up from the newest checkpoint and trains onward.
 "$PELICAN_BIN" train --dataset nsl --csv "$WORK_DIR/flows.csv" \

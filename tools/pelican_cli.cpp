@@ -19,12 +19,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 
 #include <chrono>
 #include <memory>
@@ -33,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -105,29 +110,71 @@ struct ModelMeta {
   std::int64_t channels = 24;
 };
 
+// One `key=value` line per field, each ending in a newline, written
+// atomically like every other model file.
 void WriteMeta(const std::string& model_path, const ModelMeta& meta) {
-  std::ofstream out(model_path + ".meta");
-  PELICAN_CHECK(out.is_open(), "cannot write " + model_path + ".meta");
-  out << "schema=" << meta.schema << "\nblocks=" << meta.blocks
-      << "\nresidual=" << (meta.residual ? 1 : 0)
-      << "\nchannels=" << meta.channels << "\n";
+  const std::string text = "schema=" + meta.schema +
+                           "\nblocks=" + std::to_string(meta.blocks) +
+                           "\nresidual=" + (meta.residual ? "1" : "0") +
+                           "\nchannels=" + std::to_string(meta.channels) +
+                           "\n";
+  AtomicWriteFile(model_path + ".meta", text);
 }
 
-ModelMeta ReadMeta(const std::string& model_path) {
-  std::ifstream in(model_path + ".meta");
-  PELICAN_CHECK(in.is_open(), "cannot read " + model_path + ".meta");
-  ModelMeta meta;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto parts = Split(Trim(line), '=');
-    if (parts.size() != 2) continue;
-    if (parts[0] == "schema") meta.schema = parts[1];
-    if (parts[0] == "blocks") meta.blocks = std::atoi(parts[1].c_str());
-    if (parts[0] == "residual") meta.residual = parts[1] == "1";
-    if (parts[0] == "channels") meta.channels = std::atol(parts[1].c_str());
+// Whole-field decimal integer in [min, max]; false otherwise.
+template <typename Int>
+bool ParseMetaInt(std::string_view text, Int min, Int max, Int* value) {
+  Int parsed{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, parsed);
+  if (ec != std::errc() || ptr != end || parsed < min || parsed > max) {
+    return false;
   }
-  PELICAN_CHECK(meta.schema == "nsl" || meta.schema == "unsw",
-                "bad schema in meta file");
+  *value = parsed;
+  return true;
+}
+
+// Reads what WriteMeta wrote, and nothing else: every line `key=value`
+// and newline-terminated (a file cut short loses its last newline or
+// its last keys), each of schema, blocks, residual and channels exactly
+// once, no other key. Throws CheckError naming the file otherwise.
+ModelMeta ReadMeta(const std::string& model_path) {
+  const std::string path = model_path + ".meta";
+  const std::string text = ReadFileBytes(path);
+  const std::string what = "model meta file " + path + ": ";
+  PELICAN_CHECK(!text.empty() && text.back() == '\n',
+                what + "truncated (no final newline)");
+  ModelMeta meta;
+  std::set<std::string> seen;
+  auto lines = Split(text, '\n');
+  lines.pop_back();  // the empty field after the final newline
+  for (const std::string& line : lines) {
+    const auto eq = line.find('=');
+    PELICAN_CHECK(eq != std::string::npos, what + "no '=' in line " + line);
+    const std::string key = line.substr(0, eq);
+    const std::string value = line.substr(eq + 1);
+    PELICAN_CHECK(seen.insert(key).second, what + "duplicate key " + key);
+    bool ok = false;
+    if (key == "schema") {
+      meta.schema = value;
+      ok = value == "nsl" || value == "unsw";
+    } else if (key == "blocks") {
+      ok = ParseMetaInt(value, 1, std::numeric_limits<int>::max(),
+                        &meta.blocks);
+    } else if (key == "residual") {
+      int residual = 0;
+      ok = ParseMetaInt(value, 0, 1, &residual);
+      meta.residual = residual == 1;
+    } else if (key == "channels") {
+      ok = ParseMetaInt(value, std::int64_t{0},
+                        std::numeric_limits<std::int64_t>::max(),
+                        &meta.channels);
+    }
+    PELICAN_CHECK(ok, what + "bad line " + line + " (unknown key or value)");
+  }
+  for (const char* key : {"schema", "blocks", "residual", "channels"}) {
+    PELICAN_CHECK(seen.count(key) == 1, what + "missing key " + key);
+  }
   return meta;
 }
 
