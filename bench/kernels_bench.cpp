@@ -8,7 +8,8 @@
 // each tier this host runs (fp32 and int8) at 1 thread, and on the
 // dispatched tier at every thread count; quant::QuantizedMatMul (the
 // int8 GEMM with its quantize and dequantize ends) on each int8 tier at
-// the paper-width GRU and Conv1D shapes. kernels::Tanh is timed on each
+// the paper-width GRU and Conv1D shapes; the batch-1 (small-m) GEMMs
+// and kernels::MaxAbsBits on each tier. kernels::Tanh is timed on each
 // tier against a std::tanh loop, and the CRC32 that seals and checks
 // every file on each of its tiers.
 //
@@ -313,6 +314,67 @@ void BenchGruVsLstm(std::int64_t n, std::int64_t len, std::int64_t units,
   BenchRecurrent<nn::Lstm>("lstm_forward", 4, n, len, units, threads, rows);
 }
 
+// The small-m (batch-1) GEMMs on every tier this host runs, 1 thread,
+// m = 1: fp32 k = n = w for each width in `widths` (one GRU gate's
+// projection, or Conv1D's one tap), int8 k = `k8` for each n in
+// `int8_n` (one gate, or the fused [Wz|Wr|Wh] panel).
+void BenchGemmSmallM(const std::vector<std::int64_t>& widths, std::int64_t k8,
+                     const std::vector<std::int64_t>& int8_n,
+                     std::vector<bench::BenchRow>& rows) {
+  Rng rng(44);
+  ThreadGuard guard(1);
+  for (const std::int64_t w : widths) {
+    const GemmShape s{1, w, w};
+    const Tensor a = Tensor::RandomNormal({1, w}, rng, 0, 1);
+    const Tensor b = Tensor::RandomNormal({w, w}, rng, 0, 1);
+    Tensor c({1, w});
+    const double flops = 2.0 * static_cast<double>(w * w);
+    for (const kernels::Isa isa : kernels::SupportedIsas(false)) {
+      const double ns = TimeNs([&] {
+        kernels::GemmWith(isa, false, false, 1, w, w, a.data().data(), w,
+                          b.data().data(), w, c.data().data(), w, false);
+      });
+      rows.push_back({"gemm_small_m", ShapeName(s), 1, ns, flops / ns,
+                      kernels::TierName(isa, false)});
+    }
+  }
+  for (const std::int64_t n : int8_n) {
+    const GemmShape s{1, k8, n};
+    std::vector<std::int8_t> a8(static_cast<std::size_t>(k8));
+    std::vector<std::int8_t> b8(static_cast<std::size_t>(k8 * n));
+    for (auto& v : a8) v = static_cast<std::int8_t>(rng.Int(-127, 127));
+    for (auto& v : b8) v = static_cast<std::int8_t>(rng.Int(-127, 127));
+    std::vector<std::int32_t> c32(static_cast<std::size_t>(n));
+    const double ops = 2.0 * static_cast<double>(k8 * n);
+    for (const kernels::Isa isa : kernels::SupportedIsas(true)) {
+      const double ns = TimeNs([&] {
+        kernels::GemmInt8With(isa, 1, n, k8, a8.data(), k8, b8.data(), n,
+                              c32.data(), n, false);
+      });
+      rows.push_back({"gemm_int8_small_m", ShapeName(s), 1, ns, ops / ns,
+                      kernels::TierName(isa, true)});
+    }
+  }
+}
+
+// kernels::MaxAbsBits on every tier this host runs over n N(0,1)
+// values (1 thread): the GRU's reset-gate check scans Wr (121² or 196²
+// values) on every call. The gflops column reads G values/s.
+void BenchMaxAbsBits(std::int64_t n, std::vector<bench::BenchRow>& rows) {
+  Rng rng(13);
+  const Tensor x = Tensor::RandomNormal({n}, rng, 0, 1);
+  const std::string shape = "n" + std::to_string(n);
+  ThreadGuard guard(1);
+  std::int32_t sink = 0;
+  for (const kernels::Isa isa : kernels::SupportedIsas(false)) {
+    const double ns = TimeNs(
+        [&] { sink ^= kernels::MaxAbsBitsWith(isa, x.data().data(), n); });
+    rows.push_back({"max_abs_bits", shape, 1, ns, static_cast<double>(n) / ns,
+                    kernels::TierName(isa, false)});
+  }
+  if (sink == -1) std::printf("unreachable\n");  // keeps the scans live
+}
+
 // kernels::Tanh on every tier this host runs against the libm loop it
 // replaced in the GRU, over n N(0,1) values (1 thread: Tanh does not
 // shard). The gflops column reads G values/s for these rows.
@@ -385,6 +447,8 @@ int main(int argc, char** argv) {
     BenchQuantizedMatMul({16, 33, 17}, rows);
     BenchConv1D(4, 3, 8, 5, threads, rows);
     BenchGruVsLstm(4, 2, 8, threads, rows);
+    BenchGemmSmallM({17}, 33, {33}, rows);
+    BenchMaxAbsBits(37, rows);
     BenchTanh(37, rows);
     BenchCrc32(1000, rows);
   } else {
@@ -403,6 +467,11 @@ int main(int argc, char** argv) {
     BenchGru(32, 1, 121, threads, rows);
     BenchGru(64, 8, 128, threads, rows);
     BenchGruVsLstm(32, 4, 64, threads, rows);
+    // Batch 1 at the paper's widths, and the reset-gate check's scan
+    // of Wr at the NSL and UNSW widths.
+    BenchGemmSmallM({121, 196}, 121, {121, 363}, rows);
+    BenchMaxAbsBits(121 * 121, rows);
+    BenchMaxAbsBits(196 * 196, rows);
     // One GRU step's candidate state at batch 64, NSL and UNSW widths.
     BenchTanh(64 * 121, rows);
     BenchTanh(64 * 196, rows);

@@ -48,6 +48,42 @@ bool FarBelowOverflow(float a_max, float b_max, std::int64_t k,
 }
 }  // namespace
 
+// pre_r = x·Wr + br element by element: k = C products, each at most
+// max|x|·max|Wr|, so every partial sum, rounded or not, stays finite.
+bool ResetGateSkipIsExact(const float* x, std::int64_t count,
+                          const Tensor& wr, const Tensor& br) {
+  const std::int32_t x_bits = kernels::MaxAbsBits(x, count);
+  const std::int32_t wr_bits = MaxAbsBits(wr);
+  const std::int32_t br_bits = MaxAbsBits(br);
+  return std::max({x_bits, wr_bits, br_bits}) < kInfBits &&
+         FarBelowOverflow(BitsToFloat(x_bits), BitsToFloat(wr_bits),
+                          wr.dim(0), BitsToFloat(br_bits));
+}
+
+// int8: pre_r = (act_scale·scale_j)·acc + br, the product rounded as
+// QuantizedMatMul forms it. x does not enter: QuantizeSymmetric
+// saturates it to ±127 (NaN to −127), and the weights are saturated to
+// ±127, so |acc| ≤ 127²·C (a −128 read from a sidecar stays inside the
+// 2^28 of headroom below FLT_MAX).
+bool ResetGateSkipIsExact(const quant::LinearQuant& op, const Tensor& br) {
+  const std::int64_t h = br.size();
+  PELICAN_CHECK(op.n == 3 * h &&
+                    op.scales.size() == static_cast<std::size_t>(op.n),
+                "reset-gate check needs the fused [Wz|Wr|Wh] op");
+  bool finite = true;
+  float scale_max = 0.0F;
+  for (std::int64_t j = h; j < 2 * h; ++j) {
+    const float s =
+        std::fabs(op.act_scale * op.scales[static_cast<std::size_t>(j)]);
+    finite = finite && std::isfinite(s);
+    scale_max = std::max(scale_max, s);
+  }
+  const std::int32_t br_bits = MaxAbsBits(br);
+  return finite && br_bits < kInfBits &&
+         FarBelowOverflow(scale_max, 127.0F * 127.0F, op.k,
+                          BitsToFloat(br_bits));
+}
+
 Gru::Gru(std::int64_t input_size, std::int64_t units, Init init,
          bool return_sequences)
     : input_size_(input_size),
@@ -106,11 +142,11 @@ const float* Gru::RecurrentPanel() {
 //     NaN. h₀·[Uz|Ur] and (r₁ ⊙ h₀)·Uh are then sums of ±0 products,
 //     which start at +0.0F and so are +0; adding +0 to a GEMM output
 //     plus bias (never −0) changes no bit;
-//   - at L = 1, also the reset-gate projection, when in addition x, Wr
-//     and br are finite and |x|·|Wr|·C + |br| stays far below FLT_MAX:
-//     then pre_r is finite, r₁ lies in [0, 1], and nothing else reads
-//     it. The z and h columns are the same GEMM's columns: the kernel's
-//     per-element order depends on k alone.
+//   - at L = 1, also the reset-gate projection, when in addition
+//     ResetGateSkipIsExact holds: then pre_r is finite, r₁ lies in
+//     [0, 1], and nothing else reads it. The z and h columns are the
+//     same GEMM's columns: the kernel's per-element order depends on k
+//     alone.
 Tensor Gru::TrainForward(const Tensor& x) {
   PELICAN_CHECK(quant_mode_ != quant::Mode::kInt8,
                 "int8 forward is inference-only");
@@ -136,16 +172,9 @@ Tensor Gru::TrainForward(const Tensor& x) {
       std::max({MaxAbsBits(uz_), MaxAbsBits(ur_), MaxAbsBits(uh_)});
   first_step_fast_ = u_bits < kInfBits;
   u_abs_max_ = BitsToFloat(u_bits);
-  reset_gate_skipped_ = false;
-  if (first_step_fast_ && len == 1) {
-    const std::int32_t x_bits = MaxAbsBits(x);
-    const std::int32_t wr_bits = MaxAbsBits(wr_);
-    const std::int32_t br_bits = MaxAbsBits(br_);
-    reset_gate_skipped_ =
-        std::max({x_bits, wr_bits, br_bits}) < kInfBits &&
-        FarBelowOverflow(BitsToFloat(x_bits), BitsToFloat(wr_bits), c,
-                         BitsToFloat(br_bits));
-  }
+  reset_gate_skipped_ =
+      first_step_fast_ && len == 1 &&
+      ResetGateSkipIsExact(x.data().data(), x.size(), wr_, br_);
 
   Workspace::Scope scope;
   float* proj = Workspace::Tls().Alloc(static_cast<std::size_t>(n * len * h3));
@@ -278,6 +307,10 @@ Tensor Gru::TrainForward(const Tensor& x) {
 // (r ⊙ h₀)·Uh is NaN across the row, so Score writes NaN into that row
 // of pre_h itself. Same elementwise formulas otherwise; the tanh runs
 // in place on each row's pre_h span, which is scratch here.
+//
+// At L = 1 a call whose inputs pass ResetGateSkipIsExact (the
+// paper's (1, D) records, in practice every call) leaves out the reset
+// gate as well: ScoreWithoutResetGate.
 Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
   PELICAN_CHECK(x.rank() == 3 && x.dim(2) == input_size_,
                 "GRU expects (N, L, C_in)");
@@ -286,6 +319,12 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
   const Tensor* gate_w[3] = {&wz_, &wr_, &wh_};
   const Tensor* gate_b[3] = {&bz_, &br_, &bh_};
   ctx.Record(qop_, x.data().data(), x.size());
+  if (len == 1 &&
+      (quant_mode_ == quant::Mode::kInt8
+           ? ResetGateSkipIsExact(qop_, br_)
+           : ResetGateSkipIsExact(x.data().data(), x.size(), wr_, br_))) {
+    return ScoreWithoutResetGate(x, ctx);
+  }
 
   Workspace::Scope scope(ctx.workspace());
   float* proj = ctx.Alloc(static_cast<std::size_t>(n * len * h3));
@@ -386,6 +425,54 @@ Tensor Gru::Score(const Tensor& x, InferenceContext& ctx) const {
     hprev = std::move(hnew);
   }
   if (!return_sequences_) return hprev;
+  return y;
+}
+
+// Score's one step when the reset gate is provably dead. The full path
+// computes pre_r, r₁ ⊙ h₀ (±0 for the finite pre_r the check proves,
+// so its NaN-row scan finds nothing) and nothing else reads them; the
+// z and h columns come from the same GEMMs (fp32: one per gate from
+// the masters; int8: the z and h column windows of the fused op, x
+// quantized once), the same bias adds and the same formulas, with
+// h₀ = +0 as a constant. h₁ is written straight into y, whose (N, 1, H)
+// and (N, H) forms share one layout.
+Tensor Gru::ScoreWithoutResetGate(const Tensor& x,
+                                  InferenceContext& ctx) const {
+  const std::int64_t n = x.dim(0), c = input_size_;
+  const std::int64_t h = units_, h3 = 3 * units_;
+  Workspace::Scope scope(ctx.workspace());
+  float* proj = ctx.Alloc(static_cast<std::size_t>(n * h3));  // r unwritten
+  if (quant_mode_ == quant::Mode::kInt8) {
+    const quant::Columns z_and_h[] = {{0, h}, {2 * h, h}};
+    quant::QuantizedMatMulColumns(x.data().data(), n, c, qop_, z_and_h, proj,
+                                  h3);
+  } else {
+    kernels::Gemm(false, false, n, h, c, x.data().data(), c,
+                  wz_.data().data(), h, proj, h3, /*accumulate=*/false);
+    kernels::Gemm(false, false, n, h, c, x.data().data(), c,
+                  wh_.data().data(), h, proj + 2 * h, h3,
+                  /*accumulate=*/false);
+  }
+
+  Tensor y = return_sequences_ ? Tensor({n, 1, h}) : Tensor({n, h});
+  float* yp = y.data().data();
+  const float* bz = bz_.data().data();
+  const float* bh = bh_.data().data();
+  constexpr float kH0 = 0.0F;
+  ParallelRows(n, h, [&](std::int64_t i) {
+    float* pre_z = proj + i * h3;
+    float* pre_h = pre_z + 2 * h;
+    for (std::int64_t j = 0; j < h; ++j) {
+      pre_z[j] += bz[j];
+      pre_h[j] += bh[j];
+    }
+    kernels::Tanh(pre_h, pre_h, h);  // in place: proj is scratch
+    float* out = yp + i * h;
+    for (std::int64_t j = 0; j < h; ++j) {
+      const float z = HardSigmoidF(pre_z[j]);
+      out[j] = z * kH0 + (1.0F - z) * pre_h[j];
+    }
+  });
   return y;
 }
 

@@ -16,6 +16,20 @@
 
 namespace pelican::nn {
 
+// Whether a one-step (L = 1) call may skip the reset gate without
+// changing a byte: with h₀ = 0 the gate only feeds r₁ ⊙ h₀, which is ±0
+// when pre_r is finite (r₁ ∈ [0, 1]). These prove pre_r finite from
+// the call's inputs; the training pass and Score run them on every
+// call, so no bound can outlive a weight write (gru.cpp).
+//   fp32: x (the call's `count` inputs), Wr and br are finite, and
+//         max|x|·max|Wr|·C + max|br| < 2^100, C = Wr's rows;
+//   int8: br and the dequantize scale act_scale·scale_j of every r
+//         column (columns [H, 2H) of the fused [Wz|Wr|Wh] op) are
+//         finite, and max(act_scale·scale_j)·127²·C + max|br| < 2^100.
+bool ResetGateSkipIsExact(const float* x, std::int64_t count,
+                          const Tensor& wr, const Tensor& br);
+bool ResetGateSkipIsExact(const quant::LinearQuant& op, const Tensor& br);
+
 class Gru final : public Layer {
  public:
   Gru(std::int64_t input_size, std::int64_t units, Init init,
@@ -39,6 +53,8 @@ class Gru final : public Layer {
   // paper's L = 1 a fast pass never reads it, so it is neither built
   // nor refreshed there.
   const float* RecurrentPanel();
+  // Score at L = 1 when ResetGateSkipIsExact holds (gru.cpp).
+  Tensor ScoreWithoutResetGate(const Tensor& x, InferenceContext& ctx) const;
   // Backward's first step when the forward took the fast one (gru.cpp).
   bool FastFirstStepGates(const Tensor& dh, float* g) const;
   void ComputeSkippedResetGate();

@@ -88,21 +88,29 @@ void FreezeActivationScale(LinearQuant& q) {
 
 namespace {
 
-// QuantizedMatMul over a given int8 GEMM: quantize x, one int32 GEMM,
-// then dequantize y = (act_scale · scale_j) · acc. The per-column
-// products are formed once per call; each is the same rounded float the
+// QuantizedMatMul over a given int8 GEMM and windows of q's output
+// columns: quantize x once, then per window one int32 GEMM and the
+// dequantize y = (act_scale · scale_j) · acc. The per-column products
+// are formed once per call; each is the same rounded float the
 // left-to-right `act_scale * scale_j * acc` forms first, so y keeps
 // that expression's bytes, and the loop over j vectorizes (this file
 // builds at -O3; no -ffast-math, no contraction).
 template <typename GemmInt8Fn>
 void QuantizedMatMulOn(GemmInt8Fn&& gemm, const float* x, std::int64_t m,
                        std::int64_t k, const LinearQuant& q,
-                       std::int64_t row_offset, float* y, std::int64_t ldy) {
+                       std::int64_t row_offset,
+                       std::span<const Columns> windows, float* y,
+                       std::int64_t ldy) {
   PELICAN_CHECK(q.Ready(), "quantized matmul on unfrozen op " + q.name);
   PELICAN_CHECK(row_offset >= 0 && row_offset + k <= q.k,
                 "quantized matmul row window out of range for " + q.name);
-  if (m <= 0) return;
   const std::int64_t n = q.n;
+  for (const Columns& w : windows) {
+    PELICAN_CHECK(w.begin >= 0 && w.count >= 0 && w.begin + w.count <= n,
+                  "quantized matmul column window out of range for " +
+                      q.name);
+  }
+  if (m <= 0) return;
   Workspace::Scope scope;
   Workspace& ws = Workspace::Tls();
   // int8/int32 scratch carved from the float arena (same byte widths).
@@ -111,16 +119,22 @@ void QuantizedMatMulOn(GemmInt8Fn&& gemm, const float* x, std::int64_t m,
   QuantizeSymmetric(x, m * k, 1.0F / q.act_scale, xq);
   auto* acc = reinterpret_cast<std::int32_t*>(
       ws.Alloc(static_cast<std::size_t>(m * n)));
-  gemm(m, n, k, xq, k, q.data.data() + row_offset * n, n, acc, n, false);
   float* col_scale = ws.Alloc(static_cast<std::size_t>(n));
   const float act_scale = q.act_scale;
   const float* scales = q.scales.data();
-  for (std::int64_t j = 0; j < n; ++j) col_scale[j] = act_scale * scales[j];
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int32_t* arow = acc + i * n;
-    float* yrow = y + i * ldy;
-    for (std::int64_t j = 0; j < n; ++j) {
-      yrow[j] = col_scale[j] * static_cast<float>(arow[j]);
+  for (const Columns& w : windows) {
+    const std::int64_t j0 = w.begin, j1 = w.begin + w.count;
+    gemm(m, w.count, k, xq, k, q.data.data() + row_offset * n + j0, n,
+         acc + j0, n, false);
+    for (std::int64_t j = j0; j < j1; ++j) {
+      col_scale[j] = act_scale * scales[j];
+    }
+    for (std::int64_t i = 0; i < m; ++i) {
+      const std::int32_t* arow = acc + i * n;
+      float* yrow = y + i * ldy;
+      for (std::int64_t j = j0; j < j1; ++j) {
+        yrow[j] = col_scale[j] * static_cast<float>(arow[j]);
+      }
     }
   }
 }
@@ -130,16 +144,25 @@ void QuantizedMatMulOn(GemmInt8Fn&& gemm, const float* x, std::int64_t m,
 void QuantizedMatMul(const float* x, std::int64_t m, std::int64_t k,
                      const LinearQuant& q, std::int64_t row_offset, float* y,
                      std::int64_t ldy) {
-  QuantizedMatMulOn(kernels::GemmInt8, x, m, k, q, row_offset, y, ldy);
+  const Columns all[] = {{0, q.n}};
+  QuantizedMatMulOn(kernels::GemmInt8, x, m, k, q, row_offset, all, y, ldy);
+}
+
+void QuantizedMatMulColumns(const float* x, std::int64_t m, std::int64_t k,
+                            const LinearQuant& q,
+                            std::span<const Columns> windows, float* y,
+                            std::int64_t ldy) {
+  QuantizedMatMulOn(kernels::GemmInt8, x, m, k, q, 0, windows, y, ldy);
 }
 
 void QuantizedMatMulWith(kernels::Isa isa, const float* x, std::int64_t m,
                          std::int64_t k, const LinearQuant& q,
                          std::int64_t row_offset, float* y,
                          std::int64_t ldy) {
+  const Columns all[] = {{0, q.n}};
   QuantizedMatMulOn(
       [isa](auto... args) { kernels::GemmInt8With(isa, args...); }, x, m, k,
-      q, row_offset, y, ldy);
+      q, row_offset, all, y, ldy);
 }
 
 }  // namespace pelican::quant

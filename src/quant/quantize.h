@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,24 @@ void FreezeActivationScale(LinearQuant& q);
 void QuantizedMatMul(const float* x, std::int64_t m, std::int64_t k,
                      const LinearQuant& q, std::int64_t row_offset, float* y,
                      std::int64_t ldy);
+
+// A window of an op's output columns: [begin, begin + count).
+struct Columns {
+  std::int64_t begin = 0;
+  std::int64_t count = 0;
+};
+
+// QuantizedMatMul (row_offset 0) over some of q's output columns only:
+// x is quantized once, the integer GEMM runs once per window on that
+// window's columns of q.data in place, and y is written at the
+// windows' columns and nowhere else. Each element it writes has
+// QuantizedMatMul's bytes: the integer sums are exact, and the
+// dequantize is per element. The GRU's Score reads the z and h windows
+// of its fused [Wz|Wr|Wh] op this way.
+void QuantizedMatMulColumns(const float* x, std::int64_t m, std::int64_t k,
+                            const LinearQuant& q,
+                            std::span<const Columns> windows, float* y,
+                            std::int64_t ldy);
 
 // Test and bench seam, not a user option: QuantizedMatMul with its
 // integer GEMM on a given tier, which must be in

@@ -231,6 +231,72 @@ void MicroKernelSse2(std::int64_t kc, const float* __restrict__ ap,
   }
 }
 
+#if defined(PELICAN_WIDE_TIERS)
+// GemmSmallM on the AVX-512 tier: 16 columns per register, in blocks of
+// 8 independent accumulators (128 columns) that hide the add's latency.
+// Each lane runs the SSE2 loop's arithmetic for its column (from 0.0F,
+// k ascending inside each kKc panel, a multiply then an add, the first
+// panel of a non-accumulating call stored into C and every later one
+// added), so it writes that loop's bytes. Masked loads and stores cover
+// a block's live columns; nothing past them is read or written.
+[[gnu::target("avx512f")]] void GemmSmallMAvx512(
+    bool trans_a, std::int64_t m, std::int64_t n, std::int64_t k,
+    const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
+    float* c, std::int64_t ldc, bool accumulate) {
+  constexpr std::int64_t kLanes = 16, kRegs = 8;
+  const std::int64_t a_step = trans_a ? lda : 1;  // along k within a row
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = trans_a ? a + i : a + i * lda;
+    for (std::int64_t j0 = 0; j0 < n; j0 += kLanes * kRegs) {
+      __mmask16 live[kRegs];
+#pragma GCC unroll 8
+      for (std::int64_t r = 0; r < kRegs; ++r) {
+        const std::int64_t w =
+            std::clamp<std::int64_t>(n - j0 - r * kLanes, 0, kLanes);
+        live[r] = static_cast<__mmask16>((1U << w) - 1U);
+      }
+      float* cblock = c + i * ldc + j0;
+      for (std::int64_t pc = 0; pc < k; pc += kKc) {
+        const std::int64_t kc = std::min(kKc, k - pc);
+        __m512 acc[kRegs];
+#pragma GCC unroll 8
+        for (std::int64_t r = 0; r < kRegs; ++r) acc[r] = _mm512_setzero_ps();
+        for (std::int64_t p = pc; p < pc + kc; ++p) {
+          const __m512 ap = _mm512_set1_ps(arow[p * a_step]);
+          const float* brow = b + p * ldb + j0;
+#pragma GCC unroll 8
+          for (std::int64_t r = 0; r < kRegs; ++r) {
+            const __m512 bv = _mm512_maskz_loadu_ps(live[r], brow + r * kLanes);
+            acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(ap, bv));
+          }
+        }
+        const bool store = pc == 0 && !accumulate;
+#pragma GCC unroll 8
+        for (std::int64_t r = 0; r < kRegs; ++r) {
+          float* cv = cblock + r * kLanes;
+          const __m512 sum =
+              store ? acc[r]
+                    : _mm512_add_ps(_mm512_maskz_loadu_ps(live[r], cv), acc[r]);
+          _mm512_mask_storeu_ps(cv, live[r], sum);
+        }
+      }
+    }
+  }
+}
+#endif
+
+using SmallMGemmFn = void (*)(bool, std::int64_t, std::int64_t, std::int64_t,
+                              const float*, std::int64_t, const float*,
+                              std::int64_t, float*, std::int64_t, bool);
+
+SmallMGemmFn SmallMGemmFor(Isa isa) {
+#if defined(PELICAN_WIDE_TIERS)
+  if (isa == Isa::kAvx512) return GemmSmallMAvx512;
+#endif
+  (void)isa;
+  return GemmSmallM;
+}
+
 using MicroKernelFn = void (*)(std::int64_t, const float*, const float*,
                                float*);
 
@@ -328,7 +394,7 @@ void GemmOn(Isa isa, bool trans_a, bool trans_b, std::int64_t m,
     return;
   }
   if (m < kSmallM && !trans_b) {
-    GemmSmallM(trans_a, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+    SmallMGemmFor(isa)(trans_a, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
     return;
   }
   PackedGemmFor(isa)(trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc,
@@ -463,6 +529,104 @@ void PackAI8(const std::int8_t* a, std::int64_t lda, std::int64_t i0,
   }
 }
 
+#if defined(PELICAN_WIDE_TIERS)
+// Word indices for a two-source permute that interleaves units of s
+// int32 words of source a (0–15) with those of source b (16–31):
+// entries 0–15 take the units of each source's first 8 words, 16–31
+// those of its last 8.
+constexpr std::array<std::int32_t, 32> UnitInterleave(std::int64_t s) {
+  std::array<std::int32_t, 32> idx{};
+  for (std::int64_t e = 0; e < 32; ++e) {
+    const std::int64_t f = e % 16, unit = f / s;
+    idx[static_cast<std::size_t>(e)] = static_cast<std::int32_t>(
+        (unit % 2 == 0 ? 0 : 16) + (e / 16) * 8 + (unit / 2) * s + f % s);
+  }
+  return idx;
+}
+constexpr auto kUnit1 = UnitInterleave(1);
+constexpr auto kUnit2 = UnitInterleave(2);
+constexpr auto kUnit4 = UnitInterleave(4);
+
+// `count` (≤ 32) bytes of one row sign-extended to int16 lanes, zeros
+// past them; bytes past `count` are not read. 32 bytes are one
+// unmasked load.
+[[gnu::target("avx512f,avx512bw")]] inline __m512i WidenI8(
+    const std::int8_t* row, std::int64_t count) {
+  if (count == 32) {
+    return _mm512_cvtepi8_epi16(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row)));
+  }
+  return WidenRowI8((__mmask64{1} << count) - 1, row);
+}
+
+// PackAI8 for the AVX-512 tier (Mr = 8), 16 k-pairs of a sliver per
+// step. A row's bytes widened to int16 (WidenI8), read as int32 words,
+// are its pair-words [k₂ₚ | k₂ₚ₊₁ << 16], with 0 in the second half of
+// an odd kc's last pair; rows past the sliver's live height are 0.
+// Three levels of two-source permutes, interleaving units of 1, 2 and
+// then 4 words, transpose the 8 rows × 16 pairs into the sliver's
+// pair-major layout, and pairs past kc2 are not stored. Those are the
+// scalar packer's words, lane for lane: the packer only moves exact
+// integers.
+[[gnu::target("avx512f,avx512bw")]] void PackAI8Avx512(
+    const std::int8_t* a, std::int64_t lda, std::int64_t i0, std::int64_t p0,
+    std::int64_t mc, std::int64_t kc, std::int32_t* dst) {
+  constexpr std::int64_t kMr = TileOf(Isa::kAvx512).mr;
+  static_assert(kMr == 8, "three interleave levels transpose 8 rows");
+  const __m512i u1[2] = {_mm512_loadu_si512(kUnit1.data()),
+                         _mm512_loadu_si512(kUnit1.data() + 16)};
+  const __m512i u2[2] = {_mm512_loadu_si512(kUnit2.data()),
+                         _mm512_loadu_si512(kUnit2.data() + 16)};
+  const __m512i u4[2] = {_mm512_loadu_si512(kUnit4.data()),
+                         _mm512_loadu_si512(kUnit4.data() + 16)};
+  const std::int64_t kc2 = (kc + 1) / 2;
+  for (std::int64_t is = 0; is < mc; is += kMr) {
+    const std::int64_t h = std::min(kMr, mc - is);
+    const std::int8_t* rows = a + (i0 + is) * lda + p0;
+    for (std::int64_t kb = 0; kb < kc2; kb += 16) {
+      const std::int64_t count = std::min<std::int64_t>(32, kc - 2 * kb);
+      __m512i w[kMr];
+#pragma GCC unroll 8
+      for (std::int64_t r = 0; r < kMr; ++r) {
+        w[r] = r < h ? WidenI8(rows + r * lda + 2 * kb, count)
+                     : _mm512_setzero_si512();
+      }
+      // Rows 2q and 2q+1 word by word: pairs 0–7, then 8–15.
+      __m512i l1[kMr];
+#pragma GCC unroll 4
+      for (std::int64_t q = 0; q < 4; ++q) {
+        l1[2 * q] = _mm512_permutex2var_epi32(w[2 * q], u1[0], w[2 * q + 1]);
+        l1[2 * q + 1] =
+            _mm512_permutex2var_epi32(w[2 * q], u1[1], w[2 * q + 1]);
+      }
+      // Rows 0–3 (g < 4) and 4–7 (g ≥ 4), four pairs each: pairs
+      // 4·(g mod 4) to 4·(g mod 4) + 3.
+      __m512i l2[kMr];
+#pragma GCC unroll 2
+      for (std::int64_t half = 0; half < 2; ++half) {
+        const __m512i* src = l1 + 4 * half;
+        l2[4 * half + 0] = _mm512_permutex2var_epi32(src[0], u2[0], src[2]);
+        l2[4 * half + 1] = _mm512_permutex2var_epi32(src[0], u2[1], src[2]);
+        l2[4 * half + 2] = _mm512_permutex2var_epi32(src[1], u2[0], src[3]);
+        l2[4 * half + 3] = _mm512_permutex2var_epi32(src[1], u2[1], src[3]);
+      }
+      // All 8 rows of pairs kb + 2t and kb + 2t + 1.
+#pragma GCC unroll 8
+      for (std::int64_t t = 0; t < kMr; ++t) {
+        const std::int64_t first = kb + 2 * t;
+        if (first >= kc2) break;
+        const __m512i out =
+            _mm512_permutex2var_epi32(l2[t / 2], u4[t % 2], l2[4 + t / 2]);
+        const auto live =
+            static_cast<__mmask16>(first + 1 < kc2 ? 0xffff : 0x00ff);
+        _mm512_mask_storeu_epi32(dst + first * kMr, live, out);
+      }
+    }
+    dst += kc2 * kMr;
+  }
+}
+#endif
+
 // One mr×nr tile over kc2 packed k-pairs: acc = Σ Aᵣ·Bⱼ. Integer
 // arithmetic is exact, so every tier (and the scalar fallback) writes
 // identical bytes.
@@ -588,6 +752,97 @@ void MicroKernelI8Sse2(std::int64_t kc2, const std::int32_t* __restrict__ ap,
   }
 }
 
+#if defined(PELICAN_WIDE_TIERS)
+// M rows (M < kSmallM) of GemmInt8SmallM on the AVX-512BW+VNNI tier:
+// per 32-column block and k-pair, B's two rows are widened and
+// interleaved in registers as PackBI8Avx512 packs them (unmasked
+// 32-byte loads where the block is full), and each row's pair-word
+// meets them in one vpdpwssd per 16 columns. Integer sums are exact,
+// so these are the SSE2 loop's bytes.
+template <std::int64_t M>
+[[gnu::target("avx512f,avx512bw,avx512vnni")]] void GemmInt8RowsAvx512(
+    std::int64_t n, std::int64_t k, const std::int8_t* a, std::int64_t lda,
+    const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
+    std::int64_t ldc, bool accumulate) {
+  constexpr std::int64_t kNr = TileOf(Isa::kAvx512).nr;
+  const __m512i lo_idx = _mm512_loadu_si512(kPairInterleave.data());
+  const __m512i hi_idx = _mm512_loadu_si512(kPairInterleave.data() + kNr);
+  const std::int64_t k2 = (k + 1) / 2;
+  for (std::int64_t j0 = 0; j0 < n; j0 += kNr) {
+    const std::int64_t w = std::min(kNr, n - j0);
+    const __mmask64 live = (__mmask64{1} << w) - 1;
+    __m512i lo[M];
+    __m512i hi[M];
+#pragma GCC unroll 3
+    for (std::int64_t r = 0; r < M; ++r) {
+      lo[r] = _mm512_setzero_si512();
+      hi[r] = _mm512_setzero_si512();
+    }
+    for (std::int64_t p = 0; p < k2; ++p) {
+      const std::int8_t* row0 = b + 2 * p * ldb + j0;
+      const bool has_k1 = 2 * p + 1 < k;
+      const __m512i k0 = WidenI8(row0, w);
+      const __m512i k1 =
+          has_k1 ? WidenI8(row0 + ldb, w) : _mm512_setzero_si512();
+      const __m512i b0 = _mm512_permutex2var_epi16(k0, lo_idx, k1);
+      const __m512i b1 = _mm512_permutex2var_epi16(k0, hi_idx, k1);
+#pragma GCC unroll 3
+      for (std::int64_t r = 0; r < M; ++r) {
+        const std::int8_t* ar = a + r * lda + 2 * p;
+        const __m512i aw = _mm512_set1_epi32(
+            PairWord(ar[0], has_k1 ? ar[1] : std::int8_t{0}));
+        lo[r] = _mm512_dpwssd_epi32(lo[r], aw, b0);
+        hi[r] = _mm512_dpwssd_epi32(hi[r], aw, b1);
+      }
+    }
+    const auto lo_live = static_cast<__mmask16>(live);
+    const auto hi_live = static_cast<__mmask16>(live >> 16);
+#pragma GCC unroll 3
+    for (std::int64_t r = 0; r < M; ++r) {
+      std::int32_t* cr = c + r * ldc + j0;
+      if (accumulate) {
+        lo[r] = _mm512_add_epi32(lo[r], _mm512_maskz_loadu_epi32(lo_live, cr));
+        hi[r] = _mm512_add_epi32(hi[r],
+                                 _mm512_maskz_loadu_epi32(hi_live, cr + 16));
+      }
+      _mm512_mask_storeu_epi32(cr, lo_live, lo[r]);
+      _mm512_mask_storeu_epi32(cr + 16, hi_live, hi[r]);
+    }
+  }
+}
+
+void GemmInt8SmallMAvx512(
+    std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
+    std::int64_t lda, const std::int8_t* b, std::int64_t ldb,
+    std::int32_t* c, std::int64_t ldc, bool accumulate) {
+  static_assert(kSmallM == 4, "one instance per row count below kSmallM");
+  switch (m) {
+    case 1:
+      GemmInt8RowsAvx512<1>(n, k, a, lda, b, ldb, c, ldc, accumulate);
+      return;
+    case 2:
+      GemmInt8RowsAvx512<2>(n, k, a, lda, b, ldb, c, ldc, accumulate);
+      return;
+    default:
+      GemmInt8RowsAvx512<3>(n, k, a, lda, b, ldb, c, ldc, accumulate);
+      return;
+  }
+}
+#endif
+
+using SmallMGemmInt8Fn = void (*)(std::int64_t, std::int64_t, std::int64_t,
+                                  const std::int8_t*, std::int64_t,
+                                  const std::int8_t*, std::int64_t,
+                                  std::int32_t*, std::int64_t, bool);
+
+SmallMGemmInt8Fn SmallMGemmInt8For(Isa isa) {
+#if defined(PELICAN_WIDE_TIERS)
+  if (isa == Isa::kAvx512) return GemmInt8SmallMAvx512;
+#endif
+  (void)isa;
+  return GemmInt8SmallM;
+}
+
 // Packed-panel scratch carved out of the float workspace arena
 // (64-byte aligned; counts round up to whole floats).
 std::int16_t* AllocI16(Workspace& ws, std::size_t count) {
@@ -602,8 +857,12 @@ using MicroKernelI8Fn = void (*)(std::int64_t, const std::int32_t*,
 using PackBI8Fn = void (*)(const std::int8_t*, std::int64_t, std::int64_t,
                            std::int64_t, std::int64_t, std::int64_t,
                            std::int16_t*);
+using PackAI8Fn = void (*)(const std::int8_t*, std::int64_t, std::int64_t,
+                           std::int64_t, std::int64_t, std::int64_t,
+                           std::int32_t*);
 
-template <Isa kIsa, MicroKernelI8Fn kKernel, PackBI8Fn kPackB>
+template <Isa kIsa, MicroKernelI8Fn kKernel, PackBI8Fn kPackB,
+          PackAI8Fn kPackA>
 void GemmInt8Packed(std::int64_t m, std::int64_t n, std::int64_t k,
                     const std::int8_t* a, std::int64_t lda,
                     const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
@@ -636,7 +895,7 @@ void GemmInt8Packed(std::int64_t m, std::int64_t n, std::int64_t k,
             std::int32_t* apanel =
                 AllocI32(Workspace::Tls(),
                          static_cast<std::size_t>(m_slivers * t.mr * kc2));
-            PackAI8<t.mr>(a, lda, ic, pc, mc, kc, apanel);
+            kPackA(a, lda, ic, pc, mc, kc, apanel);
             alignas(64) std::int32_t acc[t.mr * t.nr];
             for (std::int64_t js = 0; js < nc; js += t.nr) {
               const std::int16_t* bs = bpanel + (js / t.nr) * 2 * t.nr * kc2;
@@ -663,11 +922,12 @@ PackedGemmInt8Fn PackedGemmInt8For(Isa isa) {
 #if defined(PELICAN_WIDE_TIERS)
     case Isa::kAvx512:
       return GemmInt8Packed<Isa::kAvx512, MicroKernelI8Avx512,
-                            PackBI8Avx512>;
+                            PackBI8Avx512, PackAI8Avx512>;
 #endif
     default:
       return GemmInt8Packed<Isa::kSse2, MicroKernelI8Sse2,
-                            PackBI8<TileOf(Isa::kSse2).nr>>;
+                            PackBI8<TileOf(Isa::kSse2).nr>,
+                            PackAI8<TileOf(Isa::kSse2).mr>>;
   }
 }
 
@@ -691,7 +951,7 @@ void GemmInt8On(Isa isa, std::int64_t m, std::int64_t n, std::int64_t k,
     return;
   }
   if (m < kSmallM) {
-    GemmInt8SmallM(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+    SmallMGemmInt8For(isa)(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
     return;
   }
   PackedGemmInt8For(isa)(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
@@ -929,6 +1189,72 @@ void TanhOn(Isa isa, const float* x, float* y, std::int64_t n) {
   TanhBase(x, y, n);
 }
 
+// The base tier: 16 lanes the compiler vectorizes (SSE2: 4 at a time).
+std::int32_t MaxAbsBitsBase(const float* p, std::int64_t n) {
+  constexpr std::int64_t kLanes = 16;
+  const auto abs_bits = [](float v) {
+    return std::bit_cast<std::int32_t>(v) & 0x7fffffff;
+  };
+  std::array<std::int32_t, kLanes> lane{};
+  std::int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (std::int64_t l = 0; l < kLanes; ++l) {
+      lane[l] = std::max(lane[l], abs_bits(p[i + l]));
+    }
+  }
+  std::int32_t m = 0;
+  for (; i < n; ++i) m = std::max(m, abs_bits(p[i]));
+  for (const std::int32_t v : lane) m = std::max(m, v);
+  return m;
+}
+
+#if defined(PELICAN_WIDE_TIERS)
+// 16 lanes per register and 4 registers per step, so no max waits on
+// the one before; the tail is one masked load (masked-off lanes read
+// as +0, which no |v| is below). An integer max in any order gives the
+// base tier's value.
+[[gnu::target("avx512f")]] inline __m512i MaxAbsLanes(__m512i m, __m512i v) {
+  return _mm512_maskz_max_epi32(kAllLanes, m,
+                                _mm512_and_si512(v, SplatI(0x7fffffffU)));
+}
+
+[[gnu::target("avx512f")]] std::int32_t MaxAbsBitsAvx512(const float* p,
+                                                       std::int64_t n) {
+  constexpr std::int64_t kLanes = 16;
+  __m512i m[4];
+#pragma GCC unroll 4
+  for (auto& v : m) v = _mm512_setzero_si512();
+  std::int64_t i = 0;
+  for (; i + 4 * kLanes <= n; i += 4 * kLanes) {
+#pragma GCC unroll 4
+    for (std::int64_t r = 0; r < 4; ++r) {
+      m[r] = MaxAbsLanes(m[r], _mm512_loadu_si512(p + i + r * kLanes));
+    }
+  }
+  for (; i + kLanes <= n; i += kLanes) {
+    m[0] = MaxAbsLanes(m[0], _mm512_loadu_si512(p + i));
+  }
+  if (i < n) {
+    const auto tail = static_cast<__mmask16>((1U << (n - i)) - 1U);
+    m[1] = MaxAbsLanes(m[1], _mm512_maskz_loadu_epi32(tail, p + i));
+  }
+  alignas(64) std::int32_t lanes[kLanes];
+  _mm512_store_si512(lanes, _mm512_maskz_max_epi32(
+                                kAllLanes,
+                                _mm512_maskz_max_epi32(kAllLanes, m[0], m[1]),
+                                _mm512_maskz_max_epi32(kAllLanes, m[2], m[3])));
+  return *std::max_element(lanes, lanes + kLanes);
+}
+#endif
+
+std::int32_t MaxAbsBitsOn(Isa isa, const float* p, std::int64_t n) {
+#if defined(PELICAN_WIDE_TIERS)
+  if (isa == Isa::kAvx512) return MaxAbsBitsAvx512(p, n);
+#endif
+  (void)isa;
+  return MaxAbsBitsBase(p, n);
+}
+
 }  // namespace
 
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
@@ -975,21 +1301,14 @@ void TanhWith(Isa isa, const float* x, float* y, std::int64_t n) {
 }
 
 std::int32_t MaxAbsBits(const float* p, std::int64_t n) {
-  constexpr std::int64_t kLanes = 16;
-  const auto abs_bits = [](float v) {
-    return std::bit_cast<std::int32_t>(v) & 0x7fffffff;
-  };
-  std::array<std::int32_t, kLanes> lane{};
-  std::int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (std::int64_t l = 0; l < kLanes; ++l) {
-      lane[l] = std::max(lane[l], abs_bits(p[i + l]));
-    }
-  }
-  std::int32_t m = 0;
-  for (; i < n; ++i) m = std::max(m, abs_bits(p[i]));
-  for (const std::int32_t v : lane) m = std::max(m, v);
-  return m;
+  return MaxAbsBitsOn(Selected().fp32, p, n);
+}
+
+std::int32_t MaxAbsBitsWith(Isa isa, const float* p, std::int64_t n) {
+  PELICAN_CHECK(HostRuns(isa, false), "MaxAbsBits tier " +
+                                          TierName(isa, false) +
+                                          " is not supported on this host");
+  return MaxAbsBitsOn(isa, p, n);
 }
 
 std::string TierName(Isa isa, bool int8) {

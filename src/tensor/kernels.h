@@ -6,7 +6,8 @@
 // use, from CPUID and the registers the OS saves (__builtin_cpu_supports):
 //   fp32: SSE2 4×8 (portable loop), AVX-512F 8×32;
 //   int8: SSE2 4×8 (pmaddwd), AVX-512BW+VNNI 8×32 (vpdpwssd).
-// Hosts without AVX-512 (int8: without AVX-512BW+VNNI) run SSE2.
+// Hosts without AVX-512 (int8: without AVX-512BW+VNNI) run SSE2. The
+// small-m (batch-1) loops, Tanh and MaxAbsBits follow the same pick.
 // Transposed operands are handled in the packing routines, so callers
 // can express A·B, Aᵀ·B and A·Bᵀ — including strided sub-views via
 // leading dimensions — against one entry point.
@@ -74,7 +75,9 @@ inline constexpr std::int64_t kSmallM = 4;
 //
 // Calls with m < kSmallM and B not transposed (batch-1 inference) read
 // B's rows in place instead of packing them, with the same per-element
-// order, so which path ran never changes a bit of C.
+// order, so which path ran never changes a bit of C. The small-m loop
+// has a tier of its own (AVX-512F: 16 columns per register), which
+// writes the SSE2 loop's bytes.
 void Gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
           std::int64_t k, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float* c, std::int64_t ldc, bool accumulate);
@@ -111,7 +114,8 @@ void Tanh(const float* x, float* y, std::int64_t n);
 // (bit_cast to float) as the largest magnitude. An integer max, so it
 // has no NaN case and its result does not depend on the order of the
 // scan: 16 independent lanes, reduced at the end, keep it off the
-// latency chain of one running max. 0 for n = 0.
+// latency chain of one running max. 0 for n = 0. Runs on the fp32 tier
+// (AVX-512F: 64 values per step); every tier returns the same value.
 std::int32_t MaxAbsBits(const float* p, std::int64_t n);
 
 // The tiers Gemm and GemmInt8 run on this host, e.g.
@@ -141,7 +145,9 @@ void GemmInt8With(Isa isa, std::int64_t m, std::int64_t n, std::int64_t k,
                   const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
                   std::int64_t ldc, bool accumulate);
 
-// Tanh on a given tier, which must be in SupportedIsas(false).
+// Tanh and MaxAbsBits on a given tier, which must be in
+// SupportedIsas(false).
 void TanhWith(Isa isa, const float* x, float* y, std::int64_t n);
+std::int32_t MaxAbsBitsWith(Isa isa, const float* p, std::int64_t n);
 
 }  // namespace pelican::kernels

@@ -1,23 +1,118 @@
-// The GRU training pass without any skip: every GEMM at every step,
-// the t = 0 recurrent ones on h₀ = 0 included, the reset gate at any L
-// and the full dh₀. It is nn::Gru's training pass as it stood before
-// the fast first step, kept as the reference that pass must equal byte
-// for byte: the same kernels::Gemm calls on the same fused panels, the
-// same bias and row-sum helpers and the same elementwise formulas in
-// the same order, written as plain loops (the layer's row sharding
-// cannot change a byte).
+// References for nn::Gru that skip nothing h₀ = 0 makes dead, each
+// the layer's own code as it stood before a skip, which the layer must
+// equal byte for byte: the same kernels::Gemm calls on the same
+// operands, the same bias and row-sum helpers and the same elementwise
+// formulas in the same order, written as plain loops (the layer's row
+// sharding cannot change a byte).
+//   ReferenceGru: the training pass without any skip, with every GEMM
+//     at every step, the t = 0 recurrent ones on h₀ = 0 included, the
+//     reset gate at any L and the full dh₀.
+//   ReferenceScore: Score with the reset gate at every step, including
+//     t = 0 at L = 1, and the t = 0 NaN-row scan.
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "nn/activations.h"
 #include "nn/gru.h"
+#include "quant/quantize.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace pelican::reference {
+
+// Gru::Score as it stood before it skipped the reset gate at L = 1: one
+// GEMM per gate from the per-gate masters (int8: the whole fused op),
+// every gate's bias, and per step z, r ⊙ h and the candidate. At t = 0
+// the recurrent GEMMs are left out (h₀ = 0, finite U), and a row whose
+// r ⊙ h₀ holds a NaN has its pre_h set to NaN, as the full (r ⊙ h₀)·Uh
+// would. `int8` says which engine `gru` is in.
+inline Tensor ReferenceScore(nn::Gru& gru, const Tensor& x, bool int8) {
+  std::map<std::string, const Tensor*> p;
+  for (auto& ref : gru.Params()) p[ref.name] = ref.value;
+  const std::int64_t n = x.dim(0), len = x.dim(1), c = x.dim(2);
+  const std::int64_t h = p.at("gru.wz")->dim(1), h3 = 3 * h;
+  std::vector<float> proj(static_cast<std::size_t>(n * len * h3));
+  if (int8) {
+    std::vector<quant::LinearQuant*> ops;
+    gru.CollectQuantOps(ops);
+    quant::QuantizedMatMul(x.data().data(), n * len, c, *ops.at(0), 0,
+                           proj.data(), h3);
+  } else {
+    const char* w[3] = {"gru.wz", "gru.wr", "gru.wh"};
+    for (int g = 0; g < 3; ++g) {
+      kernels::Gemm(false, false, n * len, h, c, x.data().data(), c,
+                    p.at(w[g])->data().data(), h, proj.data() + g * h, h3,
+                    false);
+    }
+  }
+  const char* b[3] = {"gru.bz", "gru.br", "gru.bh"};
+  for (std::int64_t i = 0; i < n * len; ++i) {
+    for (int g = 0; g < 3; ++g) {
+      for (std::int64_t j = 0; j < h; ++j) {
+        proj[static_cast<std::size_t>(i * h3 + g * h + j)] +=
+            p.at(b[g])->At(j);
+      }
+    }
+  }
+
+  const bool sequences = gru.return_sequences();
+  Tensor y = sequences ? Tensor({n, len, h}) : Tensor({n, h});
+  Tensor hprev({n, h});
+  const std::int64_t ld = len * h3;
+  for (std::int64_t t = 0; t < len; ++t) {
+    const float* hpv = hprev.data().data();
+    float* pt = proj.data() + t * h3;
+    if (t > 0) {
+      kernels::Gemm(false, false, n, h, h, hpv, h,
+                    p.at("gru.uz")->data().data(), h, pt, ld, true);
+      kernels::Gemm(false, false, n, h, h, hpv, h,
+                    p.at("gru.ur")->data().data(), h, pt + h, ld, true);
+    }
+    Tensor z({n, h}), rh({n, h});
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t j = 0; j < h; ++j) {
+        z.At(i, j) = nn::HardSigmoidF(pt[i * ld + j]);
+        rh.At(i, j) = nn::HardSigmoidF(pt[i * ld + h + j]) * hpv[i * h + j];
+      }
+    }
+    if (t > 0) {
+      kernels::Gemm(false, false, n, h, h, rh.data().data(), h,
+                    p.at("gru.uh")->data().data(), h, pt + 2 * h, ld, true);
+    } else {
+      for (std::int64_t i = 0; i < n; ++i) {
+        bool row_has_nan = false;
+        for (std::int64_t j = 0; j < h; ++j) {
+          row_has_nan = row_has_nan || std::isnan(rh.At(i, j));
+        }
+        if (row_has_nan) {
+          std::fill_n(pt + i * ld + 2 * h, h,
+                      std::numeric_limits<float>::quiet_NaN());
+        }
+      }
+    }
+    Tensor hnew({n, h});
+    for (std::int64_t i = 0; i < n; ++i) {
+      float* cand = pt + i * ld + 2 * h;
+      kernels::Tanh(cand, cand, h);
+      for (std::int64_t j = 0; j < h; ++j) {
+        const float zv = z.At(i, j);
+        hnew.At(i, j) = zv * hpv[i * h + j] + (1.0F - zv) * cand[j];
+      }
+    }
+    if (sequences) {
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t j = 0; j < h; ++j) y.At(i, t, j) = hnew.At(i, j);
+      }
+    }
+    hprev = std::move(hnew);
+  }
+  return sequences ? y : hprev;
+}
 
 class ReferenceGru {
  public:

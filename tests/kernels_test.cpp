@@ -379,6 +379,152 @@ TEST(Kernels, SmallMGemmInt8MatchesPackedRowsBitForBit) {
   EXPECT_EQ(cases, 480);
 }
 
+// The small-m loops have a tier of their own. Every tier's must write
+// the SSE2 loop's bytes over the whole C buffer (so the gutters of a
+// padded ldc stay untouched): m = 1–3, n one short of, at and past one
+// and two 16-lane registers, the paper's widths 121 and 363 and kNc ± 1,
+// k on either side of kKc, both A layouts, accumulating and
+// overwriting. Half the cases (AddSmallMSpecials) put −0 and
+// subnormals in A, B and C, a NaN, +inf and −inf in three columns of B
+// (one each, so no inf − inf), a −0 in A that meets the +inf (a NaN of
+// its own, in a column with no other NaN), and ±inf in C in columns
+// where B holds neither NaN nor inf.
+void AddSmallMSpecials(GemmCase& g, Rng& rng) {
+  const float sub = std::numeric_limits<float>::denorm_min();
+  for (std::int64_t i = 0; i < g.m; ++i) {
+    for (std::int64_t p = 0; p < g.k; p += 5) {
+      const std::int64_t q = p / 5;
+      g.A(i, p) = (q + i) % 3 == 0 ? -0.0F : (q % 3 == 1 ? sub : -1e-40F);
+    }
+  }
+  for (std::int64_t p = 1; p < g.k; p += 7) {
+    for (std::int64_t j = 0; j < g.n; j += 3) {
+      g.B(p, j) = j % 2 == 0 ? -0.0F : -sub;
+    }
+  }
+  if (g.n >= 3) {
+    const std::int64_t p = rng.Int(0, g.k - 1);
+    g.B(p, 0) = kNaN;
+    g.B(g.k - 1, 1) = kInf;
+    g.A(0, g.k - 1) = -0.0F;
+    g.B(0, 2) = -kInf;
+  }
+  for (std::int64_t i = 0; i < g.m; ++i) {
+    for (std::int64_t j = 3; j < g.n; j += 4) {
+      g.c[static_cast<std::size_t>(i * g.ldc + j)] =
+          j % 12 == 3 ? kInf : (j % 12 == 7 ? -kInf : -0.0F);
+    }
+  }
+}
+
+TEST(Kernels, SmallMEveryTierWritesSse2Bytes) {
+  const auto tiers = WideTiersOnThisHost(/*int8=*/false);
+  const std::int64_t kc = kernels::kKc, nc = kernels::kNc;
+  Rng rng(2027);
+  int cases = 0;
+  for (std::int64_t m : {1, 2, 3}) {
+    for (std::int64_t n : {std::int64_t{15}, std::int64_t{16},
+                           std::int64_t{17}, std::int64_t{31},
+                           std::int64_t{32}, std::int64_t{33},
+                           std::int64_t{121}, std::int64_t{363}, nc - 1,
+                           nc + 1}) {
+      for (std::int64_t k : {std::int64_t{1}, std::int64_t{7},
+                             std::int64_t{121}, kc - 1, kc, kc + 1,
+                             2 * kc + 5}) {
+        for (int form = 0; form < 8; ++form) {
+          const bool ta = (form & 1) != 0, accumulate = (form & 2) != 0;
+          const bool special = (form & 4) != 0;
+          GemmCase g(ta, /*tb=*/false, accumulate, m, n, k, 5, rng);
+          if (special) AddSmallMSpecials(g, rng);
+          const auto want = g.Run(kernels::Isa::kSse2);
+          for (std::int64_t i = 0; i < m; ++i) {
+            for (std::int64_t j = n; j < g.ldc; ++j) {
+              const auto idx = static_cast<std::size_t>(i * g.ldc + j);
+              ASSERT_EQ(std::memcmp(&want[idx], &g.c[idx], sizeof(float)), 0)
+                  << "gutter written: " << g.Name();
+            }
+          }
+          if (special && n >= 3) {
+            ASSERT_TRUE(std::isnan(want[0])) << g.Name();
+            ASSERT_TRUE(std::isnan(want[1])) << g.Name();
+            ASSERT_TRUE(std::isinf(want[2]) || std::isnan(want[2])) << g.Name();
+          }
+          for (const auto isa : tiers) {
+            const auto got = g.Run(isa);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << kernels::TierName(isa, false) << " " << g.Name()
+                << " special=" << special;
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3 * 10 * 7 * 8);
+}
+
+// The int8 small-m loops on every tier against SSE2's, at the same
+// shapes as the fp32 ones above, over the full int8 range (−128
+// included), accumulating and overwriting, padded leading dimensions
+// with their gutters checked.
+TEST(Kernels, SmallMEveryInt8TierWritesSse2Bytes) {
+  const auto tiers = WideTiersOnThisHost(/*int8=*/true);
+  const std::int64_t kc = kernels::kKc, nc = kernels::kNc;
+  Rng rng(2028);
+  const auto full_range = [&rng](std::size_t count) {
+    std::vector<std::int8_t> out(count);
+    for (auto& v : out) v = static_cast<std::int8_t>(rng.Int(-128, 127));
+    return out;
+  };
+  int cases = 0;
+  for (std::int64_t m : {1, 2, 3}) {
+    for (std::int64_t n : {std::int64_t{15}, std::int64_t{16},
+                           std::int64_t{17}, std::int64_t{31},
+                           std::int64_t{32}, std::int64_t{33},
+                           std::int64_t{121}, std::int64_t{363}, nc - 1,
+                           nc + 1}) {
+      for (std::int64_t k : {std::int64_t{1}, std::int64_t{2},
+                             std::int64_t{7}, std::int64_t{121}, kc - 1, kc,
+                             kc + 1, 2 * kc + 5}) {
+        for (bool accumulate : {false, true}) {
+          for (std::int64_t pad : {0, 5}) {
+            const std::int64_t lda = k + pad, ldb = n + pad, ldc = n + pad;
+            const auto a = full_range(static_cast<std::size_t>(m * lda));
+            const auto b = full_range(static_cast<std::size_t>(k * ldb));
+            std::vector<std::int32_t> c0(static_cast<std::size_t>(m * ldc));
+            for (auto& v : c0) {
+              v = static_cast<std::int32_t>(rng.Int(-100000, 100000));
+            }
+            const auto run = [&](kernels::Isa isa) {
+              std::vector<std::int32_t> c = c0;
+              kernels::GemmInt8With(isa, m, n, k, a.data(), lda, b.data(),
+                                    ldb, c.data(), ldc, accumulate);
+              return c;
+            };
+            const auto want = run(kernels::Isa::kSse2);
+            for (std::int64_t i = 0; i < m; ++i) {
+              for (std::int64_t j = n; j < ldc; ++j) {
+                const auto idx = static_cast<std::size_t>(i * ldc + j);
+                ASSERT_EQ(want[idx], c0[idx]) << "gutter written";
+              }
+            }
+            for (const auto isa : tiers) {
+              ASSERT_EQ(run(isa), want)
+                  << kernels::TierName(isa, true) << " m=" << m
+                  << " n=" << n << " k=" << k << " acc=" << accumulate
+                  << " pad=" << pad;
+            }
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3 * 10 * 8 * 4);
+}
+
 // Regression for the removed `if (av == 0.0F) continue;` fast paths: a
 // NaN anywhere in the weights must poison the output even when the
 // matching activation is exactly zero (0 · NaN = NaN, not 0). The old
@@ -744,6 +890,66 @@ TEST(KernelsMaxAbsBits, EqualsOneChainScan) {
     // Only specials: NaN payloads, infinities and zeros compete.
     for (float& x : v) x = specials[rng.Int(0, kSpecials - 1)];
     EXPECT_EQ(kernels::MaxAbsBits(v.data(), n), one_chain(v)) << "n=" << n;
+  }
+}
+
+// Every MaxAbsBits tier returns the one-chain scan's value, at lengths
+// 0–100 (short of, at and past one and four 16-lane registers) and
+// 14,641 (the paper's 121×121 Wr), from unaligned starts, with the
+// largest value placed in turn at every position (the first and last
+// 64 of the long buffer): NaN payloads of both signs, ±inf, FLT_MAX
+// and a subnormal, among small values and −0s; and an all −0 buffer,
+// whose value is 0. The floats around [p, p + n) are infinities, so a
+// tier that reads outside it fails on every finite peak.
+TEST(KernelsMaxAbsBits, EveryTierEqualsOneChainScan) {
+  const auto tiers = kernels::SupportedIsas(/*int8=*/false);
+  const auto one_chain = [](const float* p, std::int64_t n) {
+    std::int32_t m = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      m = std::max(m, std::bit_cast<std::int32_t>(p[i]) & 0x7fffffff);
+    }
+    return m;
+  };
+  const auto expect_tiers = [&](const float* p, std::int64_t n,
+                                const std::string& what) {
+    const std::int32_t want = one_chain(p, n);
+    for (const auto isa : tiers) {
+      ASSERT_EQ(kernels::MaxAbsBitsWith(isa, p, n), want)
+          << kernels::TierName(isa, false) << " n=" << n << " " << what;
+    }
+  };
+  const float peaks[] = {FloatOf(0x7fc12345U), FloatOf(0xffa00001U), kInf,
+                         -kInf, std::numeric_limits<float>::max(),
+                         -std::numeric_limits<float>::denorm_min()};
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 0; n <= 100; ++n) lengths.push_back(n);
+  lengths.push_back(121 * 121);
+  Rng rng(59);
+  for (const std::int64_t n : lengths) {
+    std::vector<float> buf(static_cast<std::size_t>(n + 32));
+    for (const std::int64_t off : {1, 3, 7, 16}) {
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        buf[i] = i % 2 == 0 ? kInf : -kInf;
+      }
+      float* p = buf.data() + off;
+      std::fill_n(p, n, -0.0F);
+      expect_tiers(p, n, "all -0, offset " + std::to_string(off));
+      for (std::int64_t i = 0; i < n; ++i) {
+        if (i % 5 != 0) p[i] = static_cast<float>(rng.Normal(0, 1e-3));
+      }
+      for (std::int64_t pos = 0; pos < n; ++pos) {
+        if (pos >= 64 && pos < n - 64) continue;
+        const float kept = p[pos];
+        for (const float peak : peaks) {
+          p[pos] = peak;
+          expect_tiers(p, n,
+                       "offset " + std::to_string(off) + " pos " +
+                           std::to_string(pos) + " peak bits " +
+                           std::to_string(BitsOf(peak)));
+        }
+        p[pos] = kept;
+      }
+    }
   }
 }
 

@@ -1170,6 +1170,191 @@ TEST(Gru, ScoreGateBytesMatchScalarFormulas) {
   }
 }
 
+// nn::ResetGateSkipIsExact, the one check both GRU passes run before
+// they leave out the reset gate at L = 1: true on modest inputs with
+// −0 and subnormal rows, false on each input that could make pre_r NaN
+// or infinite. fp32: NaN, ±inf and ±3e38 in x, a finite x whose x·Wr
+// overflows, NaN in Wr, NaN and ±inf in br. int8: NaN and ±inf in br,
+// r-column scale products that overflow, are NaN or exceed the bound
+// while finite; the z and h columns' scales are not its business.
+TEST(Gru, ResetGateSkipCheckHoldsOnlyWhenProvable) {
+  constexpr std::int64_t kIn = 12, kUnits = 20;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(45);
+  auto gru = MakeScoreGru(/*return_sequences=*/false, /*int8=*/true, rng);
+  std::map<std::string, Tensor*> param;
+  for (auto& p : gru->Params()) param[p.name] = p.value;
+  const Tensor& wr = *param["gru.wr"];
+  const Tensor& br = *param["gru.br"];
+  std::vector<quant::LinearQuant*> ops;
+  gru->CollectQuantOps(ops);
+  const quant::LinearQuant& op = *ops.at(0);
+
+  const auto fp32 = [](const Tensor& x, const Tensor& w, const Tensor& b) {
+    return nn::ResetGateSkipIsExact(x.data().data(), x.size(), w, b);
+  };
+  Tensor x = Tensor::RandomNormal({64, 1, kIn}, rng, 0, 1);
+  for (std::int64_t k = 0; k < kIn; ++k) {
+    x.At(0, 0, k) = -0.0F;
+    x.At(1, 0, k) = k % 2 == 0 ? 1e-40F : -1e-45F;
+  }
+  EXPECT_TRUE(fp32(x, wr, br));
+  for (const float v : {nan, inf, -inf, 3e38F, -3e38F}) {
+    Tensor bad = x;
+    bad.At(5, 0, 3) = v;
+    EXPECT_FALSE(fp32(bad, wr, br)) << "x holds " << v;
+  }
+  {
+    Tensor big_w = wr;
+    big_w.At(1, 1) = 1e36F;
+    big_w.At(2, 1) = -1e36F;
+    Tensor big_x = x;
+    big_x.At(3, 0, 1) = 1e3F;
+    big_x.At(3, 0, 2) = 1e3F;
+    EXPECT_FALSE(fp32(big_x, big_w, br)) << "x·Wr overflows";
+    big_w.At(4, 4) = nan;
+    EXPECT_FALSE(fp32(x, big_w, br)) << "NaN in Wr";
+  }
+  EXPECT_TRUE(nn::ResetGateSkipIsExact(op, br));
+  for (const float v : {nan, inf, -inf}) {
+    Tensor bad = br;
+    bad.At(7) = v;
+    EXPECT_FALSE(fp32(x, wr, bad)) << "br holds " << v;
+    EXPECT_FALSE(nn::ResetGateSkipIsExact(op, bad)) << "int8, br holds " << v;
+  }
+  const auto with_scale = [&](std::int64_t column, float product) {
+    quant::LinearQuant q = op;
+    q.scales[static_cast<std::size_t>(column)] = product / q.act_scale;
+    return nn::ResetGateSkipIsExact(q, br);
+  };
+  // 1e24·127²·12 < 2^100 < 1e25·127²·12.
+  EXPECT_TRUE(with_scale(kUnits + 3, 1e24F));
+  EXPECT_FALSE(with_scale(kUnits + 3, 1e25F)) << "over the bound";
+  EXPECT_FALSE(with_scale(2 * kUnits - 1, 1e25F)) << "over the bound";
+  EXPECT_FALSE(with_scale(kUnits + 3, nan)) << "NaN scale";
+  {
+    quant::LinearQuant q = op;
+    q.act_scale = 16.0F;
+    q.scales[kUnits + 3] = 1e38F;  // 1.6e39 overflows to inf
+    EXPECT_FALSE(nn::ResetGateSkipIsExact(q, br)) << "product overflows";
+  }
+  EXPECT_TRUE(with_scale(0, inf)) << "a z column";
+  EXPECT_TRUE(with_scale(2 * kUnits, inf)) << "an h column";
+}
+
+// Score skips the reset gate at L = 1 only on calls the check above
+// clears, and must write the bytes of the Score that never skips it
+// (tests/gru_reference.h) either way, NaN payloads included: fp32 and
+// int8, batch 1 and 3 (the GEMMs' small-m path), 64 and 70 (packed,
+// and past a row block), both return modes, L = 1 and, on the path
+// that never skips, L = 3.
+enum class ScoreCase {
+  kModest,         // N(0, 1)
+  kZeroRows,       // a row of −0 and a row of subnormals
+  kSaturating,     // N(0, 20): z at 0 or 1, so z·h₀ meets a −0
+  kNonFiniteRows,  // rows holding NaN, +inf and −inf
+  kHugeRows,       // a row of ±3e38
+  kWrOverflow,     // finite x whose x·Wr is inf − inf
+  kNaNInBr,        // r₁ NaN in every row
+  kInfInBr,        // r₁ at 0 and 1 in every row
+  kScaleOverflow,  // int8: r-column scale products overflow
+};
+
+constexpr ScoreCase kScoreCases[] = {
+    ScoreCase::kModest,      ScoreCase::kZeroRows,  ScoreCase::kSaturating,
+    ScoreCase::kNonFiniteRows, ScoreCase::kHugeRows, ScoreCase::kWrOverflow,
+    ScoreCase::kNaNInBr,     ScoreCase::kInfInBr,   ScoreCase::kScaleOverflow};
+
+TEST(Gru, ScoreMatchesReferenceScoreBytes) {
+  constexpr std::int64_t kIn = 12;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const bool int8 : {false, true}) {
+    for (const bool return_sequences : {false, true}) {
+      for (const std::int64_t len : {1, 3}) {
+        for (const std::int64_t batch : {1, 3, 64, 70}) {
+          for (const ScoreCase c : kScoreCases) {
+            if (c == ScoreCase::kScaleOverflow && !int8) continue;
+            SCOPED_TRACE(testing::Message()
+                         << "int8=" << int8
+                         << " return_sequences=" << return_sequences
+                         << " L=" << len << " batch=" << batch
+                         << " case=" << static_cast<int>(c));
+            Rng rng(46);
+            auto gru = MakeScoreGru(return_sequences, int8, rng);
+            std::map<std::string, Tensor*> param;
+            for (auto& p : gru->Params()) param[p.name] = p.value;
+            const std::int64_t units = gru->units();
+            Tensor x = Tensor::RandomNormal(
+                {batch, len, kIn}, rng, 0,
+                c == ScoreCase::kSaturating || c == ScoreCase::kScaleOverflow
+                    ? 20.0F
+                    : 1.0F);
+            const std::int64_t last = batch - 1;
+            switch (c) {
+              case ScoreCase::kZeroRows:
+                for (std::int64_t k = 0; k < kIn; ++k) {
+                  x.At(0, 0, k) = -0.0F;
+                  x.At(last, len - 1, k) = k % 2 == 0 ? 1e-40F : -1e-45F;
+                }
+                break;
+              case ScoreCase::kNonFiniteRows:
+                x.At(0, 0, 3) = std::numeric_limits<float>::quiet_NaN();
+                x.At(std::min<std::int64_t>(1, last), 0, 5) = inf;
+                x.At(std::min<std::int64_t>(2, last), len - 1, 7) = -inf;
+                break;
+              case ScoreCase::kHugeRows:
+                for (std::int64_t k = 0; k < kIn; ++k) {
+                  x.At(last, 0, k) = k % 2 == 0 ? 3e38F : -3e38F;
+                }
+                break;
+              case ScoreCase::kWrOverflow:
+                param["gru.wr"]->At(1, 1) = 1e36F;
+                param["gru.wr"]->At(2, 1) = -1e36F;
+                x.At(0, 0, 1) = 1e3F;
+                x.At(0, 0, 2) = 1e3F;
+                break;
+              case ScoreCase::kNaNInBr:
+                param["gru.br"]->At(2) =
+                    std::numeric_limits<float>::quiet_NaN();
+                break;
+              case ScoreCase::kInfInBr:
+                param["gru.br"]->At(2) = inf;
+                param["gru.br"]->At(5) = -inf;
+                break;
+              case ScoreCase::kScaleOverflow: {
+                std::vector<quant::LinearQuant*> ops;
+                gru->CollectQuantOps(ops);
+                quant::LinearQuant& q = *ops.at(0);
+                q.act_scale = 16.0F;
+                for (std::int64_t j = units; j < 2 * units; ++j) {
+                  q.scales[static_cast<std::size_t>(j)] = 1e38F;
+                }
+                // A zero r column: inf · 0 is NaN in every row.
+                for (std::int64_t k = 0; k < q.k; ++k) {
+                  q.data[static_cast<std::size_t>(k * q.n + units + 1)] = 0;
+                }
+                break;
+              }
+              default:
+                break;
+            }
+            nn::InferenceContext ctx;
+            const Tensor got = gru->Score(x, ctx);
+            const Tensor want = reference::ReferenceScore(*gru, x, int8);
+            EXPECT_TRUE(SameBytes(got, want));
+            if (c == ScoreCase::kNaNInBr ||
+                (c == ScoreCase::kWrOverflow && !int8) ||
+                c == ScoreCase::kScaleOverflow) {
+              EXPECT_TRUE(std::isnan(want[0])) << "the case must reach y";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---- The GRU training pass against the full reference --------------
 //
 // nn::Gru's training pass skips what h₀ = 0 zeroes out whenever its

@@ -127,8 +127,9 @@ TEST(QuantKernels, Int8GemmRespectsLeadingDimensionGutters) {
 // Every wider int8 tier must write the SSE2 tier's bytes over the whole
 // C buffer (padded gutters stay untouched), for shapes straddling each
 // tier's mr and nr, and kMc, kKc and kNc, odd and even k, every width
-// of the last B sliver, accumulating and overwriting, with operands
-// spanning the full int8 range.
+// of the last B sliver and every row count mod 8 of the last A sliver,
+// accumulating and overwriting, with operands spanning the full int8
+// range.
 TEST(QuantKernels, EveryInt8TierWritesSse2Bytes) {
   const auto tiers = testing::WideTiersOnThisHost(/*int8=*/true);
   const auto edges = testing::TileStraddleDims();
@@ -154,6 +155,17 @@ TEST(QuantKernels, EveryInt8TierWritesSse2Bytes) {
     for (std::int64_t k : {std::int64_t{1}, std::int64_t{3},
                            std::int64_t{121}, kc - 1, kc + 1}) {
       shapes.push_back({9, wide_nr + r, k});
+    }
+  }
+  // The AVX-512 A packer transposes 8 rows × 16 k-pairs at a time:
+  // every row count mod 8 (with a full sliver before it, and past kMc)
+  // at odd k short of, at and past one 16-pair block, and past kKc.
+  for (std::int64_t r = 0; r < 8; ++r) {
+    for (std::int64_t k : {std::int64_t{1}, std::int64_t{31},
+                           std::int64_t{33}, std::int64_t{65},
+                           std::int64_t{121}, kc + 1}) {
+      shapes.push_back({8 + r, 37, k});
+      shapes.push_back({kernels::kMc + 8 + r, 5, k});
     }
   }
   Rng rng(2026);

@@ -10,8 +10,12 @@
 #   generate;
 #   train --checkpoint-dir, at --threads 1 and at --threads 4;
 #   train for one epoch fewer, then --resume to the full count;
-#   classify --verdicts-out, fp32 and --quantized.
-# Every output is compared between the builds: the corpus CSV, the
+#   classify --verdicts-out, fp32 and --quantized, of the corpus and of
+#   a copy whose rows every so often hold 1e30, -1e38 or 1e300 (inf in
+#   the float encode) in a numeric column. Those rows fail the fp32
+#   check that lets the GRU's Score leave out its reset gate, so its
+#   full path is compared too, NaN verdicts included.
+# Every output is compared between the builds: the corpus CSVs, the
 # weights (.bin), the .meta, .pre and .quant sidecars, the PCKP
 # checkpoints (weights, RMSprop caches and RNG state) and the verdicts.
 # Within each build the 4-thread and the resumed weights must equal the
@@ -59,13 +63,20 @@ run() {
     "$bin" train $common --epochs "$EPOCHS" \
         --checkpoint-dir "$dir/ckpt_resumed" --resume \
         --out "$dir/model_resumed.bin" > /dev/null
-    for engine in fp32 int8; do
-        flag=""
-        [ "$engine" = int8 ] && flag="--quantized"
-        # shellcheck disable=SC2086
-        "$bin" classify --model "$dir/model_t1.bin" --csv "$dir/flows.csv" \
-            --limit 1 --profile-hz 0 $flag \
-            --verdicts-out "$dir/verdicts_$engine.txt" > /dev/null
+    awk -F, -v OFS=, 'NR > 1 && NR % 7 == 0 { $1 = "1e30" }
+        NR > 1 && NR % 11 == 0 { $5 = "-1e38" }
+        NR > 1 && NR % 13 == 0 { $1 = "1e300" }
+        { print }' "$dir/flows.csv" > "$dir/hostile.csv"
+    for corpus in flows hostile; do
+        for engine in fp32 int8; do
+            flag=""
+            [ "$engine" = int8 ] && flag="--quantized"
+            # shellcheck disable=SC2086
+            "$bin" classify --model "$dir/model_t1.bin" \
+                --csv "$dir/$corpus.csv" --limit 1 --profile-hz 0 $flag \
+                --verdicts-out "$dir/verdicts_${corpus}_$engine.txt" \
+                > /dev/null
+        done
     done
 }
 
