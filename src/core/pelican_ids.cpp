@@ -180,26 +180,39 @@ Tensor PelicanIds::EncodeAndScale(const data::RawDataset& records) const {
   return x;
 }
 
-PelicanIds::Verdict PelicanIds::Inspect(
-    std::span<const double> raw_row,
-    std::vector<float>* scaled_features) const {
+std::vector<PelicanIds::Verdict> PelicanIds::InspectRows(
+    std::span<const double> cells, Tensor* scaled) const {
   PELICAN_CHECK(Trained(), "Inspect before Train/Load");
-  Tensor x({1, encoder_.EncodedWidth()});
-  encoder_.EncodeRow(raw_row, x.Row(0));
-  scaler_.Transform(x);
-  if (scaled_features != nullptr) {
-    const auto row = x.Row(0);
-    scaled_features->assign(row.begin(), row.end());
+  const std::size_t columns = schema_.ColumnCount();
+  PELICAN_CHECK(cells.size() % columns == 0, "row width mismatch");
+  Tensor x({static_cast<std::int64_t>(cells.size() / columns),
+            encoder_.EncodedWidth()});
+  for (std::int64_t i = 0; i < x.dim(0); ++i) {
+    encoder_.EncodeRow(
+        cells.subspan(static_cast<std::size_t>(i) * columns, columns),
+        x.Row(i));
   }
-  const Tensor probs =
-      PredictProbabilities(*network_, x, config_.train.batch_size);
-  const auto label = static_cast<int>(probs.ArgMaxRow(0));
-  Verdict verdict;
-  verdict.label = label;
-  verdict.class_name = schema_.LabelName(static_cast<std::size_t>(label));
-  verdict.is_attack = label != config_.normal_label;
-  verdict.confidence = probs.At(0, label);
-  return verdict;
+  scaler_.Transform(x);
+  std::vector<Verdict> verdicts;
+  if (x.dim(0) > 0) {
+    const Tensor probs =
+        PredictProbabilities(*network_, x, config_.train.batch_size);
+    verdicts.reserve(static_cast<std::size_t>(probs.dim(0)));
+    for (std::int64_t i = 0; i < probs.dim(0); ++i) {
+      const auto label = static_cast<int>(probs.ArgMaxRow(i));
+      verdicts.push_back({label,
+                          schema_.LabelName(static_cast<std::size_t>(label)),
+                          label != config_.normal_label, probs.At(i, label)});
+    }
+  }
+  if (scaled != nullptr) *scaled = std::move(x);
+  return verdicts;
+}
+
+PelicanIds::Verdict PelicanIds::Inspect(
+    std::span<const double> raw_row) const {
+  PELICAN_CHECK(raw_row.size() == schema_.ColumnCount(), "row width mismatch");
+  return std::move(InspectRows(raw_row).front());
 }
 
 std::vector<int> PelicanIds::Classify(const data::RawDataset& records) const {
@@ -210,22 +223,9 @@ std::vector<int> PelicanIds::Classify(const data::RawDataset& records) const {
 
 std::vector<PelicanIds::Verdict> PelicanIds::InspectAll(
     const data::RawDataset& records) const {
-  PELICAN_CHECK(Trained(), "InspectAll before Train/Load");
-  std::vector<Verdict> verdicts;
-  if (records.Size() == 0) return verdicts;
-  const Tensor probs = PredictProbabilities(
-      *network_, EncodeAndScale(records), config_.train.batch_size);
-  verdicts.reserve(static_cast<std::size_t>(probs.dim(0)));
-  for (std::int64_t i = 0; i < probs.dim(0); ++i) {
-    const auto label = static_cast<int>(probs.ArgMaxRow(i));
-    Verdict verdict;
-    verdict.label = label;
-    verdict.class_name = schema_.LabelName(static_cast<std::size_t>(label));
-    verdict.is_attack = label != config_.normal_label;
-    verdict.confidence = probs.At(i, label);
-    verdicts.push_back(std::move(verdict));
-  }
-  return verdicts;
+  PELICAN_CHECK(records.schema().ColumnCount() == schema_.ColumnCount(),
+                "row width mismatch");
+  return InspectRows(records.Cells());
 }
 
 Trainer::Evaluation PelicanIds::Evaluate(

@@ -49,26 +49,30 @@ class PelicanIds {
     float confidence = 0.0F;  // softmax probability of the chosen class
   };
 
-  // Classifies one raw record (same column layout as the schema).
-  // When `scaled_features` is non-null it receives the encoded +
-  // standardized row the network saw (length EncodedWidth()) — the
-  // stream-side drift monitor reads its baseline-relative features
-  // from here instead of re-encoding.
-  [[nodiscard]] Verdict Inspect(
-      std::span<const double> raw_row,
-      std::vector<float>* scaled_features = nullptr) const;
+  // The one scoring body, behind Inspect, InspectAll, StreamDetector
+  // and the serving data plane: encodes, scales and scores rows of raw
+  // cells (row-major, schema().ColumnCount() each) in slices of
+  // scoring_batch() rows, one Verdict per row in order. A Verdict is
+  // bit-identical whatever rows surround it (accumulation order is a
+  // function of shapes only). A non-null `scaled` receives the scaled
+  // rows the network saw, (rows, EncodedWidth()), for drift monitoring.
+  [[nodiscard]] std::vector<Verdict> InspectRows(
+      std::span<const double> cells, Tensor* scaled = nullptr) const;
+
+  // InspectRows on one record of exactly schema().ColumnCount() cells.
+  [[nodiscard]] Verdict Inspect(std::span<const double> raw_row) const;
 
   // Batch classification of a whole dataset.
   [[nodiscard]] std::vector<int> Classify(const data::RawDataset& records) const;
 
-  // Batch Inspect: one Verdict per record, from a single pass through
-  // the GEMM-backed predict path. Per-row results are bit-identical to
-  // Inspect on the same row (forward accumulation order is a pure
-  // function of shapes, never of batch composition) — the serving data
-  // plane relies on this to keep micro-batched verdicts byte-equal to
-  // the batch CLI.
+  // InspectRows on every record of a dataset.
   [[nodiscard]] std::vector<Verdict> InspectAll(
       const data::RawDataset& records) const;
+
+  // Rows per Score call when scoring (TrainConfig::batch_size).
+  [[nodiscard]] std::size_t scoring_batch() const {
+    return config_.train.batch_size;
+  }
 
   // Accuracy/loss on a labelled raw dataset.
   [[nodiscard]] Trainer::Evaluation Evaluate(

@@ -1,5 +1,6 @@
 #include "core/stream.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -11,6 +12,8 @@
 namespace pelican::core {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -110,8 +113,7 @@ QualityMonitor::QualityMonitor(std::size_t n_classes, std::size_t n_features,
       z_threshold_(drift_z_threshold),
       cm_(n_classes, window),
       ring_(window * n_features, 0.0F),
-      sum_(n_features, 0.0),
-      sumsq_(n_features, 0.0) {
+      sum_(n_features, 0.0) {
   PELICAN_CHECK(window >= 1);
   PELICAN_CHECK(n_features >= 1);
   PELICAN_CHECK(drift_z_threshold > 0.0);
@@ -122,41 +124,19 @@ void QualityMonitor::ObserveFeatures(std::span<const float> scaled_row) {
                 "feature width mismatch in drift monitor");
   float* slot = ring_.data() + next_ * n_features_;
   if (count_ == window_) {  // evict the row this slot still holds
-    for (std::size_t d = 0; d < n_features_; ++d) {
-      const double v = slot[d];
-      sum_[d] -= v;
-      sumsq_[d] -= v * v;
-    }
+    for (std::size_t d = 0; d < n_features_; ++d) sum_[d] -= slot[d];
   } else {
     ++count_;
   }
   for (std::size_t d = 0; d < n_features_; ++d) {
-    const double v = scaled_row[d];
     slot[d] = scaled_row[d];
-    sum_[d] += v;
-    sumsq_[d] += v * v;
+    sum_[d] += scaled_row[d];
   }
   next_ = (next_ + 1) % window_;
 }
 
 void QualityMonitor::ObserveLabeled(int truth, int predicted) {
   cm_.Record(truth, predicted);
-}
-
-double QualityMonitor::WindowMean(std::size_t feature) const {
-  PELICAN_CHECK(feature < n_features_);
-  if (count_ == 0) return 0.0;
-  return sum_[feature] / static_cast<double>(count_);
-}
-
-double QualityMonitor::WindowVariance(std::size_t feature) const {
-  PELICAN_CHECK(feature < n_features_);
-  if (count_ == 0) return 0.0;
-  const double n = static_cast<double>(count_);
-  const double mean = sum_[feature] / n;
-  // Population variance; clamped — the add/subtract window update can
-  // leave a tiny negative residue for constant features.
-  return std::max(0.0, sumsq_[feature] / n - mean * mean);
 }
 
 QualityMonitor::Snapshot QualityMonitor::Current() const {
@@ -194,7 +174,6 @@ void QualityMonitor::Reset() {
   next_ = 0;
   count_ = 0;
   std::fill(sum_.begin(), sum_.end(), 0.0);
-  std::fill(sumsq_.begin(), sumsq_.end(), 0.0);
 }
 
 // ---- StreamDetector --------------------------------------------------------
@@ -203,6 +182,7 @@ StreamDetector::StreamDetector(const PelicanIds& ids, StreamConfig config)
     : ids_(&ids),
       config_(config),
       per_class_(ids.schema().LabelCount(), 0),
+      window_(config.window),
       quality_(ids.schema().LabelCount(),
                static_cast<std::size_t>(ids.schema().EncodedWidth()),
                config.window, ids.normal_label(),
@@ -217,106 +197,145 @@ StreamDetector::StreamDetector(const PelicanIds& ids, StreamConfig config)
 
 std::optional<Alert> StreamDetector::Ingest(
     std::span<const double> raw_record, std::optional<int> truth_label) {
-  if (!obs::MetricsEnabled() && !obs::TracingEnabled()) {
-    return IngestImpl(raw_record, truth_label);
+  auto alerts = IngestRows(raw_record, 1,
+                           truth_label ? &*truth_label : nullptr, nullptr);
+  if (alerts.empty()) return std::nullopt;
+  return std::move(alerts.front());
+}
+
+std::vector<PelicanIds::Verdict> StreamDetector::IngestAll(
+    const data::RawDataset& records,
+    const std::function<void(const Alert&)>& on_alert,
+    bool labels_for_quality) {
+  const std::size_t batch = ids_->scoring_batch();
+  const std::size_t width = records.schema().ColumnCount();
+  std::vector<PelicanIds::Verdict> verdicts;
+  for (std::size_t start = 0; start < records.Size(); start += batch) {
+    const std::size_t rows = std::min(batch, records.Size() - start);
+    for (const Alert& alert : IngestRows(
+             records.Cells().subspan(start * width, rows * width), rows,
+             labels_for_quality ? records.Labels().data() + start : nullptr,
+             &verdicts)) {
+      if (on_alert) on_alert(alert);
+    }
   }
+  return verdicts;
+}
+
+std::vector<Alert> StreamDetector::IngestRows(
+    std::span<const double> cells, std::size_t rows, const int* truths,
+    std::vector<PelicanIds::Verdict>* verdicts) {
   obs::TraceSpan span("stream_ingest", "stream");
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t quarantined_before = quarantined_;
-  std::optional<Alert> alert = IngestImpl(raw_record, truth_label);
-  if (obs::MetricsEnabled()) {
-    auto& m = StreamCounters();
-    m.records.Inc();
-    if (alert.has_value()) m.alerts.Inc();
-    if (quarantined_ != quarantined_before) m.quarantined.Inc();
-    if (truth_label.has_value()) m.labeled.Inc();
-    m.latency_seconds.Observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-    PublishQualityGauges();
+  const bool timed = obs::MetricsEnabled();
+  const auto t0 = timed ? Clock::now() : Clock::time_point{};
+  const std::size_t width = cells.size() / rows;
+  std::vector<char> malformed(rows);
+  std::vector<double> live;  // the rows that are scored
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto row = cells.subspan(i * width, width);
+    malformed[i] = IsMalformedRecord(ids_->schema(), row) ? 1 : 0;
+    if (malformed[i] == 0) live.insert(live.end(), row.begin(), row.end());
   }
-  return alert;
+  Tensor scaled;
+  auto scored = ids_->InspectRows(live, &scaled);
+  const double seconds =
+      timed ? std::chrono::duration<double>(Clock::now() - t0).count() /
+                  static_cast<double>(rows)
+            : 0.0;
+
+  std::vector<Alert> alerts;
+  std::lock_guard lock(mu_);
+  for (std::size_t i = 0, j = 0; i < rows; ++i) {
+    std::optional<int> truth;
+    if (truths != nullptr) truth = truths[i];
+    std::optional<Alert> alert;
+    if (malformed[i] != 0) {
+      alert = Record(nullptr, {}, truth, seconds);
+    } else {
+      alert = Record(&scored[j], scaled.Row(static_cast<std::int64_t>(j)),
+                     truth, seconds);
+      ++j;
+    }
+    if (alert.has_value()) alerts.push_back(std::move(*alert));
+  }
+  if (verdicts != nullptr) {
+    for (auto& verdict : scored) verdicts->push_back(std::move(verdict));
+  }
+  return alerts;
 }
 
-void StreamDetector::PublishQualityGauges() {
-  const auto snap = quality_.Current();
-  auto& m = StreamCounters();
-  m.drift_score.Set(snap.drift_score);
-  m.drifted_features.Set(static_cast<double>(snap.drifted_features));
-  if (snap.labeled_in_window > 0) {
-    m.detection_rate.Set(snap.detection_rate);
-    m.accuracy.Set(snap.accuracy);
-    m.false_alarm_rate.Set(snap.false_alarm_rate);
-  }
-}
-
-std::optional<Alert> StreamDetector::IngestImpl(
-    std::span<const double> raw_record, std::optional<int> truth_label) {
-  if (IsMalformedRecord(ids_->schema(), raw_record)) {
+std::optional<Alert> StreamDetector::Record(
+    const PelicanIds::Verdict* verdict, std::span<const float> scaled_row,
+    std::optional<int> truth_label, double seconds) {
+  std::optional<Alert> alert;
+  if (verdict == nullptr) {
     // Count it against the stream position but keep the detector on
     // the wire: no verdict, no window entry, no quality update.
     ++processed_;
     ++quarantined_;
-    return std::nullopt;
+  } else {
+    if (truth_label.has_value()) {
+      PELICAN_CHECK(*truth_label >= 0 &&
+                        static_cast<std::size_t>(*truth_label) <
+                            ids_->schema().LabelCount(),
+                    "truth label out of range");
+    }
+    const std::uint64_t sequence = processed_++;
+    per_class_[static_cast<std::size_t>(verdict->label)]++;
+
+    quality_.ObserveFeatures(scaled_row);
+    if (truth_label.has_value()) {
+      ++labeled_;
+      quality_.ObserveLabeled(*truth_label, verdict->label);
+    }
+
+    // Window rate *before* this record decides suppression, so the
+    // first alert of a flood always gets through unflagged.
+    const double rate_before =
+        window_size_ == 0 ? 0.0
+                          : static_cast<double>(window_attacks_) /
+                                static_cast<double>(window_size_);
+    WindowEntry& slot = window_[window_next_];
+    if (window_size_ == window_.size()) {  // evict the oldest verdict
+      window_attacks_ -= slot.attack ? 1 : 0;
+      window_low_confidence_ -= slot.low_confidence ? 1 : 0;
+    } else {
+      ++window_size_;
+    }
+    slot = {verdict->is_attack, verdict->confidence < config_.low_confidence};
+    window_attacks_ += slot.attack ? 1 : 0;
+    window_low_confidence_ += slot.low_confidence ? 1 : 0;
+    window_next_ = (window_next_ + 1) % window_.size();
+
+    if (verdict->is_attack) {
+      ++alerts_;
+      alert = Alert{sequence, verdict->label, verdict->class_name,
+                    verdict->confidence,
+                    rate_before > config_.max_window_alert_rate};
+      if (alert->suppressed) ++suppressed_;
+    }
   }
-  if (truth_label.has_value()) {
-    PELICAN_CHECK(*truth_label >= 0 &&
-                      static_cast<std::size_t>(*truth_label) <
-                          ids_->schema().LabelCount(),
-                  "truth label out of range");
+  if (obs::MetricsEnabled()) {
+    auto& m = StreamCounters();
+    m.records.Inc();
+    if (alert.has_value()) m.alerts.Inc();
+    if (verdict == nullptr) m.quarantined.Inc();
+    if (truth_label.has_value()) m.labeled.Inc();
+    m.latency_seconds.Observe(seconds);
+    const auto snap = quality_.Current();
+    m.drift_score.Set(snap.drift_score);
+    m.drifted_features.Set(static_cast<double>(snap.drifted_features));
+    if (snap.labeled_in_window > 0) {
+      m.detection_rate.Set(snap.detection_rate);
+      m.accuracy.Set(snap.accuracy);
+      m.false_alarm_rate.Set(snap.false_alarm_rate);
+    }
   }
-  const auto verdict = ids_->Inspect(raw_record, &scaled_row_);
-  const std::uint64_t sequence = processed_++;
-  per_class_[static_cast<std::size_t>(verdict.label)]++;
-
-  quality_.ObserveFeatures(scaled_row_);
-  if (truth_label.has_value()) {
-    ++labeled_;
-    quality_.ObserveLabeled(*truth_label, verdict.label);
-  }
-
-  // Window rate *before* this record decides suppression, so the first
-  // alert of a flood always gets through unflagged.
-  double rate_before = 0.0;
-  if (!window_.empty()) {
-    std::size_t attacks = 0;
-    for (const auto& e : window_) attacks += e.attack ? 1 : 0;
-    rate_before = static_cast<double>(attacks) /
-                  static_cast<double>(window_.size());
-  }
-
-  window_.push_back({verdict.is_attack,
-                     verdict.confidence < config_.low_confidence});
-  if (window_.size() > config_.window) window_.pop_front();
-
-  if (!verdict.is_attack) return std::nullopt;
-
-  ++alerts_;
-  Alert alert;
-  alert.sequence = sequence;
-  alert.label = verdict.label;
-  alert.class_name = verdict.class_name;
-  alert.confidence = verdict.confidence;
-  alert.suppressed = rate_before > config_.max_window_alert_rate;
-  if (alert.suppressed) ++suppressed_;
   return alert;
 }
 
-void StreamDetector::IngestAll(
-    const data::RawDataset& records,
-    const std::function<void(const Alert&)>& on_alert,
-    bool labels_for_quality) {
-  const auto labels = records.Labels();
-  for (std::size_t i = 0; i < records.Size(); ++i) {
-    std::optional<int> truth;
-    if (labels_for_quality) truth = labels[i];
-    if (auto alert = Ingest(records.Row(i), truth)) {
-      if (on_alert) on_alert(*alert);
-    }
-  }
-}
-
 StreamStats StreamDetector::Stats() const {
+  std::lock_guard lock(mu_);
   StreamStats stats;
   stats.processed = processed_;
   stats.alerts = alerts_;
@@ -324,16 +343,11 @@ StreamStats StreamDetector::Stats() const {
   stats.quarantined = quarantined_;
   stats.labeled = labeled_;
   stats.per_class = per_class_;
-  if (!window_.empty()) {
-    std::size_t attacks = 0, low = 0;
-    for (const auto& e : window_) {
-      attacks += e.attack ? 1 : 0;
-      low += e.low_confidence ? 1 : 0;
-    }
-    stats.window_alert_rate =
-        static_cast<double>(attacks) / static_cast<double>(window_.size());
-    stats.window_low_confidence =
-        static_cast<double>(low) / static_cast<double>(window_.size());
+  if (window_size_ > 0) {
+    stats.window_alert_rate = static_cast<double>(window_attacks_) /
+                              static_cast<double>(window_size_);
+    stats.window_low_confidence = static_cast<double>(window_low_confidence_) /
+                                  static_cast<double>(window_size_);
   }
   const auto snap = quality_.Current();
   stats.window_detection_rate = snap.detection_rate;
@@ -346,7 +360,11 @@ StreamStats StreamDetector::Stats() const {
 }
 
 void StreamDetector::ResetWindow() {
-  window_.clear();
+  std::lock_guard lock(mu_);
+  window_next_ = 0;
+  window_size_ = 0;
+  window_attacks_ = 0;
+  window_low_confidence_ = 0;
   quality_.Reset();
 }
 

@@ -1,20 +1,13 @@
 // Streaming detector — the operational deployment of Fig. 1: the NIDS
 // sits on the wire, classifies flow records as they arrive, raises
 // alerts for the security team, and tracks rolling health statistics
-// (alert rate, per-class counts, low-confidence fraction) over a
-// sliding window so operators can spot drift or alert floods.
-//
-// PR 5 adds the detection-quality telemetry layer (DESIGN.md §10): a
-// QualityMonitor that keeps the paper's Tables III–IV alive at runtime
-// — a sliding-window confusion matrix publishing rolling DR/ACC/FAR
-// whenever ground-truth labels accompany records — plus an
-// always-on per-feature drift monitor comparing the windowed mean of
-// each standardized feature against the training baseline (mean 0 by
-// construction of the scaler) via a z-score.
+// over a sliding window (alert rate, per-class counts, low-confidence
+// fraction, and through QualityMonitor the paper's DR/ACC/FAR and the
+// input's drift, DESIGN.md §10) so operators can spot drift or floods.
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <mutex>
 #include <optional>
 
 #include "core/pelican_ids.h"
@@ -55,10 +48,9 @@ struct StreamStats {
 // JSON rendering of a stats snapshot (the /stream endpoint payload).
 std::string StreamStatsJson(const StreamStats& stats);
 
-// The shared rejection predicate behind every ingest quarantine
-// (StreamDetector::Ingest and the serve:: wire protocol): a raw record
-// is malformed when its width disagrees with the schema, any cell is
-// non-finite, or a categorical cell is outside its column's domain
+// StreamDetector's quarantine predicate: a raw record is malformed when
+// its width disagrees with the schema, any cell is non-finite, or a
+// categorical cell is outside its column's domain
 // (data::ColumnSpec::InVocabulary; the one-hot encoder throws on one).
 [[nodiscard]] bool IsMalformedRecord(const data::Schema& schema,
                                      std::span<const double> raw_record);
@@ -92,10 +84,9 @@ struct StreamConfig {
 //
 //   z_d = |m_d| · √n        (standard errors of the baseline mean)
 //
-// and the window drift score is max_d z_d. Windowed variances are
-// maintained alongside (WindowVariance) for operators who want the
-// second moment, but flagging uses the mean shift, which is robust for
-// one-hot columns whose variance is legitimately far from 1.
+// and the window drift score is max_d z_d. Flagging uses the mean
+// shift, which is robust for one-hot columns whose variance is
+// legitimately far from 1.
 class QualityMonitor {
  public:
   QualityMonitor(std::size_t n_classes, std::size_t n_features,
@@ -117,13 +108,6 @@ class QualityMonitor {
   };
   [[nodiscard]] Snapshot Current() const;
 
-  [[nodiscard]] const metrics::ConfusionMatrix& WindowMatrix() const {
-    return cm_.Matrix();
-  }
-  [[nodiscard]] std::size_t FeatureWindowSize() const { return count_; }
-  [[nodiscard]] double WindowMean(std::size_t feature) const;
-  [[nodiscard]] double WindowVariance(std::size_t feature) const;
-
   // Drops both the quality and the drift windows.
   void Reset();
 
@@ -137,9 +121,11 @@ class QualityMonitor {
   std::size_t next_ = 0;         // slot the next row lands in
   std::size_t count_ = 0;        // rows currently held (≤ window_)
   std::vector<double> sum_;      // per-feature Σx over the window
-  std::vector<double> sumsq_;    // per-feature Σx² over the window
 };
 
+// Thread-safe: Stats() and ResetWindow() may run on other threads
+// while records are ingested. One mutex guards the detector's state; it
+// is held while a record's verdict is recorded, never while scoring.
 class StreamDetector {
  public:
   // `ids` must be trained and must outlive the detector.
@@ -157,12 +143,18 @@ class StreamDetector {
   std::optional<Alert> Ingest(std::span<const double> raw_record,
                               std::optional<int> truth_label = std::nullopt);
 
-  // Convenience: ingest a whole dataset, invoking `on_alert` per alert.
-  // With `labels_for_quality` the dataset's labels feed the quality
-  // window (a labeled replay of a held-out fold).
-  void IngestAll(const data::RawDataset& records,
-                 const std::function<void(const Alert&)>& on_alert,
-                 bool labels_for_quality = false);
+  // Ingests a whole dataset, with the alerts, Stats(), counters and
+  // gauges of per-record Ingest. Scores in slices of at most the
+  // model's scoring batch, records each verdict through Ingest's step,
+  // then calls `on_alert` per alert, in order, without the detector's
+  // lock. A record's latency observation is its slice's time over the
+  // slice's rows. With `labels_for_quality` the labels feed the quality
+  // window (a labeled replay of a held-out fold). Returns the verdicts
+  // of the records it scored (all but the quarantined), in order.
+  std::vector<PelicanIds::Verdict> IngestAll(
+      const data::RawDataset& records,
+      const std::function<void(const Alert&)>& on_alert,
+      bool labels_for_quality = false);
 
   [[nodiscard]] StreamStats Stats() const;
 
@@ -172,25 +164,41 @@ class StreamDetector {
   void ResetWindow();
 
  private:
-  std::optional<Alert> IngestImpl(std::span<const double> raw_record,
-                                  std::optional<int> truth_label);
-  void PublishQualityGauges();
+  // Scores `rows` records (row-major `cells`) in one InspectRows call
+  // and records each through Record; `truths` is one label per row, or
+  // null. Appends the scored verdicts to a non-null `verdicts`.
+  std::vector<Alert> IngestRows(std::span<const double> cells,
+                                std::size_t rows, const int* truths,
+                                std::vector<PelicanIds::Verdict>* verdicts);
+  // The per-record step, under mu_: counts a quarantine when `verdict`
+  // is null, else records the verdict and its scaled row; with metrics
+  // on, also the counters, the latency `seconds` and the gauges.
+  std::optional<Alert> Record(const PelicanIds::Verdict* verdict,
+                              std::span<const float> scaled_row,
+                              std::optional<int> truth_label,
+                              double seconds);
 
   const PelicanIds* ids_;
   StreamConfig config_;
+  mutable std::mutex mu_;  // guards every member below
   std::uint64_t processed_ = 0;
   std::uint64_t alerts_ = 0;
   std::uint64_t suppressed_ = 0;
   std::uint64_t quarantined_ = 0;
   std::uint64_t labeled_ = 0;
   std::vector<std::uint64_t> per_class_;
+  // The flood limiter's window over the last config_.window verdicts:
+  // a ring, with running counts of its attacks and low confidences.
   struct WindowEntry {
-    bool attack;
-    bool low_confidence;
+    bool attack = false;
+    bool low_confidence = false;
   };
-  std::deque<WindowEntry> window_;
+  std::vector<WindowEntry> window_;
+  std::size_t window_next_ = 0;  // slot the next verdict lands in
+  std::size_t window_size_ = 0;  // verdicts held (≤ config_.window)
+  std::size_t window_attacks_ = 0;
+  std::size_t window_low_confidence_ = 0;
   QualityMonitor quality_;
-  std::vector<float> scaled_row_;  // reused per record
 };
 
 }  // namespace pelican::core

@@ -539,15 +539,16 @@ TrainHistory Trainer::Fit(const Tensor& x, std::span<const int> y,
 namespace {
 
 // Scores x in `batch_size` row slices, in order, and calls
-// fn(first_row, logits) on each slice's logits. The context's arena
-// grows to the model's footprint on the first slice and is reused
-// afterwards.
+// fn(first_row, logits) on each slice's logits; an x of one slice is
+// scored in place. The context's arena grows to the model's footprint
+// on the first slice and is reused afterwards.
 template <typename Fn>
 void ScoreSlices(const nn::Sequential& network, const Tensor& x,
                  std::size_t batch_size, Fn&& fn) {
   const std::int64_t n = x.dim(0), d = x.dim(1);
   const auto bs = static_cast<std::int64_t>(batch_size);
   nn::InferenceContext& ctx = nn::InferenceContext::ThisThread();
+  if (n > 0 && n <= bs) return fn(0, network.Score(x, ctx));
   for (std::int64_t start = 0; start < n; start += bs) {
     const std::int64_t len = std::min(bs, n - start);
     Tensor slice({len, d});

@@ -25,6 +25,8 @@ class RawDataset {
   void Add(std::vector<double> cells, int label);
 
   [[nodiscard]] std::span<const double> Row(std::size_t i) const;
+  // Every row's cells, row-major.
+  [[nodiscard]] std::span<const double> Cells() const { return cells_; }
   [[nodiscard]] int Label(std::size_t i) const { return labels_.at(i); }
   [[nodiscard]] const std::vector<int>& Labels() const { return labels_; }
 

@@ -1,14 +1,9 @@
 #include "obs/http_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -59,33 +54,8 @@ void HttpServer::Handle(const std::string& path, HttpHandler handler) {
 
 void HttpServer::Start() {
   PELICAN_CHECK(!running_.load(), "HttpServer already started");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  PELICAN_CHECK(listen_fd_ >= 0, "socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    PELICAN_CHECK(false, "bad bind address: " + config_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0 ||
-      ::listen(listen_fd_, config_.backlog) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    PELICAN_CHECK(false, "cannot listen on " + config_.bind_address + ":" +
-                             std::to_string(config_.port) + ": " + err);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
+  listen_fd_ =
+      ListenTcp(config_.bind_address, config_.port, config_.backlog, &port_);
 
   stop_.store(false);
   running_.store(true);

@@ -10,6 +10,7 @@
 #include <mutex>
 
 #include "common/check.h"
+#include "obs/json.h"
 
 namespace pelican::obs {
 
@@ -240,31 +241,6 @@ std::string LabelBlock(const Labels& labels, const char* extra_key = nullptr,
   return out;
 }
 
-// JSON string escaping for RenderJson (obs/json.h is not used here to
-// keep metrics.cpp dependency-free below common/).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 struct Registry::Impl {
@@ -437,7 +413,7 @@ std::string Registry::RenderJson() {
     const Impl::Merged m = Impl::Merge(*s);
     if (!first) out += ',';
     first = false;
-    out += "\n  {\"name\": \"" + JsonEscape(s->name) + "\", \"type\": \"";
+    out += "\n  {\"name\": \"" + Json::Escape(s->name) + "\", \"type\": \"";
     out += s->kind == detail::Kind::kCounter
                ? "counter"
                : s->kind == detail::Kind::kGauge ? "gauge" : "histogram";
@@ -446,7 +422,7 @@ std::string Registry::RenderJson() {
     for (const auto& [k, v] : s->labels) {
       if (!lfirst) out += ", ";
       lfirst = false;
-      out += "\"" + JsonEscape(k) + "\": \"" + JsonEscape(v) + "\"";
+      out += "\"" + Json::Escape(k) + "\": \"" + Json::Escape(v) + "\"";
     }
     out += "}";
     if (s->kind == detail::Kind::kCounter) {

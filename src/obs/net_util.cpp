@@ -1,12 +1,17 @@
 #include "obs/net_util.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <string_view>
+
+#include "common/check.h"
 
 namespace pelican::obs {
 namespace {
@@ -25,6 +30,34 @@ ssize_t OpsSend(const SocketOps& ops, int fd, const void* buf,
 }
 
 }  // namespace
+
+int ListenTcp(const std::string& bind_address, std::uint16_t port,
+              int backlog, std::uint16_t* bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  PELICAN_CHECK(fd >= 0, "socket() failed");
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, bind_address.c_str(), &addr.sin_addr) != 1) {
+    ::close(fd);
+    PELICAN_CHECK(false, "bad bind address: " + bind_address);
+  }
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd, backlog) != 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    PELICAN_CHECK(false, "cannot listen on " + bind_address + ":" +
+                             std::to_string(port) + ": " + err);
+  }
+  sockaddr_in bound{};
+  socklen_t len = sizeof bound;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
+  *bound_port = ntohs(bound.sin_port);
+  return fd;
+}
 
 ssize_t RecvRetry(const SocketOps& ops, int fd, void* buf, std::size_t len) {
   for (;;) {

@@ -13,7 +13,9 @@
 #include <sys/types.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <string_view>
 
 namespace pelican::obs {
@@ -26,6 +28,12 @@ struct SocketOps {
   std::function<ssize_t(int fd, void* buf, std::size_t len)> recv;
   std::function<ssize_t(int fd, const void* buf, std::size_t len)> send;
 };
+
+// A TCP listener on `bind_address`:`port` (0: the kernel picks) with
+// SO_REUSEADDR; returns its fd and sets `*bound_port`. Throws CheckError,
+// the socket closed, on a bad address or a failed bind or listen.
+int ListenTcp(const std::string& bind_address, std::uint16_t port,
+              int backlog, std::uint16_t* bound_port);
 
 // One recv through `ops`, retrying EINTR. Returns >0 on data, 0 on
 // peer EOF, -1 with errno set otherwise (including EAGAIN when the

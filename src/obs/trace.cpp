@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace pelican::obs {
@@ -95,20 +96,6 @@ void NoteDrop(Buffer& buffer) {
         "Trace events dropped by per-thread buffer overflow");
     dropped.Inc();
   }
-}
-
-std::string JsonEscape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';  // control chars never appear in span names; sanitize
-      continue;
-    }
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace
@@ -365,7 +352,7 @@ std::string TraceJson() {
 
   std::string out = "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
   bool first = true;
-  char line[256];
+  char line[512];
   for (int tid : tids) {
     std::snprintf(line, sizeof line,
                   "%s{\"ph\": \"M\", \"pid\": 1, \"tid\": %d, "
@@ -385,7 +372,7 @@ std::string TraceJson() {
                     static_cast<double>(e.start_ns) / 1e3,
                     static_cast<double>(e.dur_ns) / 1e3,
                     e.category != nullptr ? e.category : "",
-                    JsonEscape(e.name).c_str());
+                    Json::Escape(e.name).c_str());
     } else {
       // Flow point. The end gets "bp":"e" (bind to enclosing slice) so
       // the arrow terminates inside the reply span, not after it.
@@ -396,7 +383,7 @@ std::string TraceJson() {
                     first ? "" : ",\n", e.ph, e.tid,
                     static_cast<double>(e.start_ns) / 1e3,
                     e.category != nullptr ? e.category : "",
-                    JsonEscape(e.name).c_str(),
+                    Json::Escape(e.name).c_str(),
                     static_cast<unsigned long long>(e.flow_id),
                     e.ph == 'f' ? ", \"bp\": \"e\"" : "");
     }

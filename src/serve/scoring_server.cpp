@@ -1,6 +1,5 @@
 #include "serve/scoring_server.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -8,11 +7,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <optional>
 
 #include "common/check.h"
-#include "data/dataset.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -198,33 +195,8 @@ std::size_t ScoringServer::ScorerCount() const {
 
 void ScoringServer::Start() {
   PELICAN_CHECK(!running_.load(), "ScoringServer already started");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  PELICAN_CHECK(listen_fd_ >= 0, "socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    PELICAN_CHECK(false, "bad bind address: " + config_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0 ||
-      ::listen(listen_fd_, config_.backlog) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    PELICAN_CHECK(false, "cannot listen on " + config_.bind_address + ":" +
-                             std::to_string(config_.port) + ": " + err);
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
+  listen_fd_ = obs::ListenTcp(config_.bind_address, config_.port,
+                              config_.backlog, &port_);
 
   draining_.store(false);
   running_.store(true);
@@ -592,7 +564,7 @@ void ScoringServer::FulfillSlot(const QueueItem& item, std::string reply,
 }
 
 // Runs on every scorer thread. PopBatch is multi-consumer-safe (one
-// mutex guards the queue), InspectAll routes through the reentrant
+// mutex guards the queue), InspectRows routes through the reentrant
 // Score path with a per-thread inference context, and FulfillSlot
 // serializes on the owning chunk's mutex — so any number of scorers
 // can run this loop concurrently against the shared trained model.
@@ -614,6 +586,8 @@ void ScoringServer::ScorerLoop(std::size_t scorer_index) {
                     {"scorer", std::to_string(scorer_index)}});
   }
   std::atomic<std::uint64_t>& busy_ns = scorer_busy_ns_[scorer_index];
+  std::vector<double> cells;      // a batch's live rows, row-major
+  std::vector<std::size_t> live;  // their places in the batch
   for (;;) {
     if (config_.before_batch_hook) config_.before_batch_hook();
     std::vector<QueueItem> batch = queue_.PopBatch(config_.max_batch, linger);
@@ -656,9 +630,8 @@ void ScoringServer::ScorerLoop(std::size_t scorer_index) {
       }
     }
 
-    data::RawDataset rows(ids_->schema());
-    std::vector<std::size_t> live;
-    live.reserve(batch.size());
+    cells.clear();
+    live.clear();
     SlotTiming late_timing;
     late_timing.dequeued = dequeued_at;
     late_timing.level = 1;
@@ -669,8 +642,7 @@ void ScoringServer::ScorerLoop(std::size_t scorer_index) {
         if (metrics_on) Metrics().late.Inc();
         continue;
       }
-      // Label 0 is a placeholder — verdicts never read it.
-      rows.Add(std::move(batch[i].row), 0);
+      cells.insert(cells.end(), batch[i].row.begin(), batch[i].row.end());
       live.push_back(i);
     }
     const auto finish_batch = [&] {
@@ -702,7 +674,7 @@ void ScoringServer::ScorerLoop(std::size_t scorer_index) {
       std::vector<core::PelicanIds::Verdict> verdicts;
       {
         obs::TraceSpan score_span("serve score", "serve");
-        verdicts = ids_->InspectAll(rows);
+        verdicts = ids_->InspectRows(cells);
       }
       const auto scored_at = Clock::now();
       SlotTiming timing;

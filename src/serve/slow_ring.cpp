@@ -77,12 +77,13 @@ void SlowRecordRing::Record(const RecordLifecycle& rec) {
     }
   }
 
-  if (access_log_.active() && (sampled || took_slow)) {
-    Append(took_slow ? "slow" : "sample", entry);
+  if (access_log_.active() && (sampled || took_slow) &&
+      !access_log_.WriteLine(Line(took_slow ? "slow" : "sample", entry))) {
+    log_failures_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void SlowRecordRing::Append(const char* kind, const Entry& entry) {
+std::string SlowRecordRing::Line(const char* kind, const Entry& entry) const {
   obs::Json line;
   const RecordLifecycle& r = entry.rec;
   line.Set("time", obs::Iso8601(entry.when));
@@ -96,9 +97,7 @@ void SlowRecordRing::Append(const char* kind, const Entry& entry) {
   line.Set("score_ms", MsOrNan(r.score_s));
   line.Set("reply_ms", MsOrNan(r.reply_s));
   line.Set("total_ms", r.total_s * 1e3);
-  if (!access_log_.WriteLine(line.Str())) {
-    log_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
+  return line.Str();
 }
 
 std::string SlowRecordRing::Jsonl() const {
@@ -122,25 +121,8 @@ std::string SlowRecordRing::Jsonl() const {
   });
 
   std::string out;
-  const auto emit = [&](const char* kind, const Entry& entry) {
-    obs::Json line;
-    const RecordLifecycle& r = entry.rec;
-    line.Set("time", obs::Iso8601(entry.when));
-    line.Set("kind", kind);
-    line.Set("engine", engine_);
-    line.Set("chunk", r.chunk);
-    line.Set("index", static_cast<std::uint64_t>(r.index));
-    line.Set("verdict", r.verdict);
-    line.Set("queue_ms", MsOrNan(r.queue_s));
-    line.Set("batch_ms", MsOrNan(r.batch_s));
-    line.Set("score_ms", MsOrNan(r.score_s));
-    line.Set("reply_ms", MsOrNan(r.reply_s));
-    line.Set("total_ms", r.total_s * 1e3);
-    out += line.Str();
-    out += '\n';
-  };
-  for (const Entry& entry : slow) emit("slow", entry);
-  for (const Entry& entry : sampled) emit("sample", entry);
+  for (const Entry& entry : slow) out += Line("slow", entry) + '\n';
+  for (const Entry& entry : sampled) out += Line("sample", entry) + '\n';
   return out;
 }
 

@@ -84,7 +84,8 @@ class SlowRecordRing {
     std::chrono::system_clock::time_point when;
   };
 
-  void Append(const char* kind, const Entry& entry);
+  // The JSONL object (no newline) of /slow and the access log.
+  [[nodiscard]] std::string Line(const char* kind, const Entry& entry) const;
 
   std::size_t top_k_;
   std::uint64_t sample_every_;

@@ -1,89 +1,38 @@
 #include "serve/wire.h"
 
+#include <iterator>
+
 #include "common/strings.h"
-#include "core/stream.h"
+#include "data/csv.h"
 
 namespace pelican::serve {
 
 namespace {
 
-ParsedRecord Malformed(std::string reason) {
-  ParsedRecord out;
-  out.ok = false;
-  out.error = std::move(reason);
-  return out;
-}
+// The wire's reason token for each data::RowDefect, in its order.
+constexpr const char* kReasons[] = {"",           "empty",
+                                    "width",      "unknown_category",
+                                    "bad_number", "unknown_label",
+                                    "non_finite"};
+static_assert(std::size(kReasons) ==
+              static_cast<std::size_t>(data::RowDefect::kNonFinite) + 1);
 
-// Shared parse/validate body; the two entry points differ only in how
-// a categorical cell or label name resolves to its vocabulary index.
-template <typename CategoryFn, typename LabelFn>
-ParsedRecord ParseRecordImpl(const data::Schema& schema,
-                             std::string_view line,
-                             CategoryFn&& category_index,
-                             LabelFn&& label_index) {
-  const std::string_view trimmed = Trim(line);
-  if (trimmed.empty()) return Malformed("empty");
-  const std::vector<std::string> fields = Split(trimmed, ',');
-  const std::size_t columns = schema.ColumnCount();
-  if (fields.size() != columns && fields.size() != columns + 1) {
-    return Malformed("width");
+ParsedRecord ToRecord(data::CsvRow row) {
+  if (row.defect != data::RowDefect::kNone) {
+    return {false, kReasons[static_cast<std::size_t>(row.defect)], {}, {}};
   }
-
-  ParsedRecord out;
-  out.row.resize(columns);
-  for (std::size_t c = 0; c < columns; ++c) {
-    const auto& col = schema.Column(c);
-    const std::string_view field = Trim(fields[c]);
-    if (col.kind == data::ColumnKind::kCategorical) {
-      const int idx = category_index(c, field);
-      if (idx < 0) return Malformed("unknown_category");
-      out.row[c] = idx;
-    } else {
-      double value = 0.0;
-      // Lenient first so "inf"/"nan" classify as non_finite (the
-      // StreamDetector quarantine reason) rather than bad_number.
-      if (!ParseDoubleLenient(field, &value)) return Malformed("bad_number");
-      out.row[c] = value;
-    }
-  }
-  if (fields.size() == columns + 1) {
-    const int label = label_index(Trim(fields.back()));
-    if (label < 0) return Malformed("unknown_label");
-    out.truth = label;
-  }
-  // The same rejection predicate the streaming detector quarantines
-  // with; here it only ever fires on non-finite numerics (width and
-  // category domain were enforced above).
-  if (core::IsMalformedRecord(schema, out.row)) return Malformed("non_finite");
-  out.ok = true;
-  return out;
+  return {true, "", std::move(row.cells), row.label};
 }
 
 }  // namespace
 
 ParsedRecord ParseRecordLine(const data::Schema& schema,
                              std::string_view line) {
-  return ParseRecordImpl(
-      schema, line,
-      [&schema](std::size_t c, std::string_view field) {
-        const auto& cats = schema.Column(c).categories;
-        for (std::size_t v = 0; v < cats.size(); ++v) {
-          if (cats[v] == field) return static_cast<int>(v);
-        }
-        return -1;
-      },
-      [&schema](std::string_view name) {
-        return schema.LabelIndex(std::string{name});
-      });
+  return ToRecord(data::ParseCsvRow(schema, line, nullptr));
 }
 
 ParsedRecord WireParser::Parse(std::string_view line) const {
-  return ParseRecordImpl(
-      *schema_, line,
-      [this](std::size_t c, std::string_view field) {
-        return vocab_.CategoryIndex(c, field);
-      },
-      [this](std::string_view name) { return vocab_.LabelIndex(name); });
+  return ToRecord(data::ParseCsvRow(*schema_, line, &vocab_));
 }
 
 std::string RenderVerdict(const core::PelicanIds::Verdict& v) {

@@ -17,8 +17,9 @@
 //   late,<reason>                  dropped — deadline, timeout
 //
 // A malformed line costs exactly one err reply; the connection and the
-// server keep going (quarantine semantics shared with StreamDetector
-// via core::IsMalformedRecord).
+// server keep going. The reason is data::ParseCsvRow's defect, the one
+// row grammar data::ReadCsv also parses with, so a line with several
+// defects is named in data::RowDefect's order.
 #pragma once
 
 #include <optional>
@@ -44,11 +45,10 @@ struct ParsedRecord {
   std::optional<int> truth;   // trailing label, when present
 };
 
-// Parses + validates one request line against the schema. Never
-// throws: any defect lands in {ok=false, error=<reason>}. Resolves
-// categorical cells by linear vocabulary scan — O(V) per cell, kept as
-// the reference implementation the hash-backed WireParser is tested
-// against. Hot paths should hold a WireParser instead.
+// Parses + validates one request line through data::ParseCsvRow. Never
+// throws: a defect lands in {ok=false, error=<reason>}. Resolves names
+// by linear scan, O(V) per cell: the reference the hash-backed
+// WireParser is tested against. Hot paths should hold a WireParser.
 [[nodiscard]] ParsedRecord ParseRecordLine(const data::Schema& schema,
                                            std::string_view line);
 

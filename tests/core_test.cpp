@@ -379,11 +379,13 @@ TEST(PelicanIds, LoadedDetectorHoldsNoGradientsAndAnswersLikeTheSaver) {
     }
     for (std::size_t i = 0; i < 5; ++i) {
       const auto row = test_set.Row(i);
-      std::vector<float> want_features, got_features;
-      EXPECT_TRUE(SameVerdict(loaded.Inspect(row, &got_features),
-                              saver.Inspect(row, &want_features)))
+      Tensor want_features, got_features;
+      EXPECT_TRUE(SameVerdict(loaded.InspectRows(row, &got_features)[0],
+                              saver.InspectRows(row, &want_features)[0]))
           << "Inspect row " << i;
-      EXPECT_EQ(got_features, want_features);
+      EXPECT_TRUE(SameVerdict(loaded.Inspect(row), saver.Inspect(row)))
+          << "Inspect row " << i;
+      EXPECT_TRUE(SameBytes(got_features, want_features));
     }
     EXPECT_EQ(loaded.Classify(test_set), saver.Classify(test_set));
     const auto want_eval = saver.Evaluate(test_set);

@@ -21,10 +21,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -310,6 +312,43 @@ TEST(Wire, RejectsWithReasonTokens) {
 
   fields.back() = "NoSuchLabel";
   EXPECT_EQ(serve::ParseRecordLine(schema, rebuilt()).error, "unknown_label");
+}
+
+// A line with several defects is named by the first in one order:
+// cells in column order (unknown category, bad number), then the label,
+// and last the first non-finite cell, however early it sits.
+TEST(Wire, NamesFirstDefectInOrder) {
+  const auto& schema = TrainedIds().schema();
+  std::vector<std::size_t> numeric, categorical;
+  for (std::size_t c = 0; c < schema.ColumnCount(); ++c) {
+    (schema.Column(c).kind == data::ColumnKind::kNumeric ? numeric
+                                                         : categorical)
+        .push_back(c);
+  }
+  ASSERT_GE(numeric.size(), 2u);
+  ASSERT_FALSE(categorical.empty());
+  const auto with = [&](std::vector<std::pair<std::size_t, std::string>> set,
+                        const std::string& label) {
+    auto fields = Split(DataLines()[2], ',');
+    for (const auto& [c, text] : set) fields[c] = text;
+    fields.back() = label;
+    return Join(fields, ",");
+  };
+  const std::size_t first = numeric.front(), later = numeric.back();
+  const std::string label = Split(DataLines()[2], ',').back();
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {with({{first, "nan"}}, "NoSuchClass"), "unknown_label"},
+      {with({{first, "inf"}, {categorical.back(), "no_such"}}, label),
+       "unknown_category"},
+      {with({{first, "-inf"}, {later, "x1"}}, label), "bad_number"},
+      {with({{later, "nan"}, {first, "inf"}}, label), "non_finite"}};
+  for (const auto& [line, reason] : cases) {
+    EXPECT_EQ(serve::ParseRecordLine(schema, line).error, reason) << line;
+  }
+  // Two non-finite cells: the first is the one named.
+  const auto row = data::ParseCsvRow(schema, cases.back().first, nullptr);
+  EXPECT_EQ(row.column, first);
+  EXPECT_EQ(row.field, "inf");
 }
 
 // Satellite: deterministic mutation fuzz. Truncated, oversized-field,
@@ -992,6 +1031,65 @@ void ExpectSameParse(const serve::ParsedRecord& a,
   EXPECT_EQ(a.truth, b.truth) << what;
 }
 
+// The malformed corpus: one line per quarantine reason token, then a
+// seeded byte-mutation fuzz of the fixture lines (the same recipe as
+// the server-quarantine fuzz above).
+const std::vector<std::string>& MalformedLines() {
+  static const std::vector<std::string> lines = [] {
+    std::vector<std::string> out = {"", "   ", "total,garbage",
+                                    DataLines()[0] + ",ExtraField,More"};
+    std::string bad_cat = DataLines()[0];
+    const auto comma = bad_cat.find(',');
+    bad_cat.replace(0, comma, "no_such_protocol");
+    out.push_back(bad_cat);
+    std::string bad_label = DataLines()[0];
+    bad_label.replace(bad_label.rfind(',') + 1, std::string::npos,
+                      "NoSuchClass");
+    out.push_back(bad_label);
+    std::string bad_number = DataLines()[0];
+    bad_number.replace(bad_number.find(",") + 1, 0, "x");
+    out.push_back(bad_number);
+    // A non-finite cell, alone and behind an unknown label, which is
+    // named first.
+    const auto& schema = TrainedIds().schema();
+    auto fields = Split(DataLines()[1], ',');
+    std::size_t numeric = 0;
+    while (schema.Column(numeric).kind != data::ColumnKind::kNumeric) {
+      ++numeric;
+    }
+    fields[numeric] = "nan";
+    out.push_back(Join(fields, ","));
+    fields.back() = "NoSuchClass";
+    out.push_back(Join(fields, ","));
+
+    Rng rng(1333);
+    for (int round = 0; round < 400; ++round) {
+      std::string line = DataLines()[static_cast<std::size_t>(round) %
+                                     DataLines().size()];
+      const int mutations = 1 + static_cast<int>(rng.Below(3));
+      for (int m = 0; m < mutations; ++m) {
+        const auto pos = static_cast<std::size_t>(rng.Below(line.size()));
+        switch (rng.Below(3)) {
+          case 0:
+            line[pos] = static_cast<char>(rng.Below(256));
+            break;
+          case 1:
+            line.insert(pos, 1, static_cast<char>(rng.Below(256)));
+            break;
+          default:
+            line.erase(pos, 1);
+            break;
+        }
+        if (line.empty()) line = ",";
+      }
+      std::erase_if(line, [](char ch) { return ch == '\n' || ch == '\r'; });
+      out.push_back(line);
+    }
+    return out;
+  }();
+  return lines;
+}
+
 TEST(Wire, HashParserMatchesLinearScanReference) {
   const auto& schema = TrainedIds().schema();
   const serve::WireParser parser(schema);
@@ -1005,53 +1103,101 @@ TEST(Wire, HashParserMatchesLinearScanReference) {
                     serve::ParseRecordLine(schema, unlabeled),
                     "unlabeled: " + unlabeled);
   }
-
-  // The malformed corpus: every quarantine reason token.
-  std::vector<std::string> malformed = {
-      "", "   ", "total,garbage", DataLines()[0] + ",ExtraField,More"};
-  {
-    std::string bad_cat = DataLines()[0];
-    const auto comma = bad_cat.find(',');
-    bad_cat.replace(0, comma, "no_such_protocol");
-    malformed.push_back(bad_cat);
-    std::string bad_label = DataLines()[0];
-    bad_label.replace(bad_label.rfind(',') + 1, std::string::npos,
-                      "NoSuchClass");
-    malformed.push_back(bad_label);
-    std::string bad_number = DataLines()[0];
-    bad_number.replace(bad_number.find(",") + 1, 0, "x");
-    malformed.push_back(bad_number);
-  }
-  for (const auto& line : malformed) {
+  // Every quarantine reason token, and every mutant.
+  for (const auto& line : MalformedLines()) {
     ExpectSameParse(parser.Parse(line), serve::ParseRecordLine(schema, line),
                     "malformed: " + line);
   }
+}
 
-  // Seeded byte-mutation fuzz: both parsers must agree on every mutant
-  // (same corpus recipe as the server-quarantine fuzz above).
-  Rng rng(1333);
-  for (int round = 0; round < 400; ++round) {
-    std::string line = DataLines()[static_cast<std::size_t>(round) %
-                                   DataLines().size()];
-    const int mutations = 1 + static_cast<int>(rng.Below(3));
-    for (int m = 0; m < mutations; ++m) {
-      const auto pos = static_cast<std::size_t>(rng.Below(line.size()));
-      switch (rng.Below(3)) {
-        case 0:
-          line[pos] = static_cast<char>(rng.Below(256));
-          break;
-        case 1:
-          line.insert(pos, 1, static_cast<char>(rng.Below(256)));
-          break;
-        default:
-          line.erase(pos, 1);
-          break;
-      }
-      if (line.empty()) line = ",";
+// ReadCsv's outcome on one data line, read after the schema's header
+// and a blank line (so it is line 3).
+struct CsvOutcome {
+  bool ok = false;
+  std::string message;  // the CheckError's text after " — ", when !ok
+  std::vector<double> cells;
+  std::optional<int> label;  // unset when ReadCsv skipped the line
+};
+
+CsvOutcome ReadCsvLine(const data::Schema& schema, const std::string& line) {
+  std::string csv;
+  for (const auto& col : schema.Columns()) csv += col.name + ",";
+  csv += "label\n\n" + line + "\n";
+  std::istringstream in(csv);
+  CsvOutcome out;
+  try {
+    const auto ds = data::ReadCsv(schema, in);
+    out.ok = true;
+    if (ds.Size() == 1) {
+      out.cells.assign(ds.Row(0).begin(), ds.Row(0).end());
+      out.label = ds.Label(0);
     }
-    std::erase_if(line, [](char ch) { return ch == '\n' || ch == '\r'; });
-    ExpectSameParse(parser.Parse(line), serve::ParseRecordLine(schema, line),
-                    "mutant: " + line);
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    const std::string dash = " — ";
+    out.message = what.substr(what.find(dash) + dash.size());
+  }
+  return out;
+}
+
+// One grammar: ReadCsv and the wire agree on every line — the same
+// cells and label where both accept, and where the wire rejects,
+// ReadCsv rejects with the same reason, naming the line and the column
+// and text of the cell at fault. ReadCsv skips a blank line (the wire's
+// `empty`) and requires the label (an unlabeled line is a width error).
+TEST(Wire, ReadCsvAgreesWithWireParser) {
+  const auto& schema = TrainedIds().schema();
+  const serve::WireParser parser(schema);
+  const std::map<std::string, std::string> prefix = {
+      {"width", "CSV row width mismatch"},
+      {"unknown_category", "unknown category '"},
+      {"bad_number", "bad numeric cell '"},
+      {"non_finite", "non-finite numeric value '"},
+      {"unknown_label", "unknown label '"}};
+  std::vector<std::string> lines;
+  for (const auto& line : DataLines()) {
+    lines.push_back(line);
+    lines.push_back(line.substr(0, line.rfind(',')));
+  }
+  lines.insert(lines.end(), MalformedLines().begin(), MalformedLines().end());
+
+  std::map<std::string, int> reasons;
+  for (const auto& line : lines) {
+    SCOPED_TRACE("line: " + line);
+    const auto wire = parser.Parse(line);
+    const auto csv = ReadCsvLine(schema, line);
+    if (wire.ok && wire.truth.has_value()) {
+      ASSERT_TRUE(csv.ok) << csv.message;
+      EXPECT_EQ(csv.cells, wire.row);
+      EXPECT_EQ(csv.label, wire.truth);
+      ++reasons["ok"];
+      continue;
+    }
+    if (wire.error == "empty") {
+      EXPECT_TRUE(csv.ok && !csv.label.has_value());
+      ++reasons["empty"];
+      continue;
+    }
+    ASSERT_FALSE(csv.ok);
+    const std::string reason = wire.ok ? "width" : wire.error;
+    ++reasons[reason];
+    ASSERT_EQ(prefix.count(reason), 1u) << reason;
+    std::string want = prefix.at(reason);
+    if (reason != "width") {
+      const auto row = data::ParseCsvRow(schema, line, nullptr);
+      want += std::string(row.field) + "' in column " +
+              (row.column < schema.ColumnCount()
+                   ? schema.Column(row.column).name
+                   : std::string("label"));
+    }
+    want += " at line 3";
+    // what() is a C string: a NUL byte in the field ends it.
+    EXPECT_EQ(csv.message, want.substr(0, want.find('\0')));
+  }
+  // The corpus reaches every outcome.
+  for (const char* outcome : {"ok", "empty", "width", "unknown_category",
+                              "bad_number", "non_finite", "unknown_label"}) {
+    EXPECT_GT(reasons[outcome], 0) << outcome;
   }
 }
 
@@ -1651,6 +1797,224 @@ TEST(StreamQuarantine, OutOfVocabCategoricalIndexQuarantined) {
   row[categorical] = 1e6;
   EXPECT_FALSE(detector.Ingest(row).has_value());
   EXPECT_EQ(detector.Stats().quarantined, 1u);
+}
+
+// ---- StreamDetector::IngestAll ----------------------------------------------
+
+void ExpectSameBytes(double a, double b, const char* what) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << what << ": " << a << " vs " << b;
+}
+
+void ExpectSameStats(const core::StreamStats& a, const core::StreamStats& b) {
+  EXPECT_EQ(a.processed, b.processed);
+  EXPECT_EQ(a.alerts, b.alerts);
+  EXPECT_EQ(a.suppressed, b.suppressed);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_EQ(a.labeled, b.labeled);
+  EXPECT_EQ(a.per_class, b.per_class);
+  EXPECT_EQ(a.window_labeled, b.window_labeled);
+  EXPECT_EQ(a.window_drifted_features, b.window_drifted_features);
+  ExpectSameBytes(a.window_alert_rate, b.window_alert_rate, "alert rate");
+  ExpectSameBytes(a.window_low_confidence, b.window_low_confidence,
+                  "low confidence");
+  ExpectSameBytes(a.window_detection_rate, b.window_detection_rate, "DR");
+  ExpectSameBytes(a.window_accuracy, b.window_accuracy, "ACC");
+  ExpectSameBytes(a.window_false_alarm_rate, b.window_false_alarm_rate,
+                  "FAR");
+  ExpectSameBytes(a.window_drift_score, b.window_drift_score, "drift");
+}
+
+// IngestAll gives what per-record Ingest gives on a fresh detector:
+// alerts (suppressed ones included), Stats(), counters, latency
+// observations and gauges; its verdicts are InspectAll's. 150 labeled
+// rows span five slices of the 32-row scoring batch, and every 13th
+// holds a NaN cell, so it is quarantined.
+TEST(StreamIngestAll, MatchesPerRecordIngest) {
+  ObsOff guard;
+  obs::EnableMetrics(true);
+  auto& reg = obs::Registry::Global();
+  const auto& ids = TrainedIds();
+  ASSERT_EQ(ids.scoring_batch(), 32u);
+
+  Rng rng(61);
+  const auto source = data::GenerateNslKdd(150, rng);
+  const auto& schema = source.schema();
+  std::size_t numeric = 0;
+  while (schema.Column(numeric).kind != data::ColumnKind::kNumeric) ++numeric;
+  data::RawDataset records(schema);
+  std::vector<bool> quarantined;
+  for (std::size_t i = 0; i < source.Size(); ++i) {
+    std::vector<double> row(source.Row(i).begin(), source.Row(i).end());
+    quarantined.push_back(i % 13 == 5);
+    if (quarantined.back()) {
+      row[numeric] = std::numeric_limits<double>::quiet_NaN();
+    }
+    records.Add(std::move(row), source.Label(i));
+  }
+  core::StreamConfig config;
+  config.window = 40;
+  config.max_window_alert_rate = 0.2;  // low: some alerts are suppressed
+
+  // The pelican_stream_* counters and the latency histogram's count.
+  const auto metrics = [&reg] {
+    std::vector<double> v;
+    for (const char* name :
+         {"pelican_stream_records_total", "pelican_stream_alerts_total",
+          "pelican_stream_quarantined_total",
+          "pelican_stream_labeled_total"}) {
+      v.push_back(static_cast<double>(reg.CounterValue(name)));
+    }
+    v.push_back(static_cast<double>(
+        reg.HistogramValue("pelican_stream_record_seconds").count));
+    return v;
+  };
+  const auto gauges = [&reg] {
+    std::vector<double> v;
+    for (const char* name :
+         {"pelican_stream_drift_score", "pelican_stream_drifted_features",
+          "pelican_stream_window_detection_rate",
+          "pelican_stream_window_accuracy",
+          "pelican_stream_window_false_alarm_rate"}) {
+      v.push_back(reg.GaugeValue(name));
+    }
+    return v;
+  };
+  const auto delta = [](std::vector<double> after,
+                        const std::vector<double>& before) {
+    for (std::size_t i = 0; i < after.size(); ++i) after[i] -= before[i];
+    return after;
+  };
+
+  auto before = metrics();
+  core::StreamDetector per_record(ids, config);
+  std::vector<core::Alert> want;
+  for (std::size_t i = 0; i < records.Size(); ++i) {
+    if (auto alert = per_record.Ingest(records.Row(i), records.Label(i))) {
+      want.push_back(*alert);
+    }
+  }
+  const auto want_metrics = delta(metrics(), before);
+  const auto want_gauges = gauges();
+
+  before = metrics();
+  core::StreamDetector batched(ids, config);
+  std::vector<core::Alert> got;
+  const auto verdicts = batched.IngestAll(
+      records, [&got](const core::Alert& alert) { got.push_back(alert); },
+      /*labels_for_quality=*/true);
+  EXPECT_EQ(delta(metrics(), before), want_metrics);
+  EXPECT_EQ(want_metrics[0], 150.0);
+  EXPECT_EQ(want_metrics[4], 150.0);  // one latency observation each
+  const auto got_gauges = gauges();
+  for (std::size_t i = 0; i < got_gauges.size(); ++i) {
+    ExpectSameBytes(got_gauges[i], want_gauges[i], "gauge");
+  }
+
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t suppressed = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].sequence, want[i].sequence) << i;
+    EXPECT_EQ(got[i].label, want[i].label) << i;
+    EXPECT_EQ(got[i].class_name, want[i].class_name) << i;
+    EXPECT_EQ(std::memcmp(&got[i].confidence, &want[i].confidence,
+                          sizeof(float)),
+              0)
+        << i;
+    EXPECT_EQ(got[i].suppressed, want[i].suppressed) << i;
+    suppressed += got[i].suppressed ? 1 : 0;
+  }
+  EXPECT_GT(suppressed, 0u);
+  EXPECT_LT(suppressed, got.size());
+  const auto stats = batched.Stats();
+  ExpectSameStats(stats, per_record.Stats());
+  EXPECT_EQ(stats.quarantined, 12u);
+
+  const auto expected = ids.InspectAll(records);
+  std::size_t scored = 0;
+  for (std::size_t i = 0; i < records.Size(); ++i) {
+    if (quarantined[i]) continue;
+    ASSERT_LT(scored, verdicts.size());
+    const auto& v = verdicts[scored++];
+    EXPECT_EQ(serve::RenderVerdict(v), serve::RenderVerdict(expected[i]));
+    EXPECT_EQ(v.label, expected[i].label);
+    EXPECT_EQ(v.is_attack, expected[i].is_attack);
+    EXPECT_EQ(std::memcmp(&v.confidence, &expected[i].confidence,
+                          sizeof(float)),
+              0)
+        << i;
+  }
+  EXPECT_EQ(scored, verdicts.size());
+
+  // The flood limiter and the window rates, recounted over a plain
+  // deque of the last `window` scored verdicts.
+  std::deque<const core::PelicanIds::Verdict*> window;
+  const auto share = [&window](auto&& pred) {
+    return static_cast<double>(
+               std::count_if(window.begin(), window.end(), pred)) /
+           static_cast<double>(window.size());
+  };
+  const auto attack = [](const auto* v) { return v->is_attack; };
+  std::vector<bool> want_suppressed;
+  for (std::size_t i = 0; i < records.Size(); ++i) {
+    if (quarantined[i]) continue;
+    const double rate = window.empty() ? 0.0 : share(attack);
+    if (expected[i].is_attack) {
+      want_suppressed.push_back(rate > config.max_window_alert_rate);
+    }
+    window.push_back(&expected[i]);
+    if (window.size() > config.window) window.pop_front();
+  }
+  ASSERT_EQ(want_suppressed.size(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].suppressed, want_suppressed[i]) << i;
+  }
+  ExpectSameBytes(stats.window_alert_rate, share(attack), "alert rate");
+  ExpectSameBytes(stats.window_low_confidence,
+                  share([&config](const auto* v) {
+                    return v->confidence < config.low_confidence;
+                  }),
+                  "low confidence");
+}
+
+// Stats() may be read from another thread, and from the alert callback,
+// while IngestAll runs (the TSan build checks the first; the second
+// would deadlock if the callback ran under the detector's lock).
+TEST(StreamIngestAll, StatsReadConcurrently) {
+  core::StreamDetector detector(TrainedIds());
+  Rng rng(62);
+  const auto records = data::GenerateNslKdd(320, rng);
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> reads{0};
+  bool monotonic = true;
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const auto stats = detector.Stats();
+      monotonic = monotonic && stats.processed >= last;
+      last = stats.processed;
+      (void)core::StreamStatsJson(stats);
+      reads.fetch_add(1);
+    }
+  });
+  std::uint64_t seen_in_callback = 0;
+  const auto verdicts = detector.IngestAll(
+      records,
+      [&](const core::Alert& alert) {
+        if (seen_in_callback == 0) {
+          // Hold the first alert until the reader has read mid-run.
+          const std::size_t before = reads.load();
+          while (reads.load() == before) std::this_thread::yield();
+        }
+        seen_in_callback = detector.Stats().processed;
+        EXPECT_GT(seen_in_callback, alert.sequence);
+      },
+      /*labels_for_quality=*/true);
+  done.store(true);
+  reader.join();
+  EXPECT_TRUE(monotonic);
+  EXPECT_GT(seen_in_callback, 0u);
+  EXPECT_EQ(verdicts.size(), records.Size());
+  EXPECT_EQ(detector.Stats().processed, records.Size());
 }
 
 }  // namespace

@@ -32,8 +32,6 @@
 
 #include <chrono>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -329,18 +327,6 @@ int CmdClassify(const Flags& flags) {
   if (flags.Has("quantized")) ids.EnableQuantized(true);
   if (g_server != nullptr) g_server->SetReady(true);
 
-  // Batch verdicts in the serve wire format, for byte-for-byte
-  // comparison against a scoring-server run on the same rows.
-  const auto verdicts_out = flags.Get("verdicts-out");
-  if (!verdicts_out.empty()) {
-    std::ofstream vout(verdicts_out);
-    PELICAN_CHECK(vout.is_open(), "cannot write " + verdicts_out);
-    for (const auto& v : ids.InspectAll(ds)) {
-      vout << serve::RenderVerdict(v) << '\n';
-    }
-    PELICAN_CHECK(vout.good(), "verdict write failed: " + verdicts_out);
-  }
-
   const auto limit = static_cast<std::size_t>(flags.GetLong("limit", 0));
   const bool labels_for_quality = flags.Has("labels-for-quality");
   core::StreamConfig stream_config;
@@ -349,35 +335,42 @@ int CmdClassify(const Flags& flags) {
   stream_config.drift_z_threshold =
       flags.GetDouble("drift-threshold", stream_config.drift_z_threshold);
   core::StreamDetector detector(ids, stream_config);
-
-  // The server thread snapshots Stats() between ingests; the detector
-  // itself is single-threaded, so the CLI provides the lock.
-  std::mutex detector_mu;
   if (g_server != nullptr) {
-    g_server->SetStreamSource([&detector, &detector_mu] {
-      std::lock_guard lock(detector_mu);
-      return core::StreamStatsJson(detector.Stats());
-    });
+    g_server->SetStreamSource(
+        [&detector] { return core::StreamStatsJson(detector.Stats()); });
   }
 
-  const auto labels = ds.Labels();
+  // One pass scores every record. LoadData admits no record the
+  // detector would quarantine, so there is one verdict per record.
   std::size_t shown = 0;
-  for (std::size_t i = 0; i < ds.Size(); ++i) {
-    std::optional<int> truth;
-    if (labels_for_quality) truth = labels[i];
-    std::optional<core::Alert> alert;
-    {
-      std::lock_guard lock(detector_mu);
-      alert = detector.Ingest(ds.Row(i), truth);
-    }
-    if (alert && (limit == 0 || shown < limit)) {
-      std::printf("record %6zu: %-16s confidence=%.2f%s\n", i,
-                  alert->class_name.c_str(), alert->confidence,
-                  alert->suppressed ? "  [suppressed]" : "");
-      ++shown;
-    }
+  const auto verdicts = detector.IngestAll(
+      ds,
+      [&](const core::Alert& alert) {
+        if (limit != 0 && shown >= limit) return;
+        std::printf("record %6llu: %-16s confidence=%.2f%s\n",
+                    static_cast<unsigned long long>(alert.sequence),
+                    alert.class_name.c_str(), alert.confidence,
+                    alert.suppressed ? "  [suppressed]" : "");
+        ++shown;
+      },
+      labels_for_quality);
+
+  // Verdicts in the serve wire format, for byte-for-byte comparison
+  // against a scoring-server run on the same rows.
+  const auto verdicts_out = flags.Get("verdicts-out");
+  if (!verdicts_out.empty()) {
+    std::ofstream vout(verdicts_out);
+    PELICAN_CHECK(vout.is_open(), "cannot write " + verdicts_out);
+    for (const auto& v : verdicts) vout << serve::RenderVerdict(v) << '\n';
+    PELICAN_CHECK(vout.good(), "verdict write failed: " + verdicts_out);
   }
+
   const auto stats = detector.Stats();
+  if (g_server != nullptr) {
+    // The detector dies with this frame; leave the final snapshot.
+    g_server->SetStreamSource(
+        [json = core::StreamStatsJson(stats)] { return json; });
+  }
   std::printf("\n%llu records, %llu alerts (%.2f%%)\n",
               static_cast<unsigned long long>(stats.processed),
               static_cast<unsigned long long>(stats.alerts),

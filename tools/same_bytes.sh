@@ -10,14 +10,16 @@
 #   generate;
 #   train --checkpoint-dir, at --threads 1 and at --threads 4;
 #   train for one epoch fewer, then --resume to the full count;
-#   classify --verdicts-out, fp32 and --quantized, of the corpus and of
-#   a copy whose rows every so often hold 1e30, -1e38 or 1e300 (inf in
-#   the float encode) in a numeric column. Those rows fail the fp32
-#   check that lets the GRU's Score leave out its reset gate, so its
-#   full path is compared too, NaN verdicts included.
+#   classify --limit 0 --labels-for-quality --verdicts-out, fp32 and
+#   --quantized, of the corpus and of a copy whose rows every so often
+#   hold 1e30, -1e38 or 1e300 (inf in the float encode) in a numeric
+#   column. Those rows fail the fp32 check that lets the GRU's Score
+#   leave out its reset gate, so its full path is compared too, NaN
+#   verdicts included.
 # Every output is compared between the builds: the corpus CSVs, the
 # weights (.bin), the .meta, .pre and .quant sidecars, the PCKP
-# checkpoints (weights, RMSprop caches and RNG state) and the verdicts.
+# checkpoints (weights, RMSprop caches and RNG state), the verdicts and
+# classify's stdout (run in the case's directory, so the paths match).
 # Within each build the 4-thread and the resumed weights must equal the
 # 1-thread ones. Exits 1 naming the first file that differs; 0 when all
 # match. About 30 s on 4 cores; files go to a temporary directory
@@ -33,6 +35,8 @@ B="$2/tools/pelican"
 for bin in "$A" "$B"; do
     [ -x "$bin" ] || { echo "no pelican binary at $bin" >&2; exit 2; }
 done
+A="$(cd "$1" && pwd)/tools/pelican"
+B="$(cd "$2" && pwd)/tools/pelican"
 
 WORK_DIR="$(mktemp -d)"
 trap 'rm -rf "$WORK_DIR"' EXIT
@@ -72,10 +76,11 @@ run() {
             flag=""
             [ "$engine" = int8 ] && flag="--quantized"
             # shellcheck disable=SC2086
-            "$bin" classify --model "$dir/model_t1.bin" \
-                --csv "$dir/$corpus.csv" --limit 1 --profile-hz 0 $flag \
-                --verdicts-out "$dir/verdicts_${corpus}_$engine.txt" \
-                > /dev/null
+            (cd "$dir" && "$bin" classify --model model_t1.bin \
+                --csv "$corpus.csv" --limit 0 --labels-for-quality \
+                --profile-hz 0 $flag \
+                --verdicts-out "verdicts_${corpus}_$engine.txt" \
+                > "classify_${corpus}_$engine.out")
         done
     done
 }
