@@ -1,69 +1,35 @@
-// Thread pool + deterministic batch-sharding helpers.
+// Deterministic parallel loops on one fork-join.
 //
-// ParallelFor runs `fn(i)` over [begin, end), sharding contiguous index
-// ranges across the process-wide pool. ParallelForShards exposes the
-// shard structure itself for reductions: the decomposition depends only
-// on the range length and grain — never on the thread count — so callers
-// that accumulate into per-shard buffers and reduce them in shard order
+// ParallelForShards partitions [begin, end) into ShardCount(n, grain)
+// contiguous shards and runs fn(shard, lo, hi) for each; ParallelFor
+// runs fn(i) over the same partition. The partition depends only on the
+// range length and the grain, never on the thread count, so callers
+// that accumulate into per-shard buffers and combine them in shard order
 // produce bit-identical results for any PELICAN_THREADS setting
-// (including 1, which executes the same shards serially). This is what
-// keeps training losses and saved weights independent of parallelism and
-// preserves the exact checkpoint/resume guarantee.
+// (including 1, which runs the same shards one after another). This is
+// what keeps training losses and saved weights independent of
+// parallelism and preserves the exact checkpoint/resume guarantee.
 //
-// Concurrency contract:
-//  - A ParallelFor issued from inside a pool worker runs serially on the
-//    calling thread (nested parallelism would deadlock a fixed pool).
-//  - If `fn` throws, every shard is joined before the first exception
-//    (in shard order) is rethrown; no shard outlives the call.
+// Execution: at N threads the process holds N − 1 pool workers, and the
+// calling thread runs shards too. The pool runs one job at a time: its
+// threads claim shard indices from one counter, and the call returns
+// after the last shard ends. Dispatch allocates nothing.
+//  - A call that finds a job in flight (a nested call from a shard, or
+//    another thread's call) runs its own shards itself, in shard order;
+//    so does a one-shard call and every call at one thread. Such a call
+//    touches no pool state.
+//  - If `fn` throws, every shard of a dispatched job still runs, and the
+//    first exception in shard order is rethrown after the last shard
+//    ends; no shard outlives the call. A call its caller runs alone
+//    stops at the first throwing shard.
 #pragma once
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <queue>
-#include <thread>
-#include <vector>
 
 namespace pelican {
-
-class ThreadPool {
- public:
-  // n_threads == 0 → hardware_concurrency (min 1).
-  explicit ThreadPool(std::size_t n_threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  // Enqueue a task; the future resolves when it completes.
-  std::future<void> Submit(std::function<void()> task);
-
-  // Joins all workers and restarts with `n_threads` (0 → hardware
-  // concurrency). Must not be called from a pool worker or while tasks
-  // are in flight.
-  void Resize(std::size_t n_threads);
-
-  // True on threads owned by any ThreadPool (used for the nested-call
-  // serial fallback).
-  [[nodiscard]] static bool InWorker();
-
-  // Process-wide pool, lazily constructed with EffectiveThreads() workers.
-  static ThreadPool& Global();
-
- private:
-  void StartWorkers(std::size_t n);
-  void WorkerLoop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::packaged_task<void()>> tasks_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-};
 
 // ---- threading configuration ---------------------------------------------
 // Thread count resolution: SetThreads() overrides the PELICAN_THREADS
@@ -71,13 +37,13 @@ class ThreadPool {
 // 1 forces the serial path.
 
 // Overrides the configured thread count and resizes the global pool if
-// it already exists. Not safe to call concurrently with ParallelFor.
+// it already exists. Must not run while a parallel loop is in flight.
 void SetThreads(std::size_t n);
 
 // The configured thread count (0 = auto).
 std::size_t Threads();
 
-// The resolved worker count (>= 1).
+// The resolved thread count (>= 1): the caller plus the pool's workers.
 std::size_t EffectiveThreads();
 
 // Parses a PELICAN_THREADS-style value; nullptr/empty/garbage/negative → 0.
@@ -85,28 +51,37 @@ std::size_t ParseThreadsEnv(const char* text);
 
 // ---- parallel loops -------------------------------------------------------
 
-// Runs fn(i) for every i in [begin, end); shards of at least `grain`
-// indices are distributed across the pool. Safe only for bodies whose
-// iterations are independent (disjoint writes); such loops are
-// deterministic for any thread count because each iteration's arithmetic
-// is self-contained.
+// Runs fn(i) for every i in [begin, end), in ParallelForShards' shards.
+// Safe only for bodies whose iterations are independent (disjoint
+// writes); such loops are deterministic for any thread count because
+// each iteration's arithmetic is self-contained.
 void ParallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)>& fn,
                  std::size_t grain = 1);
 
-// Upper bound on the number of shards ParallelForShards creates; fixed
-// (not hardware-derived) so reduction trees are machine-independent.
+// Upper bound on the number of shards of one loop; fixed (not
+// hardware-derived) so reduction trees are machine-independent.
 inline constexpr std::size_t kMaxShards = 16;
 
-// Number of shards ParallelForShards uses for a range of length n:
+// Number of shards of a range of length n:
 // min(kMaxShards, ceil(n / grain)). Pure function of (n, grain).
 std::size_t ShardCount(std::size_t n, std::size_t grain);
 
-// Partitions [begin, end) into ShardCount contiguous shards and runs
-// fn(shard, lo, hi) for each. Shard boundaries are identical whether the
-// shards execute serially or on the pool; reductions that accumulate
-// per-shard partials and combine them in shard order are therefore
-// bit-identical for any thread count.
+// The grain that gives one shard at least `min_shard_work` units of
+// work when one index carries `work_per_index`:
+// max(1, min_shard_work / work_per_index). Pure function of the shape.
+constexpr std::size_t ShardGrain(std::int64_t work_per_index,
+                                 std::int64_t min_shard_work) {
+  return static_cast<std::size_t>(std::max<std::int64_t>(
+      1, min_shard_work / std::max<std::int64_t>(1, work_per_index)));
+}
+
+// Partitions [begin, end) into ShardCount contiguous shards of
+// ceil(n / ShardCount) indices (shards past the end of the range are
+// empty and skipped) and runs fn(shard, lo, hi) for each. Shard
+// boundaries are identical whether the shards execute serially or on the
+// pool; reductions that accumulate per-shard partials and combine them in
+// shard order are therefore bit-identical for any thread count.
 void ParallelForShards(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t shard, std::size_t lo,

@@ -20,9 +20,9 @@
 //
 // Contents are uninitialized. Each thread owns its arena exclusively,
 // so no synchronization is needed; buffers handed to other threads
-// (e.g. a packed panel read by pool workers) are safe to *read* across
-// the fork/join of a ParallelFor because the pool's future handoff
-// orders the writes before the reads.
+// (e.g. a packed panel read by pool workers) are safe to *read* inside
+// a ParallelFor's shards: the pool's lock, taken to publish the job,
+// orders the caller's writes before the workers' reads.
 #pragma once
 
 #include <cstddef>

@@ -6,16 +6,6 @@
 
 namespace pelican::core {
 
-TrainConfig ExperimentConfig::ToTrainConfig(std::uint64_t seed) const {
-  TrainConfig config;
-  config.epochs = epochs;
-  config.batch_size = batch_size;
-  config.learning_rate = learning_rate;
-  config.optimizer = "rmsprop";
-  config.seed = seed;
-  return config;
-}
-
 ExperimentConfig PaperNslKdd() {
   return {.dataset = "NSL-KDD",
           .filter_size = 121,

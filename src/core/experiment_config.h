@@ -3,9 +3,9 @@
 // deviation is printed side-by-side by bench/table1_parameters).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
-
-#include "core/trainer.h"
 
 namespace pelican::core {
 
@@ -19,8 +19,6 @@ struct ExperimentConfig {
   float learning_rate;
   std::size_t batch_size;
   std::size_t records;          // dataset size used
-
-  [[nodiscard]] TrainConfig ToTrainConfig(std::uint64_t seed = 42) const;
 };
 
 // The paper's Table I settings, verbatim.

@@ -566,15 +566,10 @@ std::vector<int> Predict(const nn::Sequential& network, const Tensor& x,
   std::vector<int> predictions(static_cast<std::size_t>(x.dim(0)));
   ScoreSlices(network, x, batch_size,
               [&](std::int64_t start, const Tensor& logits) {
-                // Rows of the logits argmax independently.
-                ParallelFor(
-                    0, static_cast<std::size_t>(logits.dim(0)),
-                    [&](std::size_t i) {
-                      predictions[static_cast<std::size_t>(start) + i] =
-                          static_cast<int>(logits.ArgMaxRow(
-                              static_cast<std::int64_t>(i)));
-                    },
-                    64);
+                for (std::int64_t i = 0; i < logits.dim(0); ++i) {
+                  predictions[static_cast<std::size_t>(start + i)] =
+                      static_cast<int>(logits.ArgMaxRow(i));
+                }
               });
   return predictions;
 }

@@ -24,12 +24,9 @@ namespace {
 // Channel index of flat element i given row width c (last-axis channels).
 inline std::int64_t ChannelOf(std::int64_t i, std::int64_t c) { return i % c; }
 
-// Rows per shard so one task touches at least ~16k elements.
-std::size_t RowGrain(std::int64_t channels) {
-  constexpr std::int64_t kMinShardWork = 1 << 14;
-  return static_cast<std::size_t>(std::max<std::int64_t>(
-      1, kMinShardWork / std::max<std::int64_t>(1, channels)));
-}
+// Elements of one shard at the least. The grain fixes the shard layout
+// of ShardedChannelSum, and so the bytes of every training run.
+constexpr std::int64_t kMinShardWork = 1 << 14;
 
 // Per-channel Σ per_element(flat_index, channel) over all rows, sharded
 // with per-shard partials combined in shard order — bit-identical for
@@ -37,7 +34,7 @@ std::size_t RowGrain(std::int64_t channels) {
 template <typename PerElement>
 Tensor ShardedChannelSum(std::int64_t rows, std::int64_t c,
                          PerElement&& per_element) {
-  const std::size_t grain = RowGrain(c);
+  const std::size_t grain = ShardGrain(c, kMinShardWork);
   const std::size_t shards =
       pelican::ShardCount(static_cast<std::size_t>(rows), grain);
   std::vector<Tensor> parts(shards, Tensor({c}));
@@ -106,7 +103,7 @@ Tensor BatchNorm::TrainForward(const Tensor& x) {
           yp[base + j] = gp[j] * hp[base + j] + betap[j];
         }
       },
-      RowGrain(c));
+      ShardGrain(c, kMinShardWork));
   return y;
 }
 
@@ -139,7 +136,7 @@ Tensor BatchNorm::Score(const Tensor& x, InferenceContext& /*ctx*/) const {
           yp[base + j] = gp[j] * xh + betap[j];
         }
       },
-      RowGrain(c));
+      ShardGrain(c, kMinShardWork));
   return y;
 }
 
@@ -177,7 +174,7 @@ Tensor BatchNorm::Backward(const Tensor& dy) {
               (dyp[base + j] - sdy[j] / m - hp[base + j] * sdyh[j] / m);
         }
       },
-      RowGrain(c));
+      ShardGrain(c, kMinShardWork));
   return dx;
 }
 

@@ -12,12 +12,8 @@
 namespace pelican::nn {
 
 namespace {
-// Batch items per shard so one task carries ~32k multiply-adds.
-std::size_t BatchGrain(std::int64_t per_item_work) {
-  constexpr std::int64_t kMinShardWork = 1 << 15;
-  return static_cast<std::size_t>(std::max<std::int64_t>(
-      1, kMinShardWork / std::max<std::int64_t>(1, per_item_work)));
-}
+// Work (elements) of one shard at the least.
+constexpr std::int64_t kMinShardWork = 1 << 15;
 
 // Lowers x (N, L, C_in) to the im2col matrix (N·L, K_eff·C_in): row
 // (i, t) is the receptive field [x(i, t-pad+kk_lo, :), …] for the
@@ -50,7 +46,7 @@ void Im2Col(const float* x, std::int64_t n, std::int64_t len,
           }
         }
       },
-      BatchGrain(len * kc));
+      ShardGrain(len * kc, kMinShardWork));
 }
 }  // namespace
 
@@ -207,7 +203,7 @@ Tensor Conv1D::Backward(const Tensor& dy) {
           }
         }
       },
-      BatchGrain(len * kc));
+      ShardGrain(len * kc, kMinShardWork));
   return dx;
 }
 

@@ -22,12 +22,10 @@ namespace {
 // independent, so the split cannot change a byte.
 template <typename Fn>
 void ParallelRows(std::int64_t n, std::int64_t width, Fn&& fn) {
-  const std::int64_t grain =
-      std::max<std::int64_t>(1, (1 << 14) / std::max<std::int64_t>(1, width));
   ParallelFor(
       0, static_cast<std::size_t>(n),
       [&](std::size_t i) { fn(static_cast<std::int64_t>(i)); },
-      static_cast<std::size_t>(grain));
+      ShardGrain(width, 1 << 14));
 }
 
 // kernels::MaxAbsBits below kInfBits: every value finite.

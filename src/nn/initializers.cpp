@@ -126,12 +126,6 @@ Tensor GlorotUniform(Tensor::Shape shape, std::int64_t fan_in,
   return Tensor::RandomUniform(std::move(shape), *init.rng(), -limit, limit);
 }
 
-Tensor HeUniform(Tensor::Shape shape, std::int64_t fan_in, Rng& rng) {
-  PELICAN_CHECK(fan_in > 0);
-  const float limit = std::sqrt(6.0F / static_cast<float>(fan_in));
-  return Tensor::RandomUniform(std::move(shape), rng, -limit, limit);
-}
-
 Tensor Orthogonal(std::int64_t rows, std::int64_t cols, Init init) {
   if (init.rng() == nullptr) return Tensor({rows, cols});
   Tensor m = Tensor::RandomNormal({rows, cols}, *init.rng(), 0.0F, 1.0F);

@@ -36,9 +36,6 @@ inline constexpr Init Init::kNoDraw{};
 Tensor GlorotUniform(Tensor::Shape shape, std::int64_t fan_in,
                      std::int64_t fan_out, Init init);
 
-// He/Kaiming uniform for ReLU fan-in: U(-limit, limit), limit = sqrt(6/fan_in).
-Tensor HeUniform(Tensor::Shape shape, std::int64_t fan_in, Rng& rng);
-
 // Orthogonal init for recurrent kernels: modified Gram–Schmidt over the
 // columns (rows >= cols) or the rows (rows < cols) of a standard-normal
 // matrix. Zeros for Init::kNoDraw.

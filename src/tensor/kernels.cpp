@@ -327,9 +327,7 @@ void GemmPacked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
       // Row blocks of C are disjoint, so they shard freely; each block
       // packs its A panel into its own thread-local workspace.
       const auto row_blocks = static_cast<std::size_t>((m + kMc - 1) / kMc);
-      const std::int64_t per_block_work = kMc * kc * nc;
-      const auto grain = static_cast<std::size_t>(std::max<std::int64_t>(
-          1, (1 << 15) / std::max<std::int64_t>(1, per_block_work)));
+      const std::size_t grain = ShardGrain(kMc * kc * nc, 1 << 15);
       ParallelFor(
           0, row_blocks,
           [&](std::size_t blk) {
@@ -882,9 +880,7 @@ void GemmInt8Packed(std::int64_t m, std::int64_t n, std::int64_t k,
       kPackB(b, ldb, pc, jc, kc, nc, bpanel);
 
       const auto row_blocks = static_cast<std::size_t>((m + kMc - 1) / kMc);
-      const std::int64_t per_block_work = kMc * kc * nc;
-      const auto grain = static_cast<std::size_t>(std::max<std::int64_t>(
-          1, (1 << 15) / std::max<std::int64_t>(1, per_block_work)));
+      const std::size_t grain = ShardGrain(kMc * kc * nc, 1 << 15);
       ParallelFor(
           0, row_blocks,
           [&](std::size_t blk) {

@@ -17,7 +17,7 @@
 // any PELICAN_THREADS on any x86-64 host. Each output element is produced
 // by exactly one ParallelFor shard; its fp32 sum runs k ascending from
 // 0.0F inside each kKc panel, every product rounded before it is added
-// (kernels.cpp is compiled with -ffp-contract=off, so no tier fuses a
+// (the project is compiled with -ffp-contract=off, so no tier fuses a
 // multiply-add), and panels combine in ascending order. Int8 sums are
 // exact. Results may differ from a naive ascending-k loop in last-bit
 // rounding (panel sums are formed in registers before being added to C),

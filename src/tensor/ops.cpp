@@ -14,13 +14,9 @@ void CheckRank2(const Tensor& t, const char* what) {
   PELICAN_CHECK(t.rank() == 2, what);
 }
 
-// Rows per ParallelFor shard, sized so one task carries ~32k
-// multiply-adds; small matrices stay on the calling thread.
-std::size_t RowGrain(std::int64_t per_row_work) {
-  constexpr std::int64_t kMinShardWork = 1 << 15;
-  return static_cast<std::size_t>(std::max<std::int64_t>(
-      1, kMinShardWork / std::max<std::int64_t>(1, per_row_work)));
-}
+// Work (elements) of one shard at the least; small matrices stay on the
+// calling thread.
+constexpr std::int64_t kMinShardWork = 1 << 15;
 }  // namespace
 
 // The MatMul* family are thin wrappers over the blocked SGEMM in
@@ -102,30 +98,7 @@ Tensor Transpose2D(const Tensor& x) {
           }
         }
       },
-      RowGrain(kTile * m));
-  return y;
-}
-
-Tensor MatVec(const Tensor& a, const Tensor& x) {
-  CheckRank2(a, "MatVec: a must be rank-2");
-  PELICAN_CHECK(x.rank() == 1 && x.dim(0) == a.dim(1), "MatVec: shape");
-  const std::int64_t m = a.dim(0), n = a.dim(1);
-  Tensor y({m});
-  const float* ap = a.data().data();
-  const float* xp = x.data().data();
-  float* yp = y.data().data();
-  // Each output element reduces its own row, so rows shard freely and
-  // the per-element accumulation order never changes.
-  ParallelFor(
-      0, static_cast<std::size_t>(m),
-      [&](std::size_t ui) {
-        const auto i = static_cast<std::int64_t>(ui);
-        double acc = 0.0;
-        const float* arow = ap + i * n;
-        for (std::int64_t j = 0; j < n; ++j) acc += arow[j] * xp[j];
-        yp[i] = static_cast<float>(acc);
-      },
-      RowGrain(n));
+      ShardGrain(kTile * m, kMinShardWork));
   return y;
 }
 
@@ -137,7 +110,7 @@ void AddRowBias(float* x, std::int64_t rows, std::int64_t d,
         float* row = x + static_cast<std::int64_t>(ui) * d;
         for (std::int64_t j = 0; j < d; ++j) row[j] += bias[j];
       },
-      RowGrain(d));
+      ShardGrain(d, kMinShardWork));
 }
 
 void AddRowBias(Tensor& x, const Tensor& bias) {
@@ -152,7 +125,7 @@ void SumRowsInto(const float* dy, std::int64_t rows, std::int64_t d,
   // Rows reduce into one vector, so shards accumulate private partials
   // that combine in shard order; the shard layout is a pure function of
   // (rows, grain), keeping the sum bit-identical for any thread count.
-  const std::size_t grain = RowGrain(d);
+  const std::size_t grain = ShardGrain(d, kMinShardWork);
   const std::size_t shards =
       ShardCount(static_cast<std::size_t>(rows), grain);
   if (shards <= 1) {
@@ -225,7 +198,7 @@ Tensor SoftmaxRows(const Tensor& logits) {
         const auto inv = static_cast<float>(1.0 / denom);
         for (std::int64_t j = 0; j < d; ++j) out.At(i, j) *= inv;
       },
-      RowGrain(4 * d));
+      ShardGrain(4 * d, kMinShardWork));
   return out;
 }
 

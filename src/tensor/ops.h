@@ -23,9 +23,6 @@ void MatMulTransAAccum(const Tensor& a, const Tensor& b, Tensor& c);
 // y = x(M,N)ᵀ → (N,M). Cache-blocked and row-parallel.
 Tensor Transpose2D(const Tensor& x);
 
-// GEMV: y(M) = A(M,N) · x(N). Row-parallel.
-Tensor MatVec(const Tensor& a, const Tensor& x);
-
 // Row-wise ops on (N,D):
 // out[i][j] = x[i][j] + bias[j].
 void AddRowBias(Tensor& x, const Tensor& bias);

@@ -181,17 +181,6 @@ TEST(Rng, ForkProducesIndependentStream) {
   EXPECT_LT(equal, 3);
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.Submit([&counter] { counter++; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 20);
-}
-
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(100);
   ParallelFor(0, 100, [&](std::size_t i) { hits[i]++; });

@@ -160,14 +160,6 @@ TEST(Ops, TransposeRoundTrip) {
   EXPECT_EQ(back, a);
 }
 
-TEST(Ops, MatVec) {
-  auto a = Tensor::FromVector({2, 3}, {1, 0, 2, 0, 1, -1});
-  auto x = Tensor::FromVector({3}, {3, 4, 5});
-  auto y = MatVec(a, x);
-  EXPECT_FLOAT_EQ(y.At(0), 13.0F);
-  EXPECT_FLOAT_EQ(y.At(1), -1.0F);
-}
-
 TEST(Ops, AddRowBiasAndSumRows) {
   auto x = Tensor::FromVector({2, 2}, {1, 2, 3, 4});
   auto bias = Tensor::FromVector({2}, {10, 20});

@@ -1,6 +1,7 @@
 // ParallelFor concurrency contract: exception join-before-propagate,
-// nested-call serial fallback, shard coverage, thread-count-invariant
-// shard layout, and bit-identical training for 1 vs N threads.
+// nested-call serial fallback, concurrent callers, shard coverage,
+// thread-count-invariant shard layout, and bit-identical training for 1
+// vs N threads.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -17,6 +18,7 @@
 #include "common/thread_pool.h"
 #include "core/trainer.h"
 #include "models/pelican.h"
+#include "nn/inference_context.h"
 #include "tensor/ops.h"
 
 namespace {
@@ -64,8 +66,9 @@ TEST(ParallelFor, PropagatesTheExceptionMessage) {
   }
 }
 
-TEST(ParallelFor, NestedCallFallsBackToSerialAndCompletes) {
-  ThreadGuard guard(4);
+// A loop issued from a shard, or from any thread while another thread's
+// job is in flight, runs on the thread that issued it.
+void ExpectNestedLoopsRunOnTheirThread() {
   constexpr std::size_t kOuter = 8;
   constexpr std::size_t kInner = 100;
   std::vector<std::vector<int>> hits(kOuter,
@@ -74,7 +77,7 @@ TEST(ParallelFor, NestedCallFallsBackToSerialAndCompletes) {
   ParallelFor(0, kOuter, [&](std::size_t o) {
     const auto outer_thread = std::this_thread::get_id();
     ParallelFor(0, kInner, [&, o, outer_thread](std::size_t i) {
-      // The nested loop must run on the worker that issued it.
+      // The nested loop must run on the thread that issued it.
       if (std::this_thread::get_id() != outer_thread) nested_parallelism++;
       hits[o][i]++;
     });
@@ -83,6 +86,70 @@ TEST(ParallelFor, NestedCallFallsBackToSerialAndCompletes) {
   for (const auto& row : hits) {
     for (int h : row) EXPECT_EQ(h, 1);
   }
+}
+
+TEST(ParallelFor, NestedCallFallsBackToSerialAndCompletes) {
+  ThreadGuard guard(4);
+  ExpectNestedLoopsRunOnTheirThread();
+
+  // Again while another thread's job holds the pool.
+  std::atomic<bool> in_flight{false};
+  std::atomic<bool> done{false};
+  std::thread other([&] {
+    ParallelFor(0, 2, [&](std::size_t) {
+      in_flight = true;
+      while (!done) std::this_thread::yield();
+    });
+  });
+  while (!in_flight) std::this_thread::yield();
+  ExpectNestedLoopsRunOnTheirThread();
+  done = true;
+  other.join();
+}
+
+// Four threads call at once: each call runs as the pool's job, or runs
+// its shards itself when it finds another in flight. Either way it
+// writes the 1-thread bytes.
+TEST(ParallelFor, ConcurrentCallersWriteTheOneThreadBytes) {
+  Rng rng(5);
+  const Tensor dy = Tensor::RandomNormal({1000, 121}, rng, 0, 1);
+  ASSERT_GT(ShardCount(1000, ShardGrain(121, 1 << 15)), 1U);
+  const auto net = models::BuildPelican(24, 3, rng);
+  const Tensor x = Tensor::RandomNormal({64, 24}, rng, 0, 1);
+  const auto sum_rows = [&dy] {
+    std::vector<float> sums(121, 0.0F);
+    SumRowsInto(dy.data().data(), 1000, 121, sums.data());
+    return sums;
+  };
+  std::vector<float> sums1;
+  Tensor scores1;
+  {
+    ThreadGuard guard(1);
+    sums1 = sum_rows();
+    scores1 = net->Score(x, nn::InferenceContext::ThisThread());
+  }
+  ThreadGuard guard(4);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      nn::InferenceContext ctx;
+      for (int i = 0; i < 100; ++i) {
+        const std::vector<float> sums = sum_rows();
+        if (std::memcmp(sums.data(), sums1.data(),
+                        sums.size() * sizeof(float)) != 0) {
+          mismatches++;
+        }
+        const Tensor scores = net->Score(x, ctx);
+        if (std::memcmp(scores.data().data(), scores1.data().data(),
+                        scores1.data().size() * sizeof(float)) != 0) {
+          mismatches++;
+        }
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ParallelFor, EmptyRangeRunsNothing) {

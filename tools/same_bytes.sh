@@ -11,17 +11,18 @@
 #   train --checkpoint-dir, at --threads 1 and at --threads 4;
 #   train for one epoch fewer, then --resume to the full count;
 #   classify --limit 0 --labels-for-quality --verdicts-out, fp32 and
-#   --quantized, of the corpus and of a copy whose rows every so often
-#   hold 1e30, -1e38 or 1e300 (inf in the float encode) in a numeric
-#   column. Those rows fail the fp32 check that lets the GRU's Score
-#   leave out its reset gate, so its full path is compared too, NaN
-#   verdicts included.
+#   --quantized, at --threads 1 and at --threads 4, of the corpus and of
+#   a copy whose rows every so often hold 1e30, -1e38 or 1e300 (inf in
+#   the float encode) in a numeric column. Those rows fail the fp32
+#   check that lets the GRU's Score leave out its reset gate, so its
+#   full path is compared too, NaN verdicts included.
 # Every output is compared between the builds: the corpus CSVs, the
 # weights (.bin), the .meta, .pre and .quant sidecars, the PCKP
 # checkpoints (weights, RMSprop caches and RNG state), the verdicts and
 # classify's stdout (run in the case's directory, so the paths match).
 # Within each build the 4-thread and the resumed weights must equal the
-# 1-thread ones. Exits 1 naming the first file that differs; 0 when all
+# 1-thread ones, and so must each classify's 4-thread verdicts and
+# stdout. Exits 1 naming the first file that differs; 0 when all
 # match. About 30 s on 4 cores; files go to a temporary directory
 # that is removed on exit (up to about 1 GB at a time at full width).
 set -eu
@@ -75,12 +76,15 @@ run() {
         for engine in fp32 int8; do
             flag=""
             [ "$engine" = int8 ] && flag="--quantized"
-            # shellcheck disable=SC2086
-            (cd "$dir" && "$bin" classify --model model_t1.bin \
-                --csv "$corpus.csv" --limit 0 --labels-for-quality \
-                --profile-hz 0 $flag \
-                --verdicts-out "verdicts_${corpus}_$engine.txt" \
-                > "classify_${corpus}_$engine.out")
+            for threads in 1 4; do
+                name="${corpus}_${engine}_t$threads"
+                # shellcheck disable=SC2086
+                (cd "$dir" && "$bin" classify --model model_t1.bin \
+                    --csv "$corpus.csv" --limit 0 --labels-for-quality \
+                    --profile-hz 0 --threads "$threads" $flag \
+                    --verdicts-out "verdicts_$name.txt" \
+                    > "classify_$name.out")
+            done
         done
     done
 }
@@ -109,6 +113,14 @@ for dataset in nsl unsw; do
             for model in model_t4 model_resumed; do
                 cmp -s "$WORK_DIR/b/model_t1.bin" "$WORK_DIR/b/$model.bin" \
                     || differs "$case: $model.bin against model_t1.bin"
+            done
+            for side in a b; do
+                for t4 in "$WORK_DIR/$side"/verdicts_*_t4.txt \
+                          "$WORK_DIR/$side"/classify_*_t4.out; do
+                    t1="$(echo "$t4" | sed 's/_t4\./_t1./')"
+                    cmp -s "$t1" "$t4" \
+                        || differs "$case: $(basename "$t4") against $(basename "$t1") ($side)"
+                done
             done
             echo "$case: $count files the same"
             rm -rf "$WORK_DIR/a" "$WORK_DIR/b"
